@@ -28,6 +28,7 @@ from .complexes import (
     fragment_to_json,
     homotopic,
     path_from_json,
+    path_pair_from_json,
     path_to_json,
 )
 from .degenerate import (
@@ -62,8 +63,8 @@ from .gsft import (
     gsft_matrix_from_json,
     gsft_matrix_to_json,
     hat,
+    hat_input_from_json,
 )
-from .groups import group_from_json
 from .matrices import matrix_from_json, matrix_to_json
 from .refinement import report_to_json, verify_refinement_axioms
 from .sampling import random_tuple
@@ -152,9 +153,7 @@ def _run_compose_path(args) -> tuple[int, dict]:
 
 
 def _run_homotopic(args) -> tuple[int, dict]:
-    obj = _load(args.input)
-    p = path_from_json(obj["p"])
-    q = path_from_json(obj["q"])
+    p, q = path_pair_from_json(_load(args.input))
     ok = homotopic(p, q)
     return (0 if ok else 1), {
         "command": "homotopic",
@@ -208,10 +207,7 @@ def _run_gsft_bar(args) -> tuple[int, dict]:
 
 
 def _run_gsft_hat(args) -> tuple[int, dict]:
-    obj = _load(args.input)
-    group = group_from_json(obj["group"])
-    e = matrix_from_json(obj["matrix"])
-    m, n = obj["shape"]
+    group, e, (m, n) = hat_input_from_json(_load(args.input))
     a = hat(e, group, (m, n))
     return 0, {
         "command": "gsft-hat",

@@ -22,7 +22,7 @@ from .elementary import (
 )
 from .errors import InvalidEdgeError, ResourceBoundError
 from .factorize import factorizations, factorizations_general
-from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json
+from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json, mul
 from .shifts import VertexShift
 
 
@@ -111,8 +111,11 @@ def explore(
 
     Every edge (R,S): V -> W found is recorded together with its reverse
     (S,R): W -> V; triangles are all triples of recorded edges passing the
-    triangle equations.  Caps raise ResourceBoundError, they never
-    silently truncate.
+    triangle equations.  The first equation forces R3 = R1·R2, so for each
+    chained pair e1: A -> B, e2: B -> C the candidates e3 are looked up
+    among the recorded edges A -> C with that R, in recording order, and
+    each candidate is then checked against all three equations.  Caps
+    raise ResourceBoundError, they never silently truncate.
 
     experimental_counts switches to the much slower search over all
     nonnegative integer entries (matrices over Z>=0 instead of {0,1});
@@ -162,14 +165,19 @@ def explore(
         frontier = next_frontier
     edge_list = list(edges.values())
     by_source: dict[NonnegMatrix, list] = {}
+    # source -> target -> R -> edges, each list in edge_list order
+    by_ends: dict[NonnegMatrix, dict[NonnegMatrix, dict[NonnegMatrix, list]]] = {}
     for e in edge_list:
         by_source.setdefault(e.a, []).append(e)
+        by_ends.setdefault(e.a, {}).setdefault(e.b, {}).setdefault(e.r, []).append(e)
     triangles = []
     for e1 in edge_list:
+        from_a = by_ends[e1.a]
         for e2 in by_source.get(e1.b, ()):
-            for e3 in by_source.get(e1.a, ()):
-                if e3.b != e2.b:
-                    continue
+            by_r = from_a.get(e2.b)
+            if by_r is None:
+                continue
+            for e3 in by_r.get(mul(e1.r, e2.r), ()):
                 t = make_triangle(e1, e2, e3)
                 if check(t):
                     triangles.append(t)
@@ -195,6 +203,13 @@ def path_from_json(obj: dict) -> SSEPath:
     except (TypeError, KeyError, ValueError) as exc:
         raise InvalidEdgeError(f"malformed path object: {exc}") from exc
     return SSEPath(base, steps)
+
+
+def path_pair_from_json(obj: dict) -> tuple[SSEPath, SSEPath]:
+    """The paths p and q of a {"p": path, "q": path} object."""
+    if not isinstance(obj, dict):
+        raise InvalidEdgeError("a path pair must be a JSON object")
+    return path_from_json(obj["p"]), path_from_json(obj["q"])
 
 
 def fragment_to_json(f: ComplexFragment) -> dict:

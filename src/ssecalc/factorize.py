@@ -13,6 +13,7 @@ pairs since they are distinct edges of the complex.
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 from typing import Iterator, Optional
 
 from .errors import ResourceBoundError
@@ -186,6 +187,10 @@ def factorizations(
     n = a.rows
     support = a.support_rows()
     covers = _covers(support, n, inner, max_results)
+    # every cover has exactly inner! orderings, so an overflow is known
+    # before any triple is built
+    if ordered and max_results is not None and len(covers) * factorial(inner) > max_results:
+        raise ResourceBoundError(f"more than {max_results} ordered factorizations")
     out = []
     for cover in covers:
         seqs = permutations(cover) if ordered else (tuple(cover),)
@@ -211,8 +216,4 @@ def factorizations(
                 b_masks.append(row)
             b = NonnegMatrix.from_bool_rows(inner, b_masks)
             out.append((r, s, b))
-            if max_results is not None and len(out) > max_results:
-                raise ResourceBoundError(
-                    f"more than {max_results} ordered factorizations"
-                )
     return out

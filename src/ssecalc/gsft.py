@@ -310,3 +310,19 @@ def gsft_matrix_from_json(obj: dict) -> GroupRingMatrix:
     if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
         raise InvalidMatrixError("declared shape does not match entries")
     return m
+
+
+def hat_input_from_json(obj: dict) -> tuple[FiniteGroup, NonnegMatrix, tuple[int, int]]:
+    """The group, the boolean matrix and the block shape [m, n] that hat takes."""
+    if not isinstance(obj, dict):
+        raise InvalidMatrixError("hat input must be a JSON object")
+    group = group_from_json(obj["group"])
+    e = matrix_from_json(obj["matrix"])
+    shape = obj["shape"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(k) is int and k > 0 for k in shape)
+    ):
+        raise InvalidMatrixError(f"shape must be two positive integers, not {shape!r}")
+    return group, e, (shape[0], shape[1])

@@ -177,3 +177,21 @@ def test_reports_are_reproducible(tmp_path):
     _, rep2 = run(tmp_path, "refine-axioms", "--input", path, "--seed", "3")
     rep2.pop("elapsed_seconds")
     assert rep1 == rep2
+
+
+def test_homotopic_non_object_input(tmp_path):
+    path = write(tmp_path, "pair.json", [1, 2])
+    code, rep = run(tmp_path, "homotopic", "--input", path)
+    assert code == 2 and rep["kind"] == "input"
+
+
+def test_gsft_hat_bad_shape(tmp_path):
+    groupobj = {"elements": ["e"], "table": [[0]]}
+    matrix = matrix_to_json(NonnegMatrix([[1]]))
+    for shape in (5, [1], [1, 1.5], [True, 1], [0, 1]):
+        path = write(tmp_path, "hat.json", {"group": groupobj, "matrix": matrix, "shape": shape})
+        code, rep = run(tmp_path, "gsft-hat", "--input", path)
+        assert code == 2 and rep["kind"] == "input", shape
+    path = write(tmp_path, "hat.json", [groupobj])
+    code, rep = run(tmp_path, "gsft-hat", "--input", path)
+    assert code == 2 and rep["kind"] == "input"

@@ -15,7 +15,7 @@ from ssecalc.complexes import (
 )
 from ssecalc.elementary import SSEEdge, Triangle, check_triangle, code_from_edge, edge_from_code
 from ssecalc.errors import InvalidEdgeError, ResourceBoundError
-from ssecalc.matrices import NonnegMatrix
+from ssecalc.matrices import NonnegMatrix, is_nondegenerate
 from ssecalc.shifts import VertexShift
 
 GM = NonnegMatrix([[1, 1], [1, 0]])
@@ -205,3 +205,57 @@ def test_explore_depth_two_reaches_second_shell():
     assert len(frag2.edges) > len(frag1.edges)
     sources = {e.a for e in frag2.edges}
     assert any(v != GM for v in sources)
+
+
+def _reference_triangles(frag, make_triangle, check):
+    """The plain O(E·deg²) scan: every e3 leaving e1's source is tried."""
+    by_source = {}
+    for e in frag.edges:
+        by_source.setdefault(e.a, []).append(e)
+    out = []
+    for e1 in frag.edges:
+        for e2 in by_source.get(e1.b, ()):
+            for e3 in by_source.get(e1.a, ()):
+                if e3.b != e2.b:
+                    continue
+                t = make_triangle(e1, e2, e3)
+                if check(t):
+                    out.append(t)
+    return out
+
+
+def _edge_indices(frag, triangles):
+    index = {id(e): i for i, e in enumerate(frag.edges)}
+    return [(index[id(t.e1)], index[id(t.e2)], index[id(t.e3)]) for t in triangles]
+
+
+def _random_base(rng, n):
+    while True:
+        m = NonnegMatrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
+        if is_nondegenerate(m):
+            return m
+
+
+@pytest.mark.parametrize(
+    "a, max_inner, depth",
+    [(GM, 3, 1), (GM, 3, 2), (FULL2, 4, 1), (FULL2, 3, 2)]
+    + [(_random_base(random.Random(seed), 3), 4, 1) for seed in range(4)],
+    ids=["gm-d1", "gm-d2", "full2-d1", "full2-d2", "rand0", "rand1", "rand2", "rand3"],
+)
+def test_explore_triangles_match_reference_scan(a, max_inner, depth):
+    frag = explore(a, max_inner, depth=depth)
+    want = _reference_triangles(frag, Triangle, check_triangle)
+    assert want
+    assert _edge_indices(frag, frag.triangles) == _edge_indices(frag, want)
+
+
+@pytest.mark.parametrize(
+    "a, max_inner", [(NonnegMatrix([[2]]), 1), (FULL2, 2)], ids=["two", "full2"]
+)
+def test_explore_experimental_counts_triangles_match_reference_scan(a, max_inner):
+    from ssecalc.degenerate import DegTriangle, check_deg_triangle
+
+    frag = explore(a, max_inner, experimental_counts=True)
+    want = _reference_triangles(frag, DegTriangle, check_deg_triangle)
+    assert want
+    assert _edge_indices(frag, frag.triangles) == _edge_indices(frag, want)

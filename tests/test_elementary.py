@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -13,7 +14,7 @@ from ssecalc.elementary import (
     edge_from_json,
     edge_to_json,
 )
-from ssecalc.errors import InvalidEdgeError, NotElementaryError
+from ssecalc.errors import InvalidEdgeError, NotElementaryError, ResourceBoundError
 from ssecalc.factorize import factorizations
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate, mul
 from ssecalc.sampling import edge_pool, random_edge
@@ -188,3 +189,28 @@ def test_triangle_equations_iff_commutation():
 def test_edge_json_roundtrip():
     e = SSEEdge(GM, GM, GM, I2)
     assert edge_from_json(edge_to_json(e)) == e
+
+
+def _ordered_reference(a, inner):
+    """Every unordered factorization with its inner index set permuted,
+    in itertools.permutations order."""
+    out = []
+    for r, s, _b in factorizations(a, inner, ordered=False):
+        for perm in permutations(range(inner)):
+            rp = NonnegMatrix([[r.entry(i, perm[t]) for t in range(inner)] for i in range(a.rows)])
+            sp = NonnegMatrix([[s.entry(perm[t], j) for j in range(a.cols)] for t in range(inner)])
+            out.append((rp, sp, mul(sp, rp)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "a, inner", [(GM, 2), (GM, 3), (NonnegMatrix([[1, 1], [1, 1]]), 2), (NonnegMatrix([[1, 1], [1, 1]]), 3)]
+)
+def test_ordered_factorization_overflow_boundary(a, inner):
+    covers = len(factorizations(a, inner, ordered=False))
+    total = covers * factorial(inner)
+    assert covers > 0
+    assert factorizations(a, inner, max_results=total) == _ordered_reference(a, inner)
+    with pytest.raises(ResourceBoundError) as exc:
+        factorizations(a, inner, max_results=total - 1)
+    assert str(exc.value) == f"more than {total - 1} ordered factorizations"
