@@ -201,6 +201,8 @@ def window_to_json(w: FGGroupWindow) -> dict:
 def window_from_json(obj: dict) -> FGGroupWindow:
     try:
         gspec = obj["group"]
+        if not isinstance(gspec, dict):
+            raise InvalidWindowError(f"group must be a JSON object, not {gspec!r}")
         if gspec.get("type") == "Z^d":
             ops: GroupOps = ZdGroup(int(gspec["dim"]))
             gens = [tuple(g) for g in obj["generators"]]

@@ -49,15 +49,7 @@ from .elementary import (
     triangle_to_json,
 )
 from .errors import IterationBoundError, ResourceBoundError, SseError
-from .freudenthal import (
-    Chain,
-    boundary,
-    chain_f,
-    chain_rho,
-    enumerate_subdivision,
-    face_map,
-    _subdivision_cells,
-)
+from .freudenthal import check_subdivision
 from .gsft import (
     bar,
     gsft_matrix_from_json,
@@ -66,8 +58,7 @@ from .gsft import (
     hat_input_from_json,
 )
 from .matrices import matrix_from_json, matrix_to_json
-from .refinement import report_to_json, verify_refinement_axioms
-from .sampling import random_tuple
+from .refinement import axiom_input_from_json, report_to_json, verify_refinement_axioms
 from .williams import decompose
 
 
@@ -217,60 +208,22 @@ def _run_gsft_hat(args) -> tuple[int, dict]:
 
 
 def _run_freudenthal_check(args) -> tuple[int, dict]:
-    import random
-
-    n = args.dimension
-    cells = enumerate_subdivision(n)
-    vertices = {v for c in cells for v in c.vertices}
-    counts_ok = len(cells) == 2**n and len(vertices) == (n + 1) * (n + 2) // 2
-    lhs = Chain()
-    for cell in cells:
-        for k in range(n + 1):
-            lhs.add(cell.vertices[:k] + cell.vertices[k + 1 :], cell.sign * (-1) ** k)
-    rhs = Chain()
-    for k in range(n + 1):
-        for cell in _subdivision_cells(n - 1):
-            rhs.add(tuple(face_map(k, p) for p in cell.vertices), (-1) ** k * cell.sign)
-    chain_map_ok = lhs == rhs
-    rng = random.Random(args.seed)
-    homotopy_ok = True
-    import itertools
-
-    simplices = list(itertools.combinations(range(n + 3), n + 1))
-    for _ in range(args.trials):
-        c = Chain({rng.choice(simplices): rng.randint(-3, 3) for _ in range(4)})
-        want = chain_f(c) - c
-        got = boundary(chain_rho(chain_f(c))) + chain_rho(chain_f(boundary(c)))
-        if got != want:
-            homotopy_ok = False
-            break
-    ok = counts_ok and chain_map_ok and homotopy_ok
-    return (0 if ok else 1), {
+    check = check_subdivision(args.dimension, args.trials, args.seed)
+    return (0 if check.ok else 1), {
         "command": "freudenthal-check",
-        "dimension": n,
-        "cells": len(cells),
-        "vertices": len(vertices),
-        "counts_ok": counts_ok,
-        "chain_map_identity": chain_map_ok,
-        "chain_homotopy": homotopy_ok,
+        "dimension": args.dimension,
+        "cells": check.cells,
+        "vertices": check.vertices,
+        "counts_ok": check.counts_ok,
+        "chain_map_identity": check.chain_map_identity,
+        "chain_homotopy": check.chain_homotopy,
         "trials": args.trials,
         "seed": args.seed,
     }
 
 
 def _run_refine_axioms(args) -> tuple[int, dict]:
-    import random
-
-    obj = _load(args.input)
-    if "codes" in obj:
-        codes = [code_from_json(c) for c in obj["codes"]]
-        echo = {"codes": len(codes)}
-    else:
-        base = matrix_from_json(obj["base"])
-        n = int(obj.get("tuple_size", 2))
-        rng = random.Random(args.seed)
-        codes = random_tuple(rng, base, n, max_inner=base.rows + 1)
-        echo = {"base": matrix_to_json(base), "tuple_size": n}
+    codes, echo = axiom_input_from_json(_load(args.input), args.seed)
     report = verify_refinement_axioms(codes, trials=args.trials, seed=args.seed)
     payload = report_to_json(report)
     ok = payload["all_passed"]

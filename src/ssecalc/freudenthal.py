@@ -10,11 +10,12 @@ Pair vertices (v,w) with v = w are identified with the plain vertex v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import permutations
+import random
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .errors import SseError
+from .errors import ResourceBoundError, SseError
 
 
 class OracleUndefinedError(SseError):
@@ -86,32 +87,25 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _det(vectors: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    from fractions import Fraction
-
-    n = len(vectors)
-    m = [[Fraction(v) for v in row] for row in vectors]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return int(det)
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by Bareiss fraction-free elimination."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                # exact: Bareiss's theorem makes every quotient an integer
+                m[r][c] = (m[r][c] * pivot - m[r][k] * m[k][c]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def simplex_det_sign(vertices: Sequence[tuple[int, ...]]) -> int:
@@ -121,38 +115,68 @@ def simplex_det_sign(vertices: Sequence[tuple[int, ...]]) -> int:
     ])
 
 
-def _subdivision_cells(n: int) -> list[FreudenthalSimplex]:
-    if n == 0:
-        return [FreudenthalSimplex(0, (), (), ((),), 1)]
-    cells = []
-    for bits in range(1 << n):
-        base = tuple((bits >> k) & 1 for k in range(n))
-        for perm in permutations(range(1, n + 1)):
+# Cells and index tables are kept per dimension; the bound keeps both
+# tables at no more than MAX_SUBDIVISION_DIMENSION + 1 entries.
+MAX_SUBDIVISION_DIMENSION = 10
+_CELLS: dict[int, tuple[FreudenthalSimplex, ...]] = {}
+_INDEX_PAIRS: dict[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]] = {}
+
+
+def _subdivision_cells(n: int) -> tuple[FreudenthalSimplex, ...]:
+    """The 2^n signed top cells of the subdivided n-simplex, sorted by
+    (base, perm).
+
+    A base inside the simplex is theta(0, j) for some j; from it the j
+    "1->2" steps must raise coordinates 1..j in order and the n-j "0->1"
+    steps coordinates j+1..n in order, so the cells on that base are the
+    C(n, j) interleavings of the two runs.  Bases come in increasing j and
+    the interleavings in lexicographic order of their "1->2" positions,
+    which is already (base, perm) order.
+    """
+    cells = _CELLS.get(n)
+    if cells is not None:
+        return cells
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
+    if n > MAX_SUBDIVISION_DIMENSION:
+        raise ResourceBoundError(
+            f"subdivision dimension {n} exceeds MAX_SUBDIVISION_DIMENSION"
+            f" = {MAX_SUBDIVISION_DIMENSION}"
+        )
+    found = []
+    for j in range(n + 1):
+        base = theta(0, j, n)
+        for two_steps in combinations(range(n), j):
+            to_two = iter(range(1, j + 1))
+            to_one = iter(range(j + 1, n + 1))
+            perm = tuple(next(to_two) if k in two_steps else next(to_one) for k in range(n))
             verts = [base]
-            ok = in_standard_simplex(base)
             for p in perm:
-                if not ok:
-                    break
                 nxt = list(verts[-1])
                 nxt[p - 1] += 1
-                nxt = tuple(nxt)
-                if not in_standard_simplex(nxt):
-                    ok = False
-                    break
-                verts.append(nxt)
-            if ok:
-                cells.append(
-                    FreudenthalSimplex(n, base, perm, tuple(verts), _perm_sign(perm))
-                )
-    cells.sort(key=lambda c: (c.base, c.perm))
+                verts.append(tuple(nxt))
+            found.append(FreudenthalSimplex(n, base, perm, tuple(verts), _perm_sign(perm)))
+    cells = _CELLS[n] = tuple(found)
     return cells
+
+
+def _signed_index_pairs(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """For each cell of _subdivision_cells(n), in order: its sign and the
+    (i, j) of theta_inverse at each of its vertices."""
+    table = _INDEX_PAIRS.get(n)
+    if table is None:
+        table = _INDEX_PAIRS[n] = tuple(
+            (cell.sign, tuple(theta_inverse(p) for p in cell.vertices))
+            for cell in _subdivision_cells(n)
+        )
+    return table
 
 
 def enumerate_subdivision(n: int) -> list[FreudenthalSimplex]:
     """All 2^n signed top cells of the subdivided n-simplex."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return _subdivision_cells(n)
+    return list(_subdivision_cells(n))
 
 
 def face_map(k: int, point: Sequence[int]) -> tuple[int, ...]:
@@ -251,13 +275,8 @@ def chain_f(c: Chain) -> Chain:
     """The signed Freudenthal subdivision image of a chain."""
     out = Chain(complex=None)
     for simplex, coeff in c.coeffs.items():
-        m = len(simplex) - 1
-        for cell in _subdivision_cells(m):
-            image = tuple(
-                make_pair(simplex[i], simplex[j])
-                for (i, j) in (theta_inverse(p) for p in cell.vertices)
-            )
-            out.add(image, coeff * cell.sign)
+        for sign, ij in _signed_index_pairs(len(simplex) - 1):
+            out.add(tuple(make_pair(simplex[i], simplex[j]) for i, j in ij), coeff * sign)
     return out
 
 
@@ -280,6 +299,48 @@ def flatten_to_first(c: Chain) -> Chain:
     for simplex, coeff in c.coeffs.items():
         out.add(tuple(split_pair(x)[0] for x in simplex), coeff)
     return out
+
+
+@dataclass(frozen=True)
+class SubdivisionCheck:
+    """The identities of the subdivided n-simplex, each checked exactly."""
+
+    cells: int
+    vertices: int
+    counts_ok: bool  # 2^n cells on (n+1)(n+2)/2 lattice points
+    chain_map_identity: bool  # boundary of the cells = faces of the (n-1)-cells
+    chain_homotopy: bool  # d rho F + rho F d = F - id on random chains
+
+    @property
+    def ok(self) -> bool:
+        return self.counts_ok and self.chain_map_identity and self.chain_homotopy
+
+
+def check_subdivision(n: int, trials: int, seed: int) -> SubdivisionCheck:
+    """Check the counts and the chain-map identity of the subdivided
+    n-simplex, and the chain homotopy on `trials` random chains of
+    n-simplices drawn with random.Random(seed)."""
+    cells = enumerate_subdivision(n)
+    vertices = {v for c in cells for v in c.vertices}
+    counts_ok = len(cells) == 2**n and len(vertices) == (n + 1) * (n + 2) // 2
+    lhs = Chain()
+    for cell in cells:
+        for k in range(n + 1):
+            lhs.add(cell.vertices[:k] + cell.vertices[k + 1 :], cell.sign * (-1) ** k)
+    rhs = Chain()
+    for k in range(n + 1):
+        for cell in _subdivision_cells(n - 1):
+            rhs.add(tuple(face_map(k, p) for p in cell.vertices), (-1) ** k * cell.sign)
+    rng = random.Random(seed)
+    simplices = list(combinations(range(n + 3), n + 1))
+    homotopy_ok = True
+    for _ in range(trials):
+        c = Chain({rng.choice(simplices): rng.randint(-3, 3) for _ in range(4)})
+        fc = chain_f(c)
+        if boundary(chain_rho(fc)) + chain_rho(chain_f(boundary(c))) != fc - c:
+            homotopy_ok = False
+            break
+    return SubdivisionCheck(len(cells), len(vertices), counts_ok, lhs == rhs, homotopy_ok)
 
 
 # -- ordered complexes ---------------------------------------------------
@@ -440,9 +501,7 @@ def subdivision_operator(
         return cache[key]
 
     for simplex, coeff in c.coeffs.items():
-        m = len(simplex) - 1
-        for cell in _subdivision_cells(m):
-            ij = [theta_inverse(p) for p in cell.vertices]
+        for sign, ij in _signed_index_pairs(len(simplex) - 1):
             image = tuple(refined(simplex[i], simplex[j]) for (i, j) in ij)
             if len(set(image)) != len(image):
                 report.dropped_degenerate += 1
@@ -457,5 +516,5 @@ def subdivision_operator(
                 if ell == 0:
                     report.flagged_zero_ell += 1
                 report.type_two += 1
-            out.add(image, coeff * cell.sign)
+            out.add(image, coeff * sign)
     return out, report

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .codes import (
     BlockCode,
     _compose_raw,
+    code_from_json,
     compose,
     identity_code,
     is_elementary,
@@ -29,11 +30,12 @@ from .codes import (
     verify_inverse,
 )
 from .errors import (
+    InvalidCodeError,
     NotElementaryError,
     ShiftMismatchError,
     VerificationError,
 )
-from .matrices import NonnegMatrix
+from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json
 from .shifts import (
     DeterministicPresentation,
     LabeledGraph,
@@ -472,6 +474,29 @@ def _some_permutations(n: int, trials: int, rng: random.Random):
         rng.shuffle(p)
         out.append(tuple(p))
     return out
+
+
+def axiom_input_from_json(obj: dict, seed: int) -> tuple[list[BlockCode], dict]:
+    """The code tuple of an axiom-suite input and the echo a report gives
+    of it.  {"codes": [code, ...]} lists the codes; {"base": matrix,
+    "tuple_size": n} draws n elementary codes out of base with
+    random.Random(seed), n defaulting to 2."""
+    from .sampling import random_tuple
+
+    if not isinstance(obj, dict):
+        raise InvalidCodeError("axiom input must be a JSON object")
+    if "codes" in obj:
+        listed = obj["codes"]
+        if not isinstance(listed, list) or not listed:
+            raise InvalidCodeError("codes must be a nonempty list of block codes")
+        codes = [code_from_json(c) for c in listed]
+        return codes, {"codes": len(codes)}
+    base = matrix_from_json(obj["base"])
+    n = obj.get("tuple_size", 2)
+    if type(n) is not int or n < 1:
+        raise InvalidCodeError(f"tuple_size must be a positive integer, not {n!r}")
+    codes = random_tuple(random.Random(seed), base, n, max_inner=base.rows + 1)
+    return codes, {"base": matrix_to_json(base), "tuple_size": n}
 
 
 def report_to_json(report: dict[str, AxiomResult]) -> dict:

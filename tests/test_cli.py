@@ -195,3 +195,18 @@ def test_gsft_hat_bad_shape(tmp_path):
     path = write(tmp_path, "hat.json", [groupobj])
     code, rep = run(tmp_path, "gsft-hat", "--input", path)
     assert code == 2 and rep["kind"] == "input"
+
+
+def test_refine_axioms_malformed_input(tmp_path):
+    for obj in ([1, 2], 5, None, {"codes": 5}, {"codes": []},
+                {"base": matrix_to_json(GM), "tuple_size": 0}):
+        path = write(tmp_path, "ax.json", obj)
+        code, rep = run(tmp_path, "refine-axioms", "--input", path)
+        assert code == 2 and rep["kind"] == "input", obj
+
+
+def test_cayley_schedule_non_object_group(tmp_path):
+    obj = {"group": 1, "generators": [[0, 0]], "window": [[0, 0]]}
+    path = write(tmp_path, "w.json", obj)
+    code, rep = run(tmp_path, "cayley-schedule", "--input", path)
+    assert code == 2 and rep["kind"] == "input"

@@ -1,20 +1,28 @@
+import json
 import random
+import time
 from itertools import combinations, permutations, product
 
 import pytest
 
+from ssecalc.cli import main
 from ssecalc.codes import identity_code, normalize, shift_code
+from ssecalc.errors import ResourceBoundError
 from ssecalc.freudenthal import (
+    MAX_SUBDIVISION_DIMENSION,
     Chain,
     InvalidChainError,
     InvalidComplexError,
     OracleUndefinedError,
     OrderedComplex,
     PairVertex,
+    _det,
+    _perm_sign,
     _subdivision_cells,
     boundary,
     chain_f,
     chain_rho,
+    check_subdivision,
     enumerate_subdivision,
     face_map,
     flatten_to_first,
@@ -78,8 +86,63 @@ def test_subdivision_counts_and_oracle():
         assert {c.vertices for c in cells} == brute_force_cells(n)
 
 
+def test_generated_cells_match_brute_force():
+    for n in range(1, 7):
+        cells = _subdivision_cells(n)
+        assert {c.vertices for c in cells} == brute_force_cells(n)
+        assert list(cells) == sorted(cells, key=lambda c: (c.base, c.perm))
+        assert all(c.sign == _perm_sign(c.perm) for c in cells)
+
+
+def test_enumerate_subdivision_returns_a_fresh_list():
+    cells = enumerate_subdivision(3)
+    want = list(cells)
+    cells.clear()
+    assert enumerate_subdivision(3) == want
+    assert enumerate_subdivision(3) is not enumerate_subdivision(3)
+
+
+def test_dimension_bound():
+    with pytest.raises(ResourceBoundError, match=str(MAX_SUBDIVISION_DIMENSION)):
+        _subdivision_cells(MAX_SUBDIVISION_DIMENSION + 1)
+    with pytest.raises(ResourceBoundError):
+        chain_f(Chain({tuple(range(MAX_SUBDIVISION_DIMENSION + 2)): 1}))
+
+
+def _det_by_permutations(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = _perm_sign([p + 1 for p in perm])
+        for r in range(n):
+            term *= rows[r][perm[r]]
+        total += term
+    return total
+
+
+def test_det_against_permutation_expansion():
+    matrices = [
+        [],
+        [[-7]],
+        [[1, 2, 3], [2, 4, 6], [0, 1, 5]],  # singular: dependent rows
+        [[0, 0, 1], [0, 0, 2], [3, 4, 5]],  # singular: no pivot in the second column
+        [[0, 1, 2], [3, 4, 5], [6, 7, 9]],  # needs a row swap
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],  # two swaps
+        [[-2, 3, -1], [4, -5, 6], [-7, 8, -10]],
+        [[2, -1, 0, 3], [-4, 0, 5, -1], [1, 2, -3, 0], [0, -6, 1, 2]],
+    ]
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for _ in range(20):
+            matrices.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    for rows in matrices:
+        assert _det(rows) == _det_by_permutations(rows), rows
+    assert _det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
+    assert _det([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
+
+
 def test_signs_match_determinant():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         for c in enumerate_subdivision(n):
             assert simplex_det_sign(c.vertices) == c.sign
 
@@ -158,6 +221,26 @@ def test_chain_map_identity_lattice():
             for cell in _subdivision_cells(m - 1):
                 rhs.add(tuple(face_map(k, p) for p in cell.vertices), (-1) ** k * cell.sign)
         assert lhs == rhs
+
+
+def test_check_subdivision():
+    for n in (1, 2, 3):
+        check = check_subdivision(n, trials=3, seed=n)
+        assert check.ok
+        assert check.cells == 2**n and check.vertices == (n + 1) * (n + 2) // 2
+
+
+def test_freudenthal_check_dimension_bound(tmp_path):
+    out = tmp_path / "out.json"
+    start = time.monotonic()
+    code = main(["freudenthal-check", "--dimension", str(MAX_SUBDIVISION_DIMENSION + 1),
+                 "--output", str(out)])
+    assert time.monotonic() - start < 5
+    rep = json.loads(out.read_text())
+    assert code == 3 and rep["kind"] == "bound"
+    assert str(MAX_SUBDIVISION_DIMENSION) in rep["error"]
+    code = main(["freudenthal-check", "--dimension", "0", "--output", str(out)])
+    assert code == 2 and json.loads(out.read_text())["kind"] == "input"
 
 
 def test_ordered_complex_validation():
