@@ -14,8 +14,6 @@ from .matrices import (  # noqa: F401
 )
 from .shifts import (  # noqa: F401
     VertexShift,
-    WordLanguage,
-    allowed_words,
     higher_block,
     language_equal,
 )
@@ -30,6 +28,7 @@ from .codes import (  # noqa: F401
     verify_inverse,
 )
 from .elementary import (  # noqa: F401
+    DegSSEEdge,
     SSEEdge,
     Triangle,
     check_triangle,
@@ -55,9 +54,7 @@ from .complexes import (  # noqa: F401
     homotopic,
 )
 from .degenerate import (  # noqa: F401
-    DegSSEEdge,
     DegSSEPath,
-    DegTriangle,
     deg_triangulate,
     normalize_path,
     restrict_triangle,

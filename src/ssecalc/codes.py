@@ -88,10 +88,6 @@ class BlockCode:
             raise MissingInverseError("code has no stored inverse")
         return self._inverse
 
-    @property
-    def has_inverse(self) -> bool:
-        return self._inverse is not None
-
     def apply_word(self, word: Sequence[int]) -> tuple[int, ...]:
         """Image of a finite allowed word; shorter by width-1."""
         w = tuple(word)
@@ -201,88 +197,56 @@ def compose(g: BlockCode, f: BlockCode) -> BlockCode:
     return out
 
 
-def _try_drop_right(f: BlockCode):
-    words = f.domain.words(f.width - 1)
-    succ = f.domain.succ
+def _try_rewindow(f: BlockCode, slide: bool, right: bool):
+    """The table of f on a window without its rightmost (right) or its
+    leftmost coordinate: one shorter, or (slide) as wide and moved one
+    step away from that end.  None when the rule depends on the dropped
+    coordinate."""
+    words = f.domain.words(f.width if slide else f.width - 1)
     tab = f.table
     new = {}
-    for u in words:
-        it = iter(succ(u[-1]))
-        v0 = tab[u + (next(it),)]
-        for a in it:
-            if tab[u + (a,)] != v0:
-                return None
-        new[u] = v0
-    return new
-
-
-def _try_drop_left(f: BlockCode):
-    words = f.domain.words(f.width - 1)
-    pred = f.domain.pred
-    tab = f.table
-    new = {}
-    for u in words:
-        it = iter(pred(u[0]))
-        v0 = tab[(next(it),) + u]
-        for a in it:
-            if tab[(a,) + u] != v0:
-                return None
-        new[u] = v0
-    return new
-
-
-def _try_slide_left(f: BlockCode):
-    # express the rule on the window shifted one step toward -infinity
-    words = f.domain.words(f.width)
-    succ = f.domain.succ
-    tab = f.table
-    new = {}
-    for v in words:
-        core = v[1:]
-        it = iter(succ(v[-1]))
-        v0 = tab[core + (next(it),)]
-        for a in it:
-            if tab[core + (a,)] != v0:
-                return None
-        new[v] = v0
-    return new
-
-
-def _try_slide_right(f: BlockCode):
-    words = f.domain.words(f.width)
-    pred = f.domain.pred
-    tab = f.table
-    new = {}
-    for v in words:
-        core = v[:-1]
-        it = iter(pred(v[0]))
-        v0 = tab[(next(it),) + core]
-        for a in it:
-            if tab[(a,) + core] != v0:
-                return None
-        new[v] = v0
+    if right:
+        succ = f.domain.succ
+        for u in words:
+            core = u[1:] if slide else u
+            it = iter(succ(u[-1]))
+            v0 = tab[core + (next(it),)]
+            for a in it:
+                if tab[core + (a,)] != v0:
+                    return None
+            new[u] = v0
+    else:
+        pred = f.domain.pred
+        for u in words:
+            core = u[:-1] if slide else u
+            it = iter(pred(u[0]))
+            v0 = tab[(next(it),) + core]
+            for a in it:
+                if tab[(a,) + core] != v0:
+                    return None
+            new[u] = v0
     return new
 
 
 def _normalize_data(f: BlockCode) -> BlockCode:
     cur = f
     while cur.width > 1:
-        new = _try_drop_right(cur)
+        new = _try_rewindow(cur, slide=False, right=True)
         if new is None:
             break
         cur = BlockCode(cur.domain, cur.codomain, cur.left, cur.right - 1, new, unchecked=True)
     while cur.width > 1:
-        new = _try_drop_left(cur)
+        new = _try_rewindow(cur, slide=False, right=False)
         if new is None:
             break
         cur = BlockCode(cur.domain, cur.codomain, cur.left + 1, cur.right, new, unchecked=True)
     while cur.left > 0:
-        new = _try_slide_left(cur)
+        new = _try_rewindow(cur, slide=True, right=True)
         if new is None:
             break
         cur = BlockCode(cur.domain, cur.codomain, cur.left - 1, cur.right - 1, new, unchecked=True)
     while cur.right < 0:
-        new = _try_slide_right(cur)
+        new = _try_rewindow(cur, slide=True, right=False)
         if new is None:
             break
         cur = BlockCode(cur.domain, cur.codomain, cur.left + 1, cur.right + 1, new, unchecked=True)

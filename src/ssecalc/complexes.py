@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .codes import BlockCode, compose, identity_code, normalize
 from .elementary import (
+    DegSSEEdge,
     SSEEdge,
     Triangle,
     check_triangle,
@@ -28,10 +29,13 @@ from .shifts import VertexShift
 
 @dataclass(frozen=True)
 class SSEPath:
-    """A word of signed edges with chained endpoints, based at a matrix."""
+    """A word of signed edges with chained endpoints, based at a matrix.
+
+    The edges may be strict SSEEdges or degenerate DegSSEEdges; only
+    strict paths have a composition."""
 
     base: NonnegMatrix
-    steps: tuple[tuple[SSEEdge, int], ...]
+    steps: tuple[tuple[DegSSEEdge, int], ...]
 
     def __post_init__(self):
         cur = self.base
@@ -45,10 +49,13 @@ class SSEPath:
 
     @property
     def end(self) -> NonnegMatrix:
-        cur = self.base
+        return self.vertices()[-1]
+
+    def vertices(self) -> list[NonnegMatrix]:
+        out = [self.base]
         for edge, sign in self.steps:
-            cur = edge.b if sign == 1 else edge.a
-        return cur
+            out.append(edge.b if sign == 1 else edge.a)
+        return out
 
     @property
     def is_loop(self) -> bool:
@@ -62,6 +69,12 @@ class SSEPath:
     def reversed(self) -> "SSEPath":
         return SSEPath(
             self.end, tuple((e, -s) for e, s in reversed(self.steps))
+        )
+
+    def transposed(self) -> "SSEPath":
+        return SSEPath(
+            self.base.transpose(),
+            tuple((e.transposed(), s) for e, s in self.steps),
         )
 
 
@@ -93,7 +106,7 @@ class ComplexFragment:
     """A finite piece of the SSE complex around a base matrix."""
 
     vertices: list[NonnegMatrix]
-    edges: list[SSEEdge]
+    edges: list[DegSSEEdge]
     triangles: list[Triangle]
     depth: int
     max_inner: int
@@ -124,22 +137,13 @@ def explore(
     if a.rows > max_size:
         raise ResourceBoundError(f"matrix size {a.rows} exceeds cap {max_size}")
     if experimental_counts:
-        from .degenerate import DegSSEEdge, DegTriangle, check_deg_triangle
-
-        def search(v, m):
-            return factorizations_general(v, m, max_results=max_edges)
-
-        make_edge, make_triangle, check = DegSSEEdge, DegTriangle, check_deg_triangle
+        find, make_edge = factorizations_general, DegSSEEdge
     else:
         if not a.is_boolean:
             raise ResourceBoundError(
                 "entries above 1 need the experimental_counts flag"
             )
-
-        def search(v, m):
-            return factorizations(v, m, max_results=max_edges)
-
-        make_edge, make_triangle, check = SSEEdge, Triangle, check_triangle
+        find, make_edge = factorizations, SSEEdge
     vertices: dict[NonnegMatrix, None] = {a: None}
     edges: dict[tuple, object] = {}
     frontier = [a]
@@ -149,7 +153,7 @@ def explore(
             if v.rows > max_size:
                 continue
             for m in range(1, max_inner + 1):
-                for r, s, b in search(v, m):
+                for r, s, b in find(v, m, max_results=max_edges):
                     key = (v, b, r, s)
                     if key not in edges:
                         e = make_edge(v, b, r, s)
@@ -178,8 +182,8 @@ def explore(
             if by_r is None:
                 continue
             for e3 in by_r.get(mul(e1.r, e2.r), ()):
-                t = make_triangle(e1, e2, e3)
-                if check(t):
+                t = Triangle(e1, e2, e3)
+                if check_triangle(t):
                     triangles.append(t)
     return ComplexFragment(list(vertices), edge_list, triangles, depth, max_inner)
 

@@ -5,13 +5,17 @@ triangles to cores, and normalization of degenerate paths.
 Degenerate vertices carry no shift semantics, so the homotopy content of
 path normalization is certified by composition equality after restricting
 to cores, which is only available for {0,1} paths.
+
+Edges, triangles and paths are the shared DegSSEEdge, Triangle and
+SSEPath of elementary and complexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elementary import SSEEdge
+from .complexes import SSEPath
+from .elementary import DegSSEEdge, Triangle, check_triangle
 from .errors import (
     EmptyCoreError,
     InvalidEdgeError,
@@ -32,59 +36,9 @@ from .matrices import (
 )
 
 
-@dataclass(frozen=True)
-class DegSSEEdge:
-    """An SSE edge over Z>=0 without nondegeneracy requirements."""
-
-    a: NonnegMatrix
-    b: NonnegMatrix
-    r: NonnegMatrix
-    s: NonnegMatrix
-
-    def __post_init__(self):
-        a, b, r, s = self.a, self.b, self.r, self.s
-        if not (a.is_square and b.is_square):
-            raise InvalidEdgeError("A and B must be square")
-        if r.rows != a.rows or r.cols != b.rows or s.rows != b.rows or s.cols != a.rows:
-            raise InvalidEdgeError("R, S shapes do not match A, B")
-        if mul(r, s) != a:
-            raise InvalidEdgeError("RS != A")
-        if mul(s, r) != b:
-            raise InvalidEdgeError("SR != B")
-
-    def reversed(self) -> "DegSSEEdge":
-        return DegSSEEdge(self.b, self.a, self.s, self.r)
-
-    def transposed(self) -> "DegSSEEdge":
-        return DegSSEEdge(
-            self.a.transpose(), self.b.transpose(), self.s.transpose(), self.r.transpose()
-        )
-
-    @property
-    def is_boolean(self) -> bool:
-        return all(m.is_boolean for m in (self.a, self.b, self.r, self.s))
-
-    def to_strict(self) -> SSEEdge:
-        return SSEEdge(self.a, self.b, self.r, self.s)
-
-
-@dataclass(frozen=True)
-class DegTriangle:
-    e1: DegSSEEdge
-    e2: DegSSEEdge
-    e3: DegSSEEdge
-
-    def __post_init__(self):
-        if self.e1.b != self.e2.a or self.e1.a != self.e3.a or self.e2.b != self.e3.b:
-            raise InvalidEdgeError("triangle endpoints do not match")
-
-
-def check_deg_triangle(t: DegTriangle) -> bool:
-    return (
-        mul(t.e1.r, t.e2.r) == t.e3.r
-        and mul(t.e2.r, t.e3.s) == t.e1.s
-        and mul(t.e3.s, t.e1.r) == t.e2.s
-    )
+# older names of the shared triangle check and path type
+check_deg_triangle = check_triangle
+DegSSEPath = SSEPath
 
 
 def _nonzero_rows(m: NonnegMatrix) -> IndexSet:
@@ -105,7 +59,7 @@ class DegTriangulation:
     vertical_a: DegSSEEdge  # A -> A_{KxK}
     vertical_b: DegSSEEdge  # B -> B_{LxL}
     top: DegSSEEdge  # A_{KxK} -> B_{LxL}
-    triangles: tuple[DegTriangle, DegTriangle, DegTriangle, DegTriangle]
+    triangles: tuple[Triangle, Triangle, Triangle, Triangle]
     equations_checked: int
 
 
@@ -167,14 +121,14 @@ def deg_triangulate(e: DegSSEEdge) -> DegTriangulation:
     checked += 14  # two product identities per constructed edge
 
     triangles = (
-        DegTriangle(edge0, e2, e1),
-        DegTriangle(vert_a, e3, e1),
-        DegTriangle(e2, e4, vert_b),
-        DegTriangle(e3, e4, e5),
+        Triangle(edge0, e2, e1),
+        Triangle(vert_a, e3, e1),
+        Triangle(e2, e4, vert_b),
+        Triangle(e3, e4, e5),
     )
     for idx, t in enumerate(triangles):
         checked += 3
-        if not check_deg_triangle(t):
+        if not check_triangle(t):
             raise VerificationError(f"triangle {idx + 1} equations failed")
     return DegTriangulation(
         k, l, j, es, be_s, vert_a, vert_b, e5, triangles, checked
@@ -195,9 +149,9 @@ def restrict_edge(e: DegSSEEdge) -> DegSSEEdge:
     )
 
 
-def restrict_triangle(t: DegTriangle) -> DegTriangle:
+def restrict_triangle(t: Triangle) -> Triangle:
     """Restrict a valid triangle to the cores of its three vertices."""
-    if not check_deg_triangle(t):
+    if not check_triangle(t):
         raise InvalidEdgeError("input triangle does not satisfy the equations")
     ja = core_indices(t.e1.a)
     jb = core_indices(t.e1.b)
@@ -208,51 +162,14 @@ def restrict_triangle(t: DegTriangle) -> DegTriangle:
     a = submatrix(t.e1.a, ja, ja)
     b = submatrix(t.e1.b, jb, jb)
     c = submatrix(t.e2.b, jc, jc)
-    out = DegTriangle(
+    out = Triangle(
         DegSSEEdge(a, b, submatrix(t.e1.r, ja, jb), submatrix(t.e1.s, jb, ja)),
         DegSSEEdge(b, c, submatrix(t.e2.r, jb, jc), submatrix(t.e2.s, jc, jb)),
         DegSSEEdge(a, c, submatrix(t.e3.r, ja, jc), submatrix(t.e3.s, jc, ja)),
     )
-    if not check_deg_triangle(out):
+    if not check_triangle(out):
         raise VerificationError("restricted triangle fails the equations")
     return out
-
-
-@dataclass(frozen=True)
-class DegSSEPath:
-    """A path of degenerate edges with chained endpoints."""
-
-    base: NonnegMatrix
-    steps: tuple[tuple[DegSSEEdge, int], ...]
-
-    def __post_init__(self):
-        cur = self.base
-        for i, (edge, sign) in enumerate(self.steps):
-            if sign not in (1, -1):
-                raise InvalidEdgeError(f"step {i}: sign must be +1 or -1")
-            src = edge.a if sign == 1 else edge.b
-            if src != cur:
-                raise InvalidEdgeError(f"step {i}: source does not chain")
-            cur = edge.b if sign == 1 else edge.a
-
-    @property
-    def end(self) -> NonnegMatrix:
-        cur = self.base
-        for edge, sign in self.steps:
-            cur = edge.b if sign == 1 else edge.a
-        return cur
-
-    def vertices(self) -> list[NonnegMatrix]:
-        out = [self.base]
-        for edge, sign in self.steps:
-            out.append(edge.b if sign == 1 else edge.a)
-        return out
-
-    def transposed(self) -> "DegSSEPath":
-        return DegSSEPath(
-            self.base.transpose(),
-            tuple((e.transposed(), s) for e, s in self.steps),
-        )
 
 
 def cancel_backtracks(steps):
@@ -266,7 +183,7 @@ def cancel_backtracks(steps):
     return tuple(out)
 
 
-def _row_pass(p: DegSSEPath) -> tuple[DegSSEPath, bool]:
+def _row_pass(p: SSEPath) -> tuple[SSEPath, bool]:
     """Replace every edge with a zero-row endpoint by its triangulated
     detour A -> A_{KxK} -> B_{LxL} <- B; returns (path, changed).
 
@@ -297,10 +214,10 @@ def _row_pass(p: DegSSEPath) -> tuple[DegSSEPath, bool]:
         if sign == -1:
             expansion = [(e2, -s2) for e2, s2 in reversed(expansion)]
         new_steps.extend(expansion)
-    return DegSSEPath(p.base, cancel_backtracks(new_steps)), changed
+    return SSEPath(p.base, cancel_backtracks(new_steps)), changed
 
 
-def normalize_path(p: DegSSEPath, max_rounds: int | None = None) -> DegSSEPath:
+def normalize_path(p: SSEPath, max_rounds: int | None = None) -> SSEPath:
     """Homotop a degenerate path to one through nondegenerate matrices.
 
     Alternates row passes and (transposed) column passes until every
@@ -325,18 +242,16 @@ def normalize_path(p: DegSSEPath, max_rounds: int | None = None) -> DegSSEPath:
     raise IterationBoundError("normalization did not converge within the bound")
 
 
-def to_strict_path(p: DegSSEPath):
+def to_strict_path(p: SSEPath):
     """View an all-nondegenerate {0,1} degenerate path as a strict SSEPath."""
-    from .complexes import SSEPath
-
     return SSEPath(p.base, tuple((e.to_strict(), s) for e, s in p.steps))
 
 
-def restrict_path_to_cores(p: DegSSEPath) -> DegSSEPath:
+def restrict_path_to_cores(p: SSEPath) -> SSEPath:
     """Restrict every edge of a path to the cores of its endpoints."""
     steps = tuple((restrict_edge(e), s) for e, s in p.steps)
     ja = core_indices(p.base)
-    return DegSSEPath(submatrix(p.base, ja, ja), steps)
+    return SSEPath(submatrix(p.base, ja, ja), steps)
 
 
 # -- JSON format ------------------------------------------------------
@@ -364,7 +279,7 @@ def deg_edge_from_json(obj: dict) -> DegSSEEdge:
         raise InvalidEdgeError(f"malformed degenerate edge: {exc}") from exc
 
 
-def deg_path_to_json(p: DegSSEPath) -> dict:
+def deg_path_to_json(p: SSEPath) -> dict:
     return {
         "base": matrix_to_json(p.base),
         "degenerate": True,
@@ -372,7 +287,7 @@ def deg_path_to_json(p: DegSSEPath) -> dict:
     }
 
 
-def deg_path_from_json(obj: dict) -> DegSSEPath:
+def deg_path_from_json(obj: dict) -> SSEPath:
     try:
         base = matrix_from_json(obj["base"])
         steps = tuple(
@@ -380,4 +295,4 @@ def deg_path_from_json(obj: dict) -> DegSSEPath:
         )
     except (TypeError, KeyError, ValueError) as exc:
         raise InvalidEdgeError(f"malformed degenerate path: {exc}") from exc
-    return DegSSEPath(base, steps)
+    return SSEPath(base, steps)

@@ -7,6 +7,11 @@ elementary conjugacy determines its matrix pair through the supports of
 its local rules.  check_triangle only tests the three matrix equations;
 that they are equivalent to commutation of the corresponding codes is a
 test target, not an assumption.
+
+DegSSEEdge is the edge over Z>=0 with no nondegeneracy requirement;
+SSEEdge is its checked subclass for {0,1} nondegenerate matrices, the
+edges that have a conjugacy.  One Triangle and one check_triangle serve
+both.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from .shifts import VertexShift
 
 
 @dataclass(frozen=True)
-class SSEEdge:
-    """An elementary strong shift equivalence A = r·s, b = s·r."""
+class DegSSEEdge:
+    """An elementary strong shift equivalence A = RS, B = SR over Z>=0,
+    without nondegeneracy requirements."""
 
     a: NonnegMatrix
     b: NonnegMatrix
@@ -41,11 +47,6 @@ class SSEEdge:
 
     def __post_init__(self):
         a, b, r, s = self.a, self.b, self.r, self.s
-        for name, m in (("A", a), ("B", b), ("R", r), ("S", s)):
-            if not m.is_boolean:
-                raise InvalidEdgeError(f"{name} must be a {{0,1}} matrix")
-            if not is_nondegenerate(m):
-                raise InvalidEdgeError(f"{name} must be nondegenerate")
         if not (a.is_square and b.is_square):
             raise InvalidEdgeError("A and B must be square")
         if r.rows != a.rows or r.cols != b.rows or s.rows != b.rows or s.cols != a.rows:
@@ -55,17 +56,45 @@ class SSEEdge:
         if mul(s, r) != b:
             raise InvalidEdgeError("SR != B")
 
-    def reversed(self) -> "SSEEdge":
-        return SSEEdge(self.b, self.a, self.s, self.r)
+    def reversed(self) -> "DegSSEEdge":
+        return type(self)(self.b, self.a, self.s, self.r)
+
+    def transposed(self) -> "DegSSEEdge":
+        return type(self)(
+            self.a.transpose(), self.b.transpose(), self.s.transpose(), self.r.transpose()
+        )
+
+    @property
+    def is_boolean(self) -> bool:
+        return all(m.is_boolean for m in (self.a, self.b, self.r, self.s))
+
+    def to_strict(self) -> "SSEEdge":
+        return SSEEdge(self.a, self.b, self.r, self.s)
+
+
+@dataclass(frozen=True)
+class SSEEdge(DegSSEEdge):
+    """An elementary SSE between {0,1} matrices, all four nondegenerate."""
+
+    def __post_init__(self):
+        for name, m in (("A", self.a), ("B", self.b), ("R", self.r), ("S", self.s)):
+            if not m.is_boolean:
+                raise InvalidEdgeError(f"{name} must be a {{0,1}} matrix")
+            if not is_nondegenerate(m):
+                raise InvalidEdgeError(f"{name} must be nondegenerate")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
 class Triangle:
-    """Edges e1: A->B, e2: B->C, e3: A->C with matching endpoints."""
+    """Edges e1: A->B, e2: B->C, e3: A->C with matching endpoints.
 
-    e1: SSEEdge
-    e2: SSEEdge
-    e3: SSEEdge
+    Only endpoints are compared, so the edges may be of any family:
+    SSEEdge, DegSSEEdge or gsft.GsftEdge."""
+
+    e1: DegSSEEdge
+    e2: DegSSEEdge
+    e3: DegSSEEdge
 
     def __post_init__(self):
         if self.e1.b != self.e2.a:

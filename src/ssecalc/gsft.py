@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .elementary import SSEEdge, Triangle, check_triangle
 from .errors import (
     GStarOverflowError,
     InvalidEdgeError,
@@ -230,7 +231,10 @@ def mark_and_relabel(d: MarkedGGraph) -> GroupRingMatrix:
 
 @dataclass(frozen=True)
 class GsftEdge:
-    """An elementary SSE over G*: a = r·s and b = s·r inside G*."""
+    """An elementary SSE over G*: a = r·s and b = s·r inside G*.
+
+    Its products can leave G* (GStarOverflowError), so it is not a
+    DegSSEEdge; elementary.Triangle takes it all the same."""
 
     a: GroupRingMatrix
     b: GroupRingMatrix
@@ -246,38 +250,24 @@ class GsftEdge:
             raise InvalidEdgeError("SR != B over ZG")
 
 
-@dataclass(frozen=True)
-class GsftTriangle:
-    e1: GsftEdge
-    e2: GsftEdge
-    e3: GsftEdge
-
-    def __post_init__(self):
-        if self.e1.b != self.e2.a or self.e1.a != self.e3.a or self.e2.b != self.e3.b:
-            raise InvalidEdgeError("triangle endpoints do not match")
-
-
-def equivariant_triangle(t: GsftTriangle) -> bool:
-    """The triangle equations over ZG; products leaving G* are reported
-    (GStarOverflowError), distinctly from plain inequality.
+def equivariant_triangle(t: Triangle) -> bool:
+    """The triangle equations over ZG for a Triangle of GsftEdges; products
+    leaving G* are reported (GStarOverflowError), distinctly from plain
+    inequality.
 
     The verdict is cross-checked against the boolean triangle equations of
     the barred matrices, which must agree by multiplicativity."""
-    from .elementary import check_triangle as _bool_check
-    from .elementary import SSEEdge as _BoolEdge
-    from .elementary import Triangle as _BoolTriangle
-
     verdict = (
         mul_gstar(t.e1.r, t.e2.r) == t.e3.r
         and mul_gstar(t.e2.r, t.e3.s) == t.e1.s
         and mul_gstar(t.e3.s, t.e1.r) == t.e2.s
     )
-    barred = _BoolTriangle(
-        _BoolEdge(bar(t.e1.a), bar(t.e1.b), bar(t.e1.r), bar(t.e1.s)),
-        _BoolEdge(bar(t.e2.a), bar(t.e2.b), bar(t.e2.r), bar(t.e2.s)),
-        _BoolEdge(bar(t.e3.a), bar(t.e3.b), bar(t.e3.r), bar(t.e3.s)),
+    barred = Triangle(
+        SSEEdge(bar(t.e1.a), bar(t.e1.b), bar(t.e1.r), bar(t.e1.s)),
+        SSEEdge(bar(t.e2.a), bar(t.e2.b), bar(t.e2.r), bar(t.e2.s)),
+        SSEEdge(bar(t.e3.a), bar(t.e3.b), bar(t.e3.r), bar(t.e3.s)),
     )
-    if verdict != _bool_check(barred):
+    if verdict != check_triangle(barred):
         raise VerificationError("group-ring and barred triangle verdicts differ")
     return verdict
 

@@ -263,10 +263,6 @@ class IndexSet:
     def full(cls, n: int) -> "IndexSet":
         return cls(n, tuple(range(1, n + 1)))
 
-    @classmethod
-    def from_members(cls, n: int, members: Iterable[int]) -> "IndexSet":
-        return cls(n, tuple(sorted(set(members))))
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -81,31 +81,6 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class WordLanguage:
-    """The finite words of one length allowed in a vertex shift."""
-
-    __slots__ = ("shift", "length", "words")
-
-    def __init__(self, shift: VertexShift, length: int):
-        self.shift = shift
-        self.length = length
-        self.words = shift.words(length)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word) -> bool:
-        w = tuple(word)
-        s = self.shift
-        return all(0 <= a < s.alphabet_size for a in w) and all(
-            s.has_edge(w[i], w[i + 1]) for i in range(len(w) - 1)
-        )
-
-
-def allowed_words(x: VertexShift, length: int) -> WordLanguage:
-    return WordLanguage(x, length)
-
-
 def higher_block(x: VertexShift, window: int):
     """The vertex shift on window-length words plus the conjugacy onto it.
 

@@ -253,9 +253,7 @@ def test_explore_triangles_match_reference_scan(a, max_inner, depth):
     "a, max_inner", [(NonnegMatrix([[2]]), 1), (FULL2, 2)], ids=["two", "full2"]
 )
 def test_explore_experimental_counts_triangles_match_reference_scan(a, max_inner):
-    from ssecalc.degenerate import DegTriangle, check_deg_triangle
-
     frag = explore(a, max_inner, experimental_counts=True)
-    want = _reference_triangles(frag, DegTriangle, check_deg_triangle)
+    want = _reference_triangles(frag, Triangle, check_triangle)
     assert want
     assert _edge_indices(frag, frag.triangles) == _edge_indices(frag, want)

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from ssecalc.codes import equal_codes
-from ssecalc.complexes import compose_path
+from ssecalc.complexes import SSEPath, compose_path
 from ssecalc.degenerate import (
     DegSSEEdge,
     DegSSEPath,
-    DegTriangle,
     cancel_backtracks,
     check_deg_triangle,
     deg_edge_from_json,
@@ -19,6 +18,7 @@ from ssecalc.degenerate import (
     restrict_triangle,
     to_strict_path,
 )
+from ssecalc.elementary import SSEEdge, Triangle
 from ssecalc.errors import EmptyCoreError, InvalidEdgeError, VerificationError
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate, mul
 from ssecalc.sampling import random_deg_bool_edge, random_deg_pair, random_nondeg_matrix
@@ -74,7 +74,7 @@ def test_random_degenerate_triangulations():
 
 def test_restrict_triangle_nondegenerate_unchanged():
     e = DegSSEEdge(GM, GM, GM, I2)
-    t = DegTriangle(e, DegSSEEdge(GM, GM, I2, GM), e)
+    t = Triangle(e, DegSSEEdge(GM, GM, I2, GM), e)
     assert check_deg_triangle(t)
     assert restrict_triangle(t) == t
 
@@ -89,7 +89,7 @@ def test_restrict_triangle_with_sink():
     e_pad = DegSSEEdge(a, b_pad, r_pad, s_pad)
     rt = restrict_edge(e_pad)
     assert is_nondegenerate(rt.b)
-    t2 = DegTriangle(e_pad, DegSSEEdge(b_pad, a, s_pad, r_pad), DegSSEEdge(a, a, I2, a))
+    t2 = Triangle(e_pad, DegSSEEdge(b_pad, a, s_pad, r_pad), DegSSEEdge(a, a, I2, a))
     if check_deg_triangle(t2):
         rt2 = restrict_triangle(t2)
         assert check_deg_triangle(rt2)
@@ -153,6 +153,19 @@ def sample_deg_path(rng, want_degenerate=True):
         if deg == want_degenerate:
             return p
     raise AssertionError("sampling failed")
+
+
+def test_path_vertices_and_transpose():
+    rng = random.Random(6)
+    strict = SSEPath(GM, ((SSEEdge(GM, GM, I2, GM), 1), (SSEEdge(GM, GM, GM, I2), -1)))
+    paths = [strict] + [sample_deg_path(rng, want_degenerate=rng.random() < 0.5) for _ in range(10)]
+    for p in paths:
+        assert p.end == p.vertices()[-1]
+        assert p.base == p.vertices()[0]
+        assert len(p.vertices()) == len(p.steps) + 1
+        assert p.transposed().transposed() == p
+        assert p.transposed().vertices() == [v.transpose() for v in p.vertices()]
+    assert all(type(e) is SSEEdge for e, _ in strict.transposed().steps)
 
 
 def test_normalize_path_idempotent_on_nondegenerate():

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations, product
 from math import factorial
 
@@ -6,6 +7,7 @@ import pytest
 
 from ssecalc.codes import compose, equal_codes, identity_code, is_elementary, normalize, shift_code
 from ssecalc.elementary import (
+    DegSSEEdge,
     SSEEdge,
     Triangle,
     check_triangle,
@@ -214,3 +216,116 @@ def test_ordered_factorization_overflow_boundary(a, inner):
     with pytest.raises(ResourceBoundError) as exc:
         factorizations(a, inner, max_results=total - 1)
     assert str(exc.value) == f"more than {total - 1} ordered factorizations"
+
+
+# -- one edge algebra: SSEEdge is DegSSEEdge plus the strict checks ----
+
+
+def _strict_reference_error(a, b, r, s):
+    """The first message of the strict edge checks, in their order, or None."""
+    for name, m in (("A", a), ("B", b), ("R", r), ("S", s)):
+        if not m.is_boolean:
+            return f"{name} must be a {{0,1}} matrix"
+        if not is_nondegenerate(m):
+            return f"{name} must be nondegenerate"
+    if not (a.is_square and b.is_square):
+        return "A and B must be square"
+    if r.rows != a.rows or r.cols != b.rows or s.rows != b.rows or s.cols != a.rows:
+        return "R, S shapes do not match A, B"
+    if mul(r, s) != a:
+        return "RS != A"
+    if mul(s, r) != b:
+        return "SR != B"
+    return None
+
+
+def _refusal(cls, a, b, r, s):
+    try:
+        cls(a, b, r, s)
+    except InvalidEdgeError as exc:
+        return str(exc)
+    return None
+
+
+def _random_matrix(rng, n, m, max_entry, density):
+    return NonnegMatrix(
+        [[rng.randint(1, max_entry) if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
+    )
+
+
+def _flip_first_entry(x):
+    rows = x.to_lists()
+    rows[0][0] = 1 - min(rows[0][0], 1)
+    return NonnegMatrix(rows)
+
+
+def test_strict_edge_is_checked_degenerate_edge():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(600):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        max_entry = rng.choice((1, 1, 2))
+        density = rng.choice((0.5, 0.7, 0.9))
+        r = _random_matrix(rng, n, m, max_entry, density)
+        s = _random_matrix(rng, m, n, max_entry, density)
+        a, b = mul(r, s), mul(s, r)
+        spoil = rng.randrange(6)
+        if spoil == 1:
+            a = _flip_first_entry(a)
+        elif spoil == 2:
+            b = _flip_first_entry(b)
+        elif spoil == 3:
+            r = r.transpose()
+        elif spoil == 4:
+            a = NonnegMatrix([[1] * (n + 1)] * n)
+        deg = _refusal(DegSSEEdge, a, b, r, s)
+        strict = _refusal(SSEEdge, a, b, r, s)
+        clean = all(x.is_boolean and is_nondegenerate(x) for x in (a, b, r, s))
+        assert (strict is None) == (deg is None and clean)
+        assert strict == _strict_reference_error(a, b, r, s)
+        seen.add(strict and re.sub("^[ABRS] must", "X must", strict))
+    # acceptance and every refusal were reached
+    assert seen == {
+        None,
+        "X must be a {0,1} matrix",
+        "X must be nondegenerate",
+        "A and B must be square",
+        "R, S shapes do not match A, B",
+        "RS != A",
+        "SR != B",
+    }
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        SSEEdge(GM, GM, I2, GM),
+        SSEEdge(GM, GM, GM, I2),
+        DegSSEEdge(GM, GM, GM, I2),
+        DegSSEEdge(
+            NonnegMatrix([[1, 1], [0, 0]]),
+            NonnegMatrix([[1]]),
+            NonnegMatrix([[1], [0]]),
+            NonnegMatrix([[1, 1]]),
+        ),
+        DegSSEEdge(
+            NonnegMatrix([[2]]), NonnegMatrix([[2]]), NonnegMatrix([[1]]), NonnegMatrix([[2]])
+        ),
+    ],
+    ids=["strict-identity", "strict-shift", "deg-shift", "deg-zero-row", "deg-entry-2"],
+)
+def test_reversed_and_transposed_keep_the_class(edge):
+    for other in (edge.reversed(), edge.transposed()):
+        assert type(other) is type(edge)
+    assert edge.reversed().reversed() == edge
+    assert edge.transposed().transposed() == edge
+
+
+def test_to_strict():
+    assert DegSSEEdge(GM, GM, I2, GM).to_strict() == SSEEdge(GM, GM, I2, GM)
+    assert DegSSEEdge(GM, GM, I2, GM) != SSEEdge(GM, GM, I2, GM)
+    two = NonnegMatrix([[2]])
+    e = DegSSEEdge(two, two, NonnegMatrix([[1]]), two)
+    assert not e.is_boolean
+    with pytest.raises(InvalidEdgeError, match=r"A must be a \{0,1\} matrix"):
+        e.to_strict()

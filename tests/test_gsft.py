@@ -8,7 +8,6 @@ from ssecalc.groups import FiniteGroup, cyclic_group, symmetric_group
 from ssecalc.gsft import (
     GroupRingMatrix,
     GsftEdge,
-    GsftTriangle,
     MarkedGGraph,
     bar,
     equivariant_triangle,
@@ -161,12 +160,12 @@ def _identity_gsft_edge(a: GroupRingMatrix) -> GsftEdge:
 
 def test_equivariant_triangle_identity():
     e = _identity_gsft_edge(A_EXAMPLE)
-    assert equivariant_triangle(GsftTriangle(e, e, e))
+    assert equivariant_triangle(Triangle(e, e, e))
 
 
 def test_equivariant_triangle_matches_barred_verdict():
     e = _identity_gsft_edge(A_EXAMPLE)
-    t = GsftTriangle(e, e, e)
+    t = Triangle(e, e, e)
     barred = Triangle(
         SSEEdge(bar(e.a), bar(e.b), bar(e.r), bar(e.s)),
         SSEEdge(bar(e.a), bar(e.b), bar(e.r), bar(e.s)),
@@ -183,7 +182,7 @@ def test_equivariant_triangle_perturbed():
         Z3, [[{0} if i == j else set() for j in range(n)] for i in range(n)]
     )
     e_sigma = GsftEdge(e.a, e.a, e.a, ident)
-    t = GsftTriangle(e, e, e_sigma)
+    t = Triangle(e, e, e_sigma)
     assert not equivariant_triangle(t)
     barred = Triangle(
         SSEEdge(bar(e.a), bar(e.a), bar(e.r), bar(e.s)),

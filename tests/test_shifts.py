@@ -9,7 +9,6 @@ from ssecalc.shifts import (
     DeterministicPresentation,
     LabeledGraph,
     VertexShift,
-    allowed_words,
     higher_block,
     language_difference_witness,
     language_equal,
@@ -29,13 +28,12 @@ def test_shift_validation():
 
 def test_allowed_words_full_shift():
     x = VertexShift(FULL2)
-    assert len(allowed_words(x, 2)) == 4
+    assert len(x.words(2)) == 4
 
 
 def test_allowed_words_golden_mean():
     x = VertexShift(GM)
-    lang = allowed_words(x, 3)
-    assert [tuple(a + 1 for a in w) for w in lang.words] == [
+    assert [tuple(a + 1 for a in w) for w in x.words(3)] == [
         (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2)
     ]
 
@@ -43,7 +41,7 @@ def test_allowed_words_golden_mean():
 def test_words_length_one_is_alphabet():
     for m in (GM, FULL2):
         x = VertexShift(m)
-        assert len(allowed_words(x, 1)) == x.alphabet_size
+        assert len(x.words(1)) == x.alphabet_size
 
 
 def test_word_counts_monotone():
