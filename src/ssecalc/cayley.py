@@ -214,9 +214,9 @@ def window_from_json(obj: dict) -> FGGroupWindow:
             ops = TableGroup(group)
             gens = [group.index(name) for name in obj["generators"]]
             window = [group.index(name) for name in obj["window"]]
+        return FGGroupWindow(ops, gens, window)
     except (TypeError, KeyError, ValueError) as exc:
         raise InvalidWindowError(f"malformed window object: {exc}") from exc
-    return FGGroupWindow(ops, gens, window)
 
 
 def schedule_to_json(w: FGGroupWindow, steps: list[ScheduleStep]) -> list[dict]:

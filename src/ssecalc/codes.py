@@ -12,6 +12,7 @@ alphabet permutation they are).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -24,7 +25,16 @@ from .shifts import VertexShift
 
 
 class BlockCode:
-    """A sliding block map given by a total table on allowed window words."""
+    """A sliding block map given by a total table on allowed window words.
+
+    Codes are immutable: the constructor sets every field, and ``table`` is
+    a read-only view of the constructor's own copy.  An invertible code is
+    built together with its inverse: ``inverse`` takes the inverse's
+    ``(left, right, table)``, and the constructor builds that code from
+    codomain to domain, with the same ``unchecked`` setting, and links the
+    two, so ``f.inverse.inverse is f``.  Whether the two really are mutually
+    inverse is decided by ``verify_inverse``, not here.
+    """
 
     __slots__ = ("domain", "codomain", "left", "right", "table", "_inverse", "_hash")
 
@@ -35,22 +45,31 @@ class BlockCode:
         left: int,
         right: int,
         table: Mapping[tuple[int, ...], int],
-        inverse: Optional["BlockCode"] = None,
+        inverse: Optional[tuple[int, int, Mapping[tuple[int, ...], int]]] = None,
         unchecked: bool = False,
     ):
         if left > right:
             raise InvalidCodeError("window left must be <= right")
-        self.domain = domain
-        self.codomain = codomain
-        self.left = left
-        self.right = right
-        self.table = dict(table)
-        self._inverse = None
-        self._hash = None
+        set_ = object.__setattr__
+        set_(self, "domain", domain)
+        set_(self, "codomain", codomain)
+        set_(self, "left", left)
+        set_(self, "right", right)
+        set_(self, "table", MappingProxyType(dict(table)))
+        set_(self, "_hash", None)
         if not unchecked:
             self._validate()
+        partner = None
         if inverse is not None:
-            link_inverses(self, inverse)
+            partner = BlockCode(codomain, domain, *inverse, unchecked=unchecked)
+            set_(partner, "_inverse", self)
+        set_(self, "_inverse", partner)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BlockCode is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("BlockCode is immutable")
 
     def _validate(self):
         width = self.width
@@ -127,8 +146,9 @@ class BlockCode:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(
+        h = self._hash
+        if h is None:
+            h = hash(
                 (
                     self.domain,
                     self.codomain,
@@ -137,7 +157,8 @@ class BlockCode:
                     tuple(sorted(self.table.items())),
                 )
             )
-        return self._hash
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return (
@@ -146,18 +167,9 @@ class BlockCode:
         )
 
 
-def link_inverses(f: BlockCode, g: BlockCode) -> None:
-    """Pair two codes as mutual inverses (no verification here)."""
-    if f.domain != g.codomain or f.codomain != g.domain:
-        raise ShiftMismatchError("inverse endpoints do not match")
-    f._inverse = g
-    g._inverse = f
-
-
 def identity_code(x: VertexShift) -> BlockCode:
-    f = BlockCode(x, x, 0, 0, {(a,): a for a in range(x.alphabet_size)}, unchecked=True)
-    f._inverse = f
-    return f
+    table = {(a,): a for a in range(x.alphabet_size)}
+    return BlockCode(x, x, 0, 0, table, inverse=(0, 0, table), unchecked=True)
 
 
 def shift_code(x: VertexShift, g: int) -> BlockCode:
@@ -165,13 +177,11 @@ def shift_code(x: VertexShift, g: int) -> BlockCode:
     if g not in (1, -1):
         raise InvalidCodeError("shift exponent must be +1 or -1")
     table = {(a,): a for a in range(x.alphabet_size)}
-    fwd = BlockCode(x, x, g, g, table, unchecked=True)
-    back = BlockCode(x, x, -g, -g, dict(table), unchecked=True)
-    link_inverses(fwd, back)
-    return fwd
+    return BlockCode(x, x, g, g, table, inverse=(-g, -g, table), unchecked=True)
 
 
-def _compose_raw(g: BlockCode, f: BlockCode) -> BlockCode:
+def _compose_data(g: BlockCode, f: BlockCode) -> tuple[int, int, dict]:
+    """The window and table of g∘f."""
     if f.codomain != g.domain:
         raise ShiftMismatchError("compose: f.codomain != g.domain")
     width = f.width + g.width - 1
@@ -183,30 +193,34 @@ def _compose_raw(g: BlockCode, f: BlockCode) -> BlockCode:
     for w in f.domain.words(width):
         mid = tuple(ftab[w[i : i + fw]] for i in range(gw))
         table[w] = gtab[mid]
-    return BlockCode(
-        f.domain, g.codomain, f.left + g.left, f.right + g.right, table, unchecked=True
-    )
+    return f.left + g.left, f.right + g.right, table
+
+
+def _compose_raw(g: BlockCode, f: BlockCode) -> BlockCode:
+    """g∘f without an inverse."""
+    return BlockCode(f.domain, g.codomain, *_compose_data(g, f), unchecked=True)
 
 
 def compose(g: BlockCode, f: BlockCode) -> BlockCode:
     """The sliding block code g∘f; windows add componentwise."""
-    out = _compose_raw(g, f)
+    left, right, table = _compose_data(g, f)
+    inverse = None
     if f._inverse is not None and g._inverse is not None:
-        inv = _compose_raw(f._inverse, g._inverse)
-        link_inverses(out, inv)
-    return out
+        inverse = _compose_data(f._inverse, g._inverse)
+    return BlockCode(
+        f.domain, g.codomain, left, right, table, inverse=inverse, unchecked=True
+    )
 
 
-def _try_rewindow(f: BlockCode, slide: bool, right: bool):
-    """The table of f on a window without its rightmost (right) or its
-    leftmost coordinate: one shorter, or (slide) as wide and moved one
-    step away from that end.  None when the rule depends on the dropped
-    coordinate."""
-    words = f.domain.words(f.width if slide else f.width - 1)
-    tab = f.table
+def _try_rewindow(x: VertexShift, width: int, tab: Mapping, slide: bool, right: bool):
+    """The table of a rule of the given width on x, on a window without its
+    rightmost (right) or its leftmost coordinate: one shorter, or (slide)
+    as wide and moved one step away from that end.  None when the rule
+    depends on the dropped coordinate."""
+    words = x.words(width if slide else width - 1)
     new = {}
     if right:
-        succ = f.domain.succ
+        succ = x.succ
         for u in words:
             core = u[1:] if slide else u
             it = iter(succ(u[-1]))
@@ -216,7 +230,7 @@ def _try_rewindow(f: BlockCode, slide: bool, right: bool):
                     return None
             new[u] = v0
     else:
-        pred = f.domain.pred
+        pred = x.pred
         for u in words:
             core = u[:-1] if slide else u
             it = iter(pred(u[0]))
@@ -228,48 +242,42 @@ def _try_rewindow(f: BlockCode, slide: bool, right: bool):
     return new
 
 
-def _normalize_data(f: BlockCode) -> BlockCode:
-    cur = f
-    while cur.width > 1:
-        new = _try_rewindow(cur, slide=False, right=True)
+def _normalize_data(f: BlockCode) -> tuple[int, int, Mapping]:
+    """The window and table of f's normal form; the table is f.table
+    itself when f is already normal."""
+    x, left, right, tab = f.domain, f.left, f.right, f.table
+    while right > left:
+        new = _try_rewindow(x, right - left + 1, tab, slide=False, right=True)
         if new is None:
             break
-        cur = BlockCode(cur.domain, cur.codomain, cur.left, cur.right - 1, new, unchecked=True)
-    while cur.width > 1:
-        new = _try_rewindow(cur, slide=False, right=False)
+        right, tab = right - 1, new
+    while right > left:
+        new = _try_rewindow(x, right - left + 1, tab, slide=False, right=False)
         if new is None:
             break
-        cur = BlockCode(cur.domain, cur.codomain, cur.left + 1, cur.right, new, unchecked=True)
-    while cur.left > 0:
-        new = _try_rewindow(cur, slide=True, right=True)
+        left, tab = left + 1, new
+    while left > 0:
+        new = _try_rewindow(x, right - left + 1, tab, slide=True, right=True)
         if new is None:
             break
-        cur = BlockCode(cur.domain, cur.codomain, cur.left - 1, cur.right - 1, new, unchecked=True)
-    while cur.right < 0:
-        new = _try_rewindow(cur, slide=True, right=False)
+        left, right, tab = left - 1, right - 1, new
+    while right < 0:
+        new = _try_rewindow(x, right - left + 1, tab, slide=True, right=False)
         if new is None:
             break
-        cur = BlockCode(cur.domain, cur.codomain, cur.left + 1, cur.right + 1, new, unchecked=True)
-    return cur
+        left, right, tab = left + 1, right + 1, new
+    return left, right, tab
 
 
 def normalize(f: BlockCode) -> BlockCode:
     """Canonical minimal-window form; equality of normal forms is equality
     of the codes as functions."""
-    out = _normalize_data(f)
-    if f._inverse is None:
-        return out
-    inv = _normalize_data(f._inverse)
-    if out is f and inv is f._inverse:
+    data = _normalize_data(f)
+    g = f._inverse
+    inverse = None if g is None else _normalize_data(g)
+    if data[2] is f.table and (g is None or inverse[2] is g.table):
         return f
-    # never relink the inputs; copy whichever side did not change
-    if out is f:
-        out = BlockCode(f.domain, f.codomain, f.left, f.right, f.table, unchecked=True)
-    if inv is f._inverse:
-        src = f._inverse
-        inv = BlockCode(src.domain, src.codomain, src.left, src.right, src.table, unchecked=True)
-    link_inverses(out, inv)
-    return out
+    return BlockCode(f.domain, f.codomain, *data, inverse=inverse, unchecked=True)
 
 
 def is_identity(f: BlockCode) -> bool:
@@ -305,7 +313,7 @@ def is_elementary(f: BlockCode) -> bool:
     if f._inverse is None:
         raise MissingInverseError("elementarity needs a stored inverse")
     fn = normalize(f)
-    gn = normalize(f._inverse)
+    gn = fn.inverse
     return fn.left >= 0 and fn.right <= 1 and gn.left >= -1 and gn.right <= 0
 
 
@@ -314,7 +322,7 @@ def is_inverse_elementary(f: BlockCode) -> bool:
     if f._inverse is None:
         raise MissingInverseError("elementarity needs a stored inverse")
     fn = normalize(f)
-    gn = normalize(f._inverse)
+    gn = fn.inverse
     return fn.left >= -1 and fn.right <= 0 and gn.left >= 0 and gn.right <= 1
 
 
@@ -335,19 +343,14 @@ def relabel_codomain(f: BlockCode, perm: Sequence[int]) -> BlockCode:
                 m |= 1 << perm[j]
         masks[perm[i]] = m
     target = VertexShift(NonnegMatrix.from_bool_rows(n, masks))
-    out = BlockCode(
-        f.domain, target, f.left, f.right,
-        {w: perm[v] for w, v in f.table.items()}, unchecked=True,
-    )
+    inverse = None
     if f._inverse is not None:
         g = f._inverse
-        inv = BlockCode(
-            target, g.codomain, g.left, g.right,
-            {tuple(perm[a] for a in w): v for w, v in g.table.items()},
-            unchecked=True,
-        )
-        link_inverses(out, inv)
-    return out
+        inverse = (g.left, g.right, {tuple(perm[a] for a in w): v for w, v in g.table.items()})
+    return BlockCode(
+        f.domain, target, f.left, f.right,
+        {w: perm[v] for w, v in f.table.items()}, inverse=inverse, unchecked=True,
+    )
 
 
 def bijection_code(x: VertexShift, perm: Sequence[int]) -> BlockCode:
@@ -377,13 +380,18 @@ def code_from_json(obj: dict) -> BlockCode:
         domain = VertexShift(matrix_from_json(obj["domain"]))
         codomain = VertexShift(matrix_from_json(obj["codomain"]))
         left, right = obj["window"]
-        table = {
-            tuple(a - 1 for a in w): v - 1 for w, v in (tuple(e) for e in obj["table"])
-        }
+        entries = [tuple(e) for e in obj["table"]]
+        table = {tuple(a - 1 for a in w): v - 1 for w, v in entries}
     except (TypeError, KeyError, ValueError) as exc:
         raise InvalidCodeError(f"malformed block code object: {exc}") from exc
+    for n in (left, right, *(s for w, v in entries for s in (*w, v))):
+        if type(n) is not int:
+            raise InvalidCodeError(f"window and table symbols must be integers, not {n!r}")
     f = BlockCode(domain, codomain, left, right, table)
-    if "inverse" in obj:
-        g = code_from_json(obj["inverse"])
-        link_inverses(f, g)
-    return f
+    if "inverse" not in obj:
+        return f
+    g = code_from_json(obj["inverse"])
+    if g.domain != codomain or g.codomain != domain:
+        raise ShiftMismatchError("inverse endpoints do not match")
+    inverse = (g.left, g.right, g.table)
+    return BlockCode(domain, codomain, left, right, table, inverse=inverse, unchecked=True)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .codes import (
     BlockCode,
-    link_inverses,
     normalize,
     verify_inverse,
 )
@@ -129,10 +128,8 @@ def code_from_edge(e: SSEEdge, verify: bool = True) -> BlockCode:
                 f"inverse local rule not uniquely defined on {w}: candidate mask {cands:b}"
             )
         bwd[w] = cands.bit_length() - 1
-    f = BlockCode(x, y, 0, 1, fwd)
-    g = BlockCode(y, x, -1, 0, bwd)
-    link_inverses(f, g)
-    if verify and not verify_inverse(f, g):
+    f = BlockCode(x, y, 0, 1, fwd, inverse=(-1, 0, bwd))
+    if verify and not verify_inverse(f, f.inverse):
         raise VerificationError("phi_{R,S} compositions do not normalize to identity")
     return f
 
@@ -140,7 +137,7 @@ def code_from_edge(e: SSEEdge, verify: bool = True) -> BlockCode:
 def edge_from_code(f: BlockCode) -> SSEEdge:
     """The matrix pair (R_phi, S_phi) of an elementary conjugacy."""
     fn = normalize(f)
-    gn = normalize(f.inverse)
+    gn = fn.inverse
     if not (fn.left >= 0 and fn.right <= 1 and gn.left >= -1 and gn.right <= 0):
         raise NotElementaryError(
             f"windows {fn.window} / inverse {gn.window} not inside (0,1) / (-1,0)"

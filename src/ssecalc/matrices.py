@@ -356,9 +356,9 @@ def matrix_to_json(a: NonnegMatrix) -> dict:
 def matrix_from_json(obj: dict) -> NonnegMatrix:
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        m = NonnegMatrix(entries)
     except (TypeError, KeyError) as exc:
         raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
-    m = NonnegMatrix(entries)
     if m.rows != rows or m.cols != cols:
         raise InvalidMatrixError("declared shape does not match entries")
     return m

@@ -13,8 +13,10 @@ relabeling being the lexicographic rank of the symbol tuples.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .codes import (
@@ -25,7 +27,6 @@ from .codes import (
     identity_code,
     is_elementary,
     is_inverse_elementary,
-    link_inverses,
     normalize,
     verify_inverse,
 )
@@ -154,13 +155,10 @@ def _delta_code(si: StarImage, verify: bool) -> BlockCode:
         key = (u, v)
         bwd[key] = comp_tab[(si.image_alphabet[u][comp], si.image_alphabet[v][comp])]
     if si.side == 1:
-        f = BlockCode(x, target, 0, 1, fwd)
-        g = BlockCode(target, x, -1, 0, bwd)
+        f = BlockCode(x, target, 0, 1, fwd, inverse=(-1, 0, bwd))
     else:
-        f = BlockCode(x, target, -1, 0, fwd)
-        g = BlockCode(target, x, 0, 1, bwd)
-    link_inverses(f, g)
-    if verify and not verify_inverse(f, g):
+        f = BlockCode(x, target, -1, 0, fwd, inverse=(0, 1, bwd))
+    if verify and not verify_inverse(f, f.inverse):
         raise VerificationError("delta code failed inverse verification")
     return f
 
@@ -463,11 +461,8 @@ def refine_representative(phi1: BlockCode, phi2: BlockCode) -> Optional[BlockCod
 
 
 def _some_permutations(n: int, trials: int, rng: random.Random):
-    from itertools import permutations as iperm
-
-    all_perms = list(iperm(range(n)))
-    if len(all_perms) <= trials + 1:
-        return all_perms
+    if math.factorial(n) <= trials + 1:
+        return list(permutations(range(n)))
     out = [tuple(range(n))]
     for _ in range(trials):
         p = list(range(n))

@@ -87,7 +87,7 @@ def higher_block(x: VertexShift, window: int):
     Symbols of the new shift are the allowed words of the given length in
     lexicographic order; transitions are by overlap.
     """
-    from .codes import BlockCode, identity_code, link_inverses
+    from .codes import BlockCode, identity_code
 
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -104,12 +104,9 @@ def higher_block(x: VertexShift, window: int):
         masks.append(m)
     target = VertexShift(NonnegMatrix.from_bool_rows(len(words), masks))
     fwd = BlockCode(
-        x, target, 0, window - 1, {w: rank[w] for w in words}, unchecked=True
+        x, target, 0, window - 1, {w: rank[w] for w in words},
+        inverse=(0, 0, {(i,): words[i][0] for i in range(len(words))}), unchecked=True,
     )
-    back = BlockCode(
-        target, x, 0, 0, {(i,): words[i][0] for i in range(len(words))}, unchecked=True
-    )
-    link_inverses(fwd, back)
     return target, fwd
 
 

@@ -93,8 +93,7 @@ def reduce_inverse_window(
     cur = normalize(f)
     if _hull(cur.window) != (0, 0):
         raise InvalidCodeError("reduce_inverse_window needs a one-block code")
-    inv = normalize(cur.inverse)
-    lo, hi = _hull(inv.window)
+    lo, hi = _hull(cur.inverse.window)
     if (lo, hi) == (0, 0):
         return cur, [], []
     g = 1 if hi > 0 else -1
@@ -107,7 +106,7 @@ def reduce_inverse_window(
     nxt = normalize(compose(psi2, compose(cur, psi1.inverse)))
     if _hull(nxt.window) != (0, 0):
         raise VerificationError("conjugated map is not one-block")
-    n_lo, n_hi = _hull(normalize(nxt.inverse).window)
+    n_lo, n_hi = _hull(nxt.inverse.window)
     if (n_hi - n_lo) >= (hi - lo):
         raise VerificationError("inverse window did not shrink")
     return nxt, [_step_for(psi1, "pre")], [_step_for(psi2, "post")]

@@ -210,3 +210,34 @@ def test_cayley_schedule_non_object_group(tmp_path):
     path = write(tmp_path, "w.json", obj)
     code, rep = run(tmp_path, "cayley-schedule", "--input", path)
     assert code == 2 and rep["kind"] == "input"
+
+
+def _code_obj(**changes):
+    return dict(code_to_json(shift_code(VertexShift(GM), 1)), **changes)
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("extract", _code_obj(window=["a", 0])),
+        ("extract", _code_obj(table=[[[1], 1.0], [[2], 2]])),
+        ("decompose", _code_obj(table=[[[1.0], 1], [[2], 2]])),
+        ("refine-axioms", {"codes": [_code_obj(window=[1, "b"])]}),
+        ("explore", {"rows": 1, "cols": 1, "entries": 5}),
+        ("refine-axioms", {"base": {"rows": 1, "cols": 1, "entries": [5]}}),
+        (
+            "cayley-schedule",
+            {"group": {"type": "Z^d", "dim": 1}, "generators": [[0], [1]], "window": [[[1]]]},
+        ),
+    ],
+)
+def test_malformed_json_is_an_input_error(tmp_path, command, obj):
+    path = write(tmp_path, "in.json", obj)
+    code, rep = run(tmp_path, command, "--input", path)
+    assert code == 2 and rep["kind"] == "input", rep
+
+
+def test_refine_axioms_large_tuple(tmp_path):
+    path = write(tmp_path, "ax.json", {"base": matrix_to_json(GM), "tuple_size": 12})
+    code, rep = run(tmp_path, "refine-axioms", "--input", path, "--trials", "3")
+    assert code == 0 and rep["all_passed"]

@@ -5,6 +5,8 @@ import pytest
 from ssecalc.codes import (
     BlockCode,
     bijection_code,
+    code_from_json,
+    code_to_json,
     compose,
     equal_codes,
     identity_code,
@@ -12,11 +14,14 @@ from ssecalc.codes import (
     is_elementary,
     is_identity,
     normalize,
+    relabel_codomain,
     shift_code,
     verify_inverse,
 )
+from ssecalc.elementary import SSEEdge, code_from_edge
 from ssecalc.errors import InvalidCodeError, MissingInverseError, ShiftMismatchError
 from ssecalc.matrices import NonnegMatrix
+from ssecalc.refinement import delta
 from ssecalc.shifts import VertexShift, higher_block
 
 GM = VertexShift(NonnegMatrix([[1, 1], [1, 0]]))
@@ -131,3 +136,112 @@ def test_stored_inverse_contract():
     for _ in range(20):
         _, f = higher_block(GM, rng.randint(1, 4))
         assert verify_inverse(f, f.inverse)
+
+
+# -- frozen pairs ---------------------------------------------------------
+
+
+def _widened_sigma():
+    """sigma with its inverse, both written on the window [-1, 1]."""
+    sigma = shift_code(GM, 1)
+    return BlockCode(
+        GM, GM, -1, 1, sigma.table_at(-1, 1),
+        inverse=(-1, 1, sigma.inverse.table_at(-1, 1)),
+    )
+
+
+def test_every_constructor_path_links_a_pair():
+    sigma = shift_code(GM, 1)
+    wide = _widened_sigma()
+    edge = SSEEdge(GM.matrix, GM.matrix, GM.matrix, NonnegMatrix.identity(2))
+    built = {
+        "constructor": wide,
+        "identity_code": identity_code(GM),
+        "shift_code": sigma,
+        "compose": compose(sigma, sigma),
+        "normalize": normalize(wide),
+        "relabel_codomain": relabel_codomain(sigma, [1, 0]),
+        "bijection_code": bijection_code(FULL2, [1, 0]),
+        "code_from_json": code_from_json(code_to_json(sigma)),
+        "code_from_edge": code_from_edge(edge),
+        "delta": delta([identity_code(GM), sigma]).delta,
+        "higher_block": higher_block(GM, 3)[1],
+    }
+    assert normalize(wide) is not wide
+    for name, f in built.items():
+        assert f.inverse.inverse is f, name
+        assert f.inverse.domain == f.codomain and f.inverse.codomain == f.domain, name
+        assert verify_inverse(f, f.inverse), name
+
+
+def test_codes_are_immutable():
+    f = _widened_sigma()
+    for code in (f, f.inverse, normalize(f), identity_code(GM)):
+        for name in BlockCode.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(code, name, None)
+            with pytest.raises(AttributeError):
+                delattr(code, name)
+        with pytest.raises(AttributeError):
+            code.extra = 1
+        with pytest.raises(TypeError):
+            code.table[next(iter(code.table))] = 0
+    assert f.window == (-1, 1) and f.inverse.window == (-1, 1)
+
+
+def test_table_is_a_copy():
+    table = {(0,): 1, (1,): 0}
+    f = BlockCode(CYCLE2, CYCLE2, 0, 0, table, inverse=(0, 0, table))
+    table[(0,)] = 0
+    assert f.table == {(0,): 1, (1,): 0} == f.inverse.table
+
+
+def test_operations_leave_their_inputs_linked():
+    f = _widened_sigma()
+    g = f.inverse
+    sigma = shift_code(GM, 1)
+    tau = sigma.inverse
+    results = [
+        normalize(f),
+        normalize(g),
+        compose(f, sigma),
+        compose(tau, f),
+        relabel_codomain(f, [1, 0]),
+        relabel_codomain(g, [1, 0]),
+    ]
+    for out in results:
+        assert out is not f and out is not g
+        assert out.inverse.inverse is out
+    assert f.inverse is g and g.inverse is f
+    assert sigma.inverse is tau and tau.inverse is sigma
+    assert f.window == (-1, 1) and g.window == (-1, 1)
+
+
+def test_code_from_json_inverse_endpoints():
+    obj = code_to_json(shift_code(GM, 1))
+    obj["inverse"] = code_to_json(shift_code(FULL2, -1), include_inverse=False)
+    with pytest.raises(ShiftMismatchError, match="inverse endpoints do not match"):
+        code_from_json(obj)
+    # the forward code's own validation comes first, as does the inverse's
+    bad_forward = dict(obj, table=obj["table"][:-1])
+    with pytest.raises(InvalidCodeError, match="table must be total"):
+        code_from_json(bad_forward)
+    bad_inverse = dict(obj, inverse=dict(obj["inverse"], table=obj["inverse"]["table"][:-1]))
+    with pytest.raises(InvalidCodeError, match="table must be total"):
+        code_from_json(bad_inverse)
+
+
+def test_code_from_json_requires_integers():
+    good = code_to_json(shift_code(GM, 1))
+    assert code_from_json(good) == shift_code(GM, 1)
+    table = good["table"]
+    for bad in (
+        dict(good, window=["a", 0]),
+        dict(good, window=[1.0, 1]),
+        dict(good, window=[True, 1]),
+        dict(good, table=[[[1.0], 1]] + table[1:]),
+        dict(good, table=[[[1], 1.0]] + table[1:]),
+        dict(good, inverse=dict(good["inverse"], window=[-1, -1.0])),
+    ):
+        with pytest.raises(InvalidCodeError):
+            code_from_json(bad)

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -14,6 +15,7 @@ from ssecalc.errors import NotElementaryError, ShiftMismatchError
 from ssecalc.matrices import NonnegMatrix
 from ssecalc.refinement import (
     AXIOM_NAMES,
+    _some_permutations,
     arrow,
     canonical_representative,
     delta,
@@ -223,3 +225,16 @@ def test_axiom_suite_on_id_sigma_tuple():
     )
     for name in AXIOM_NAMES:
         assert report[name].ok, (name, report[name].failures)
+
+
+def test_some_permutations_never_lists_a_large_symmetric_group():
+    perms = _some_permutations(20, 3, random.Random(4))
+    rng = random.Random(4)
+    expected = [tuple(range(20))]
+    for _ in range(3):
+        p = list(range(20))
+        rng.shuffle(p)
+        expected.append(tuple(p))
+    assert perms == expected
+    assert _some_permutations(3, 5, random.Random(4)) == list(permutations(range(3)))
+    assert len(_some_permutations(3, 4, random.Random(4))) == 5
