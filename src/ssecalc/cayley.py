@@ -26,6 +26,11 @@ class ZdGroup:
 
     dim: int
 
+    def __post_init__(self):
+        d = self.dim
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise InvalidWindowError(f"dimension {d!r} is not an integer >= 1")
+
     @property
     def identity(self):
         return (0,) * self.dim
@@ -37,7 +42,11 @@ class ZdGroup:
         return tuple(-x for x in a)
 
     def check(self, a):
-        if not (isinstance(a, tuple) and len(a) == self.dim and all(isinstance(x, int) for x in a)):
+        if not (
+            isinstance(a, tuple)
+            and len(a) == self.dim
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in a)
+        ):
             raise InvalidWindowError(f"{a!r} is not an element of Z^{self.dim}")
 
 
@@ -204,7 +213,7 @@ def window_from_json(obj: dict) -> FGGroupWindow:
         if not isinstance(gspec, dict):
             raise InvalidWindowError(f"group must be a JSON object, not {gspec!r}")
         if gspec.get("type") == "Z^d":
-            ops: GroupOps = ZdGroup(int(gspec["dim"]))
+            ops: GroupOps = ZdGroup(gspec["dim"])
             gens = [tuple(g) for g in obj["generators"]]
             window = [tuple(t) for t in obj["window"]]
         else:

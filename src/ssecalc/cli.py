@@ -22,10 +22,11 @@ from .cayley import (
 )
 from .codes import code_from_json, code_to_json, equal_codes, normalize
 from .complexes import (
+    ComplexFragment,
     SSEPath,
     compose_path,
     explore,
-    fragment_to_json,
+    fragment_to_text,
     homotopic,
     path_from_json,
     path_pair_from_json,
@@ -67,8 +68,22 @@ def _load(path: str):
         return json.load(fh)
 
 
+def _encode(report: dict) -> str:
+    """json.dumps(report, indent=2, sort_keys=True).
+
+    An explore report holds its ComplexFragment, which fragment_to_text
+    writes directly: the same bytes, several times faster on large
+    fragments than encoding the dict of fragment_to_json."""
+    frag = report.get("fragment")
+    if not isinstance(frag, ComplexFragment):
+        return json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps({**report, "fragment": None}, indent=2, sort_keys=True)
+    head, tail = text.split('\n  "fragment": null', 1)
+    return f'{head}\n  "fragment": {fragment_to_text(frag, "  ")}{tail}'
+
+
 def _emit(args, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _encode(report)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -166,7 +181,7 @@ def _run_explore(args) -> tuple[int, dict]:
     return 0, {
         "command": "explore",
         "input": matrix_to_json(a),
-        "fragment": fragment_to_json(frag),
+        "fragment": frag,
     }
 
 

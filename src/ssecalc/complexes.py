@@ -9,6 +9,7 @@ and comparing normal forms.  explore materializes the depth-bounded
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .codes import BlockCode, compose, identity_code, normalize
@@ -16,7 +17,6 @@ from .elementary import (
     DegSSEEdge,
     SSEEdge,
     Triangle,
-    check_triangle,
     code_from_edge,
     edge_from_json,
     edge_to_json,
@@ -127,8 +127,10 @@ def explore(
     triangle equations.  The first equation forces R3 = R1·R2, so for each
     chained pair e1: A -> B, e2: B -> C the candidates e3 are looked up
     among the recorded edges A -> C with that R, in recording order, and
-    each candidate is then checked against all three equations.  Caps
-    raise ResourceBoundError, they never silently truncate.
+    each candidate is then checked against all three equations of
+    check_triangle.  The products are read from a table local to the call,
+    so each distinct product is computed once.  Caps raise
+    ResourceBoundError, they never silently truncate.
 
     experimental_counts switches to the much slower search over all
     nonnegative integer entries (matrices over Z>=0 instead of {0,1});
@@ -144,6 +146,10 @@ def explore(
                 "entries above 1 need the experimental_counts flag"
             )
         find, make_edge = factorizations, SSEEdge
+    # one object per distinct matrix of the call, so that equal matrices
+    # below are mostly the same object and compare by identity
+    canon: dict[NonnegMatrix, NonnegMatrix] = {a: a}
+    intern = canon.setdefault
     vertices: dict[NonnegMatrix, None] = {a: None}
     edges: dict[tuple, object] = {}
     frontier = [a]
@@ -154,6 +160,7 @@ def explore(
                 continue
             for m in range(1, max_inner + 1):
                 for r, s, b in find(v, m, max_results=max_edges):
+                    r, s, b = intern(r, r), intern(s, s), intern(b, b)
                     key = (v, b, r, s)
                     if key not in edges:
                         e = make_edge(v, b, r, s)
@@ -174,6 +181,16 @@ def explore(
     for e in edge_list:
         by_source.setdefault(e.a, []).append(e)
         by_ends.setdefault(e.a, {}).setdefault(e.b, {}).setdefault(e.r, []).append(e)
+    # (X, Y) -> X·Y; few distinct R and S occur, so most products repeat
+    products: dict[tuple[NonnegMatrix, NonnegMatrix], NonnegMatrix] = {}
+
+    def product(x: NonnegMatrix, y: NonnegMatrix) -> NonnegMatrix:
+        p = products.get((x, y))
+        if p is None:
+            p = mul(x, y)
+            p = products[(x, y)] = intern(p, p)
+        return p
+
     triangles = []
     for e1 in edge_list:
         from_a = by_ends[e1.a]
@@ -181,10 +198,15 @@ def explore(
             by_r = from_a.get(e2.b)
             if by_r is None:
                 continue
-            for e3 in by_r.get(mul(e1.r, e2.r), ()):
-                t = Triangle(e1, e2, e3)
-                if check_triangle(t):
-                    triangles.append(t)
+            r3 = product(e1.r, e2.r)
+            for e3 in by_r.get(r3, ()):
+                # the three triangle equations of check_triangle
+                if (
+                    r3 == e3.r
+                    and product(e2.r, e3.s) == e1.s
+                    and product(e3.s, e1.r) == e2.s
+                ):
+                    triangles.append(Triangle(e1, e2, e3))
     return ComplexFragment(list(vertices), edge_list, triangles, depth, max_inner)
 
 
@@ -245,3 +267,70 @@ def fragment_to_json(f: ComplexFragment) -> dict:
         "depth": f.depth,
         "max_inner": f.max_inner,
     }
+
+
+def fragment_to_text(f: ComplexFragment, indent: str = "") -> str:
+    """json.dumps(fragment_to_json(f), indent=2, sort_keys=True), written
+    without building the dict.
+
+    indent prefixes every line after the first, as json.dumps does for a
+    fragment nested in a larger object.  The records have a fixed shape, so
+    each is one %-template, and each matrix is encoded once by json.dumps.
+    """
+    vindex = {v: i for i, v in enumerate(f.vertices)}
+    item = indent + "    "  # indent of an edge, triangle or vertex record
+    field = item + "  "  # indent of a record's fields
+
+    def matrix_text(m: NonnegMatrix, pad: str) -> str:
+        return json.dumps(matrix_to_json(m), indent=2, sort_keys=True).replace(
+            "\n", "\n" + pad
+        )
+
+    field_text: dict[NonnegMatrix, str] = {}  # R and S text, once per matrix
+
+    def edge_matrix_text(m: NonnegMatrix) -> str:
+        t = field_text.get(m)
+        if t is None:
+            t = field_text[m] = matrix_text(m, field)
+        return t
+
+    edge_record = (
+        f'{{\n{field}"R": %s,\n{field}"S": %s,\n'
+        f'{field}"source": %d,\n{field}"target": %d\n{item}}}'
+    )
+    edges = []
+    eindex = {}
+    for e in f.edges:
+        eindex[(e.a, e.b, e.r, e.s)] = len(edges)
+        edges.append(
+            edge_record
+            % (edge_matrix_text(e.r), edge_matrix_text(e.s), vindex[e.a], vindex[e.b])
+        )
+    triangle_record = (
+        f'{{\n{field}"e1": %d,\n{field}"e2": %d,\n{field}"e3": %d\n{item}}}'
+    )
+    # each edge object's index, read off its key once
+    by_id = {id(e): eindex[(e.a, e.b, e.r, e.s)] for e in f.edges}
+
+    def index(e: DegSSEEdge) -> int:
+        i = by_id.get(id(e))
+        return eindex[(e.a, e.b, e.r, e.s)] if i is None else i
+
+    triangles = [
+        triangle_record % (index(t.e1), index(t.e2), index(t.e3))
+        for t in f.triangles
+    ]
+    vertices = [matrix_text(v, item) for v in f.vertices]
+
+    def listing(records: list[str]) -> str:
+        if not records:
+            return "[]"
+        return f"[\n{item}" + f",\n{item}".join(records) + f"\n{indent}  ]"
+
+    return (
+        f'{{\n{indent}  "depth": {json.dumps(f.depth)},\n'
+        f'{indent}  "edges": {listing(edges)},\n'
+        f'{indent}  "max_inner": {json.dumps(f.max_inner)},\n'
+        f'{indent}  "triangles": {listing(triangles)},\n'
+        f'{indent}  "vertices": {listing(vertices)}\n{indent}}}'
+    )

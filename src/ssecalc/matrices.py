@@ -60,6 +60,9 @@ class NonnegMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("NonnegMatrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("NonnegMatrix is immutable")
+
     @classmethod
     def _from_packed(cls, rows: int, cols: int, width: int, packed: tuple[int, ...]) -> "NonnegMatrix":
         m = object.__new__(cls)
@@ -130,6 +133,8 @@ class NonnegMatrix:
         return [self.row_mask(i) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, NonnegMatrix):
             return NotImplemented
         return (

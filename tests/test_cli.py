@@ -91,6 +91,27 @@ def test_explore(tmp_path):
     assert code == 3 and rep["kind"] == "bound"
 
 
+def test_explore_report_is_canonical_json(tmp_path):
+    path = write(tmp_path, "m.json", matrix_to_json(GM))
+    out = tmp_path / "out.json"
+    assert main(["explore", "--input", path, "--max-inner", "3", "--depth", "2",
+                 "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_explore_pinned_results(tmp_path):
+    path = write(tmp_path, "m.json", matrix_to_json(NonnegMatrix([[1, 0], [0, 0]])))
+    code, rep = run(tmp_path, "explore", "--input", path, "--max-inner", "3")
+    assert code == 2 and rep["kind"] == "input"
+    assert rep["error"] == "A must be nondegenerate"
+    path = write(tmp_path, "m.json", matrix_to_json(NonnegMatrix([[0]])))
+    code, rep = run(tmp_path, "explore", "--input", path, "--max-inner", "3")
+    assert code == 0
+    assert rep["fragment"]["edges"] == [] and rep["fragment"]["triangles"] == []
+    assert rep["fragment"]["vertices"] == [matrix_to_json(NonnegMatrix([[0]]))]
+
+
 def test_normalize_degenerate(tmp_path):
     r = NonnegMatrix([[1, 0, 1], [0, 1, 0]])
     s = NonnegMatrix([[1, 1], [1, 0], [0, 0]])
@@ -234,6 +255,28 @@ def _code_obj(**changes):
 def test_malformed_json_is_an_input_error(tmp_path, command, obj):
     path = write(tmp_path, "in.json", obj)
     code, rep = run(tmp_path, command, "--input", path)
+    assert code == 2 and rep["kind"] == "input", rep
+
+
+def _zd_window(dim, generators, window):
+    return {"group": {"type": "Z^d", "dim": dim}, "generators": generators, "window": window}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _zd_window("2", [[0, 0], [1, 0]], [[0, 0]]),
+        _zd_window(2.9, [[0, 0], [1, 0]], [[0, 0]]),
+        _zd_window(True, [[0], [1]], [[0]]),
+        _zd_window(0, [[]], [[]]),
+        _zd_window(2, [[0, 0], [True, 0]], [[0, 0]]),
+        _zd_window(1, [[0], [1]], [[0], [True]]),
+    ],
+    ids=["dim-str", "dim-float", "dim-bool", "dim-zero", "bool-generator", "bool-element"],
+)
+def test_cayley_schedule_rejects_non_integer_z_d(tmp_path, obj):
+    path = write(tmp_path, "w.json", obj)
+    code, rep = run(tmp_path, "cayley-schedule", "--input", path)
     assert code == 2 and rep["kind"] == "input", rep
 
 

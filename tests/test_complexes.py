@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from ssecalc.cli import _encode
 from ssecalc.codes import equal_codes, identity_code, is_identity, shift_code
 from ssecalc.complexes import (
     SSEPath,
@@ -9,13 +11,14 @@ from ssecalc.complexes import (
     compose_path,
     explore,
     fragment_to_json,
+    fragment_to_text,
     homotopic,
     path_from_json,
     path_to_json,
 )
 from ssecalc.elementary import SSEEdge, Triangle, check_triangle, code_from_edge, edge_from_code
 from ssecalc.errors import InvalidEdgeError, ResourceBoundError
-from ssecalc.matrices import NonnegMatrix, is_nondegenerate
+from ssecalc.matrices import NonnegMatrix, is_nondegenerate, matrix_to_json
 from ssecalc.shifts import VertexShift
 
 GM = NonnegMatrix([[1, 1], [1, 0]])
@@ -257,3 +260,47 @@ def test_explore_experimental_counts_triangles_match_reference_scan(a, max_inner
     want = _reference_triangles(frag, Triangle, check_triangle)
     assert want
     assert _edge_indices(frag, frag.triangles) == _edge_indices(frag, want)
+
+
+# (base, max_inner, depth, experimental_counts) of the encoded fragments
+_FRAGMENTS = {
+    "gm-d1": (GM, 3, 1, False),
+    "gm-d2": (GM, 3, 2, False),
+    "full2-d2": (FULL2, 3, 2, False),
+    "zero": (NonnegMatrix([[0]]), 3, 1, False),
+    "no-triangles": (NonnegMatrix([[0, 1, 1], [0, 1, 1], [1, 0, 1]]), 2, 1, False),
+    "counts": (FULL2, 2, 1, True),
+    **{
+        f"rand{seed}": (_random_base(random.Random(seed), 3), 4, 1, False)
+        for seed in range(4)
+    },
+}
+
+
+@pytest.fixture(params=list(_FRAGMENTS), scope="module")
+def fragment(request):
+    a, max_inner, depth, counts = _FRAGMENTS[request.param]
+    frag = explore(a, max_inner, depth=depth, experimental_counts=counts)
+    return request.param, a, frag
+
+
+def test_fragment_text_is_json_dumps(fragment):
+    name, a, frag = fragment
+    obj = fragment_to_json(frag)
+    assert fragment_to_text(frag) == json.dumps(obj, indent=2, sort_keys=True)
+    report = {"command": "explore", "input": matrix_to_json(a), "elapsed_seconds": 0.125}
+    want = json.dumps({**report, "fragment": obj}, indent=2, sort_keys=True)
+    assert _encode({**report, "fragment": frag}) == want
+    if name == "zero":
+        assert obj["edges"] == [] and obj["triangles"] == []
+    if name == "no-triangles":
+        assert obj["edges"] and obj["triangles"] == []
+    if name == "counts":
+        assert not all(e.is_boolean for e in frag.edges)
+
+
+def test_explore_triangles_pass_check_triangle(fragment):
+    _, _, frag = fragment
+    assert all(check_triangle(t) for t in frag.triangles)
+    edges = set(map(id, frag.edges))
+    assert all({id(t.e1), id(t.e2), id(t.e3)} <= edges for t in frag.triangles)

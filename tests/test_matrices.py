@@ -187,3 +187,16 @@ def test_json_roundtrip():
     assert matrix_from_json(matrix_to_json(a)) == a
     with pytest.raises(InvalidMatrixError):
         matrix_from_json({"rows": 1, "cols": 2, "entries": [[1]]})
+
+
+def test_matrices_are_immutable():
+    a = NonnegMatrix([[1]])
+    hash(a)
+    for name in NonnegMatrix.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 0
+    assert (a.rows, a.cols) == (1, 1) and a.to_lists() == [[1]]
