@@ -12,11 +12,7 @@ from .matrices import (  # noqa: F401
     mul,
     submatrix,
 )
-from .shifts import (  # noqa: F401
-    VertexShift,
-    higher_block,
-    language_equal,
-)
+from .shifts import VertexShift, higher_block  # noqa: F401
 from .codes import (  # noqa: F401
     BlockCode,
     compose,
@@ -53,12 +49,7 @@ from .complexes import (  # noqa: F401
     explore,
     homotopic,
 )
-from .degenerate import (  # noqa: F401
-    DegSSEPath,
-    deg_triangulate,
-    normalize_path,
-    restrict_triangle,
-)
+from .degenerate import deg_triangulate, normalize_path, restrict_triangle  # noqa: F401
 from .groups import FiniteGroup, cyclic_group, symmetric_group  # noqa: F401
 from .gsft import GroupRingMatrix, MarkedGGraph, bar, equivariant_triangle, hat, mark_and_relabel  # noqa: F401
 from .cayley import FGGroupWindow, TableGroup, ZdGroup, is_connected, reduction_schedule  # noqa: F401

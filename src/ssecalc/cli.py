@@ -33,8 +33,6 @@ from .complexes import (
     path_to_json,
 )
 from .degenerate import (
-    deg_path_from_json,
-    deg_path_to_json,
     normalize_path,
     restrict_path_to_cores,
     to_strict_path,
@@ -186,12 +184,12 @@ def _run_explore(args) -> tuple[int, dict]:
 
 
 def _run_normalize_degenerate(args) -> tuple[int, dict]:
-    p = deg_path_from_json(_load(args.input))
+    p = path_from_json(_load(args.input), degenerate=True)
     q = normalize_path(p, max_rounds=args.bound)
     report = {
         "command": "normalize-degenerate",
-        "input": deg_path_to_json(p),
-        "normalized": deg_path_to_json(q),
+        "input": path_to_json(p, degenerate=True),
+        "normalized": path_to_json(q, degenerate=True),
     }
     if all(e.is_boolean for e, _ in p.steps):
         same = equal_codes(

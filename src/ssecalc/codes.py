@@ -308,22 +308,29 @@ def is_alphabet_bijection(f: BlockCode) -> bool:
     return len(vals) == g.domain.alphabet_size == g.codomain.alphabet_size
 
 
+def _fits(fn: BlockCode, lo: int, hi: int, inverse: bool = True) -> bool:
+    """Whether the window of the normal code fn lies inside (lo, hi) and,
+    unless inverse is False, its inverse's inside the mirrored (-hi, -lo)."""
+    if fn.left < lo or fn.right > hi:
+        return False
+    if not inverse:
+        return True
+    gn = fn.inverse
+    return gn.left >= -hi and gn.right <= -lo
+
+
 def is_elementary(f: BlockCode) -> bool:
     """Membership in H: window inside {0,1}, inverse window inside {-1,0}."""
     if f._inverse is None:
         raise MissingInverseError("elementarity needs a stored inverse")
-    fn = normalize(f)
-    gn = fn.inverse
-    return fn.left >= 0 and fn.right <= 1 and gn.left >= -1 and gn.right <= 0
+    return _fits(normalize(f), 0, 1)
 
 
 def is_inverse_elementary(f: BlockCode) -> bool:
     """Membership in H^{-1}: window inside {-1,0}, inverse inside {0,1}."""
     if f._inverse is None:
         raise MissingInverseError("elementarity needs a stored inverse")
-    fn = normalize(f)
-    gn = fn.inverse
-    return fn.left >= -1 and fn.right <= 0 and gn.left >= 0 and gn.right <= 1
+    return _fits(normalize(f), -1, 0)
 
 
 def relabel_codomain(f: BlockCode, perm: Sequence[int]) -> BlockCode:

@@ -40,8 +40,10 @@ class SSEPath:
     def __post_init__(self):
         cur = self.base
         for i, (edge, sign) in enumerate(self.steps):
-            if sign not in (1, -1):
-                raise InvalidEdgeError(f"step {i}: sign must be +1 or -1")
+            if type(sign) is not int or sign not in (1, -1):
+                raise InvalidEdgeError(
+                    f"step {i}: sign must be the integer 1 or -1, not {sign!r}"
+                )
             src = edge.a if sign == 1 else edge.b
             if src != cur:
                 raise InvalidEdgeError(f"step {i}: source does not chain")
@@ -213,20 +215,27 @@ def explore(
 # -- JSON formats ------------------------------------------------------
 
 
-def path_to_json(p: SSEPath) -> dict:
-    return {
+def path_to_json(p: SSEPath, degenerate: bool = False) -> dict:
+    """The path object; a degenerate path, even one without steps, carries
+    "degenerate": true, and so does each of its edges."""
+    out = {
         "base": matrix_to_json(p.base),
-        "steps": [{"edge": edge_to_json(e), "sign": s} for e, s in p.steps],
+        "steps": [{"edge": edge_to_json(e, degenerate), "sign": s} for e, s in p.steps],
     }
+    if degenerate:
+        out["degenerate"] = True
+    return out
 
 
-def path_from_json(obj: dict) -> SSEPath:
+def path_from_json(obj: dict, degenerate: bool = False) -> SSEPath:
+    """A path of SSEEdges, or of DegSSEEdges when degenerate.  A sign is
+    taken as it is, so SSEPath refuses any but the integers 1 and -1."""
     try:
         base = matrix_from_json(obj["base"])
         steps = tuple(
-            (edge_from_json(st["edge"]), int(st["sign"])) for st in obj["steps"]
+            (edge_from_json(st["edge"], degenerate), st["sign"]) for st in obj["steps"]
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError) as exc:
         raise InvalidEdgeError(f"malformed path object: {exc}") from exc
     return SSEPath(base, steps)
 

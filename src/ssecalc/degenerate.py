@@ -7,7 +7,7 @@ path normalization is certified by composition equality after restricting
 to cores, which is only available for {0,1} paths.
 
 Edges, triangles and paths are the shared DegSSEEdge, Triangle and
-SSEPath of elementary and complexes.
+SSEPath of elementary and complexes, and so are their JSON codecs.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from .matrices import (
     e_s_matrix,
     identity_submatrix,
     is_nondegenerate,
-    matrix_from_json,
-    matrix_to_json,
     mul,
     submatrix,
 )
 
 
-# older names of the shared triangle check and path type
+# older names of check_triangle and SSEPath, kept only because the
+# benchmark workloads (perfbench/workloads.py) import them
 check_deg_triangle = check_triangle
 DegSSEPath = SSEPath
 
@@ -252,47 +251,3 @@ def restrict_path_to_cores(p: SSEPath) -> SSEPath:
     steps = tuple((restrict_edge(e), s) for e, s in p.steps)
     ja = core_indices(p.base)
     return SSEPath(submatrix(p.base, ja, ja), steps)
-
-
-# -- JSON format ------------------------------------------------------
-
-
-def deg_edge_to_json(e: DegSSEEdge) -> dict:
-    return {
-        "A": matrix_to_json(e.a),
-        "B": matrix_to_json(e.b),
-        "R": matrix_to_json(e.r),
-        "S": matrix_to_json(e.s),
-        "degenerate": True,
-    }
-
-
-def deg_edge_from_json(obj: dict) -> DegSSEEdge:
-    try:
-        return DegSSEEdge(
-            matrix_from_json(obj["A"]),
-            matrix_from_json(obj["B"]),
-            matrix_from_json(obj["R"]),
-            matrix_from_json(obj["S"]),
-        )
-    except (TypeError, KeyError) as exc:
-        raise InvalidEdgeError(f"malformed degenerate edge: {exc}") from exc
-
-
-def deg_path_to_json(p: SSEPath) -> dict:
-    return {
-        "base": matrix_to_json(p.base),
-        "degenerate": True,
-        "steps": [{"edge": deg_edge_to_json(e), "sign": s} for e, s in p.steps],
-    }
-
-
-def deg_path_from_json(obj: dict) -> SSEPath:
-    try:
-        base = matrix_from_json(obj["base"])
-        steps = tuple(
-            (deg_edge_from_json(st["edge"]), int(st["sign"])) for st in obj["steps"]
-        )
-    except (TypeError, KeyError, ValueError) as exc:
-        raise InvalidEdgeError(f"malformed degenerate path: {exc}") from exc
-    return SSEPath(base, steps)

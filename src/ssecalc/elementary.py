@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import (
-    BlockCode,
-    normalize,
-    verify_inverse,
-)
+from .codes import BlockCode, _fits, normalize, verify_inverse
 from .errors import InvalidEdgeError, NotElementaryError, VerificationError
 from .matrices import (
     NonnegMatrix,
@@ -138,7 +134,7 @@ def edge_from_code(f: BlockCode) -> SSEEdge:
     """The matrix pair (R_phi, S_phi) of an elementary conjugacy."""
     fn = normalize(f)
     gn = fn.inverse
-    if not (fn.left >= 0 and fn.right <= 1 and gn.left >= -1 and gn.right <= 0):
+    if not _fits(fn, 0, 1):
         raise NotElementaryError(
             f"windows {fn.window} / inverse {gn.window} not inside (0,1) / (-1,0)"
         )
@@ -168,18 +164,24 @@ def check_triangle(t: Triangle) -> bool:
 # -- JSON format ------------------------------------------------------
 
 
-def edge_to_json(e: SSEEdge) -> dict:
-    return {
+def edge_to_json(e: DegSSEEdge, degenerate: bool = False) -> dict:
+    """The edge object; a degenerate edge carries "degenerate": true."""
+    out = {
         "A": matrix_to_json(e.a),
         "B": matrix_to_json(e.b),
         "R": matrix_to_json(e.r),
         "S": matrix_to_json(e.s),
     }
+    if degenerate:
+        out["degenerate"] = True
+    return out
 
 
-def edge_from_json(obj: dict) -> SSEEdge:
+def edge_from_json(obj: dict, degenerate: bool = False) -> DegSSEEdge:
+    """An SSEEdge, or a DegSSEEdge when degenerate; the "degenerate" key of
+    the object is not read."""
     try:
-        return SSEEdge(
+        return (DegSSEEdge if degenerate else SSEEdge)(
             matrix_from_json(obj["A"]),
             matrix_from_json(obj["B"]),
             matrix_from_json(obj["R"]),

@@ -49,16 +49,6 @@ def theta_inverse(point: Sequence[int]) -> tuple[int, int]:
     return i, j
 
 
-def in_standard_simplex(point: Sequence[int]) -> bool:
-    """Membership in {2 >= x_1 >= ... >= x_n >= 0}."""
-    prev = 2
-    for x in point:
-        if x > prev or x < 0:
-            return False
-        prev = x
-    return True
-
-
 @dataclass(frozen=True)
 class FreudenthalSimplex:
     """One top cell: base corner, coordinate insertion order, and sign."""
@@ -85,34 +75,6 @@ def _perm_sign(perm: Sequence[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                # exact: Bareiss's theorem makes every quotient an integer
-                m[r][c] = (m[r][c] * pivot - m[r][k] * m[k][c]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1] if n else 1
-
-
-def simplex_det_sign(vertices: Sequence[tuple[int, ...]]) -> int:
-    return _det([
-        [vertices[k + 1][c] - vertices[k][c] for c in range(len(vertices[0]))]
-        for k in range(len(vertices) - 1)
-    ])
 
 
 # Cells and index tables are kept per dimension; the bound keeps both
@@ -293,14 +255,6 @@ def chain_rho(c: Chain) -> Chain:
     return out
 
 
-def flatten_to_first(c: Chain) -> Chain:
-    """Project pair vertices to their first components (kills degenerates)."""
-    out = Chain(complex=None)
-    for simplex, coeff in c.coeffs.items():
-        out.add(tuple(split_pair(x)[0] for x in simplex), coeff)
-    return out
-
-
 @dataclass(frozen=True)
 class SubdivisionCheck:
     """The identities of the subdivided n-simplex, each checked exactly."""
@@ -420,51 +374,6 @@ class OrderedComplex:
 
 
 # -- the subdivision operator on complexes of conjugacies ----------------
-
-
-def complex_to_json(k: OrderedComplex) -> dict:
-    """Vertex list, arrow list and simplex list with vertices by index;
-    only complexes whose vertices are JSON values serialize."""
-    index = {v: i for i, v in enumerate(k.vertices)}
-    return {
-        "vertices": list(k.vertices),
-        "arrows": sorted([index[a], index[b]] for a, b in k.arrows),
-        "simplices": sorted(
-            [index[v] for v in s] for s in k.simplices
-        ),
-    }
-
-
-def complex_from_json(obj: dict) -> OrderedComplex:
-    try:
-        vertices = [tuple(v) if isinstance(v, list) else v for v in obj["vertices"]]
-        arrows = [(vertices[a], vertices[b]) for a, b in obj["arrows"]]
-        simplices = [tuple(vertices[i] for i in s) for s in obj["simplices"]]
-    except (TypeError, KeyError, IndexError) as exc:
-        raise InvalidComplexError(f"malformed complex object: {exc}") from exc
-    return OrderedComplex(vertices, arrows, simplices)
-
-
-def chain_to_json(c: Chain, k: OrderedComplex) -> dict:
-    index = {v: i for i, v in enumerate(k.vertices)}
-    return {
-        "complex": complex_to_json(k),
-        "coefficients": sorted(
-            [[index[v] for v in s], coeff] for s, coeff in c.coeffs.items()
-        ),
-    }
-
-
-def chain_from_json(obj: dict) -> Chain:
-    k = complex_from_json(obj["complex"])
-    try:
-        coeffs = {
-            tuple(k.vertices[i] for i in s): int(coeff)
-            for s, coeff in obj["coefficients"]
-        }
-    except (TypeError, KeyError, IndexError, ValueError) as exc:
-        raise InvalidChainError(f"malformed chain object: {exc}") from exc
-    return k.chain(coeffs)
 
 
 @dataclass

@@ -22,9 +22,11 @@ from typing import Optional, Sequence
 from .codes import (
     BlockCode,
     _compose_raw,
+    _fits,
     code_from_json,
     compose,
     identity_code,
+    is_alphabet_bijection,
     is_elementary,
     is_inverse_elementary,
     normalize,
@@ -78,7 +80,7 @@ def _window_tables(codes: Sequence[BlockCode], side: int) -> list[dict]:
     tabs = []
     for c in codes:
         cn = normalize(c)
-        if cn.left < lo or cn.right > hi:
+        if not _fits(cn, lo, hi, inverse=False):
             raise NotElementaryError(
                 f"window {cn.window} does not fit inside ({lo},{hi})"
             )
@@ -144,7 +146,7 @@ def _delta_code(si: StarImage, verify: bool) -> BlockCode:
     comp_tab = None
     for idx, c in enumerate(si.sources):
         gn = normalize(c.inverse)
-        if gn.left >= lo and gn.right <= hi:
+        if _fits(gn, lo, hi, inverse=False):
             comp = idx
             comp_tab = gn.table_at(lo, hi)
             break
@@ -195,10 +197,7 @@ def equivalent(f: BlockCode, g: BlockCode) -> bool:
     """The relation ≅: g∘f^{-1} is an alphabet bijection."""
     if f.domain != g.domain:
         raise ShiftMismatchError("equivalent: domains differ")
-    h = normalize(_compose_raw(g, f.inverse))
-    if h.window != (0, 0):
-        return False
-    return len(set(h.table.values())) == h.domain.alphabet_size == h.codomain.alphabet_size
+    return is_alphabet_bijection(_compose_raw(g, f.inverse))
 
 
 def arrow(f: BlockCode, g: BlockCode) -> bool:
@@ -499,19 +498,3 @@ def report_to_json(report: dict[str, AxiomResult]) -> dict:
         "axioms": [report[name].to_json() for name in AXIOM_NAMES],
         "all_passed": all(report[name].ok for name in AXIOM_NAMES),
     }
-
-
-def verdict_to_json(v: RefinementVerdict) -> dict:
-    from .codes import code_to_json
-
-    out = {
-        "in_h_n": v.in_h_n,
-        "image_alphabet": [
-            [sym + 1 for sym in t] for t in v.star.image_alphabet
-        ],
-    }
-    if v.in_h_n:
-        out["delta"] = code_to_json(v.delta)
-    else:
-        out["witness"] = [sym + 1 for sym in v.witness]
-    return out

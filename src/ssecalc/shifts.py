@@ -1,5 +1,6 @@
 """Vertex shifts over Z: allowed-word languages, higher-block presentations,
-and exact language equality of sofic presentations.
+and sofic presentations by subset automata, with a shortest word that tells
+two of them apart.
 
 Symbols are 0-based internally; all JSON formats are 1-based.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidMatrixError
-from .matrices import NonnegMatrix, is_nondegenerate, matrix_from_json, matrix_to_json
+from .matrices import NonnegMatrix, is_nondegenerate
 
 
 class VertexShift:
@@ -197,10 +198,6 @@ class DeterministicPresentation:
         return True
 
 
-def language_equal(p: DeterministicPresentation, q: DeterministicPresentation) -> bool:
-    return language_difference_witness(p, q) is None
-
-
 def language_difference_witness(p, q):
     """A shortest word in exactly one of the two languages, or None.
 
@@ -227,25 +224,3 @@ def language_difference_witness(p, q):
                 seen.add(nxt)
                 queue.append((nxt, word + (a,)))
     return None
-
-
-def shift_presentation(x: VertexShift) -> DeterministicPresentation:
-    """The canonical source-labeled presentation of a vertex shift."""
-    edges = [(i, i, j) for i in range(x.alphabet_size) for j in x.succ(i)]
-    return DeterministicPresentation.from_graph(
-        LabeledGraph(x.alphabet_size, edges)
-    )
-
-
-def shift_to_json(x: VertexShift, symbol_names=None) -> dict:
-    out = matrix_to_json(x.matrix)
-    if symbol_names is not None:
-        names = list(symbol_names)
-        if len(names) != x.alphabet_size:
-            raise InvalidMatrixError("one symbol name per alphabet letter")
-        out["symbols"] = names
-    return out
-
-
-def shift_from_json(obj: dict) -> VertexShift:
-    return VertexShift(matrix_from_json(obj))

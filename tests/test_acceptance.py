@@ -27,8 +27,6 @@ from ssecalc.codes import (
 from ssecalc.complexes import SSEPath, compose_path, explore, homotopic
 from ssecalc.degenerate import (
     DegSSEEdge,
-    DegSSEPath,
-    check_deg_triangle,
     deg_triangulate,
     normalize_path,
     restrict_path_to_cores,
@@ -279,7 +277,7 @@ def test_criterion_06_degenerate_reduction():
             n, m = rng.randint(1, 5), rng.randint(1, 5)
             r, s, a, b = random_deg_pair(rng, n, m, max_entry=2)
             tri = deg_triangulate(DegSSEEdge(a, b, r, s))
-            assert all(check_deg_triangle(t) for t in tri.triangles)
+            assert all(check_triangle(t) for t in tri.triangles)
             assert tri.equations_checked >= 24
         done = 0
         while done < 100:
@@ -299,7 +297,7 @@ def test_criterion_06_degenerate_reduction():
                 continue
             if not is_nondegenerate(cur):
                 continue
-            p = DegSSEPath(a0, tuple(steps))
+            p = SSEPath(a0, tuple(steps))
             q = normalize_path(p)
             assert all(is_nondegenerate(v) for v in q.vertices())
             f_in = compose_path(to_strict_path(restrict_path_to_cores(p)))

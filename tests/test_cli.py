@@ -237,6 +237,24 @@ def _code_obj(**changes):
     return dict(code_to_json(shift_code(VertexShift(GM), 1)), **changes)
 
 
+def _signed_path(sign):
+    """A one-step path at GM whose step has the given sign."""
+    step = {"edge": edge_to_json(SSEEdge(GM, GM, I2, GM)), "sign": sign}
+    return {"base": matrix_to_json(GM), "steps": [step]}
+
+
+# signs that are not the integer 1 or -1, each through every path decoder
+_BAD_SIGN_INPUTS = [
+    (command, obj)
+    for sign in (1.5, "1", "-1", True, 1.0)
+    for command, obj in (
+        ("compose-path", _signed_path(sign)),
+        ("homotopic", {"p": _signed_path(sign), "q": _signed_path(1)}),
+        ("normalize-degenerate", _signed_path(sign)),
+    )
+]
+
+
 @pytest.mark.parametrize(
     "command, obj",
     [
@@ -250,6 +268,7 @@ def _code_obj(**changes):
             "cayley-schedule",
             {"group": {"type": "Z^d", "dim": 1}, "generators": [[0], [1]], "window": [[[1]]]},
         ),
+        *_BAD_SIGN_INPUTS,
     ],
 )
 def test_malformed_json_is_an_input_error(tmp_path, command, obj):

@@ -13,6 +13,7 @@ from ssecalc.codes import (
     is_alphabet_bijection,
     is_elementary,
     is_identity,
+    is_inverse_elementary,
     normalize,
     relabel_codomain,
     shift_code,
@@ -122,6 +123,25 @@ def test_elementarity():
     assert is_elementary(compose(sigma, sigma)) is False
     with pytest.raises(MissingInverseError):
         is_elementary(BlockCode(GM, GM, 0, 0, {(0,): 0, (1,): 1}))
+
+
+def test_elementarity_windows_mirror():
+    # H and H^{-1} read the same window pairs mirrored: f is in H^{-1}
+    # exactly when f^{-1} is in H, and both follow the normal windows
+    from ssecalc.sampling import random_conjugacy
+
+    rng = random.Random(9)
+    codes = [identity_code(GM), shift_code(GM, 1), shift_code(GM, -1)]
+    codes += [random_conjugacy(rng, GM.matrix, k, max_inner=3) for k in (1, 1, 2, 2, 3)]
+    seen = set()
+    for f in codes + [c.inverse for c in codes]:
+        fn, gn = normalize(f), normalize(f.inverse)
+        in_h = fn.left >= 0 and fn.right <= 1 and gn.left >= -1 and gn.right <= 0
+        in_h_inv = fn.left >= -1 and fn.right <= 0 and gn.left >= 0 and gn.right <= 1
+        assert is_elementary(f) == in_h
+        assert is_inverse_elementary(f) == in_h_inv == is_elementary(f.inverse)
+        seen.add((in_h, in_h_inv))
+    assert {(True, False), (False, True), (False, False)} <= seen
 
 
 def test_bijection_code():

@@ -133,6 +133,14 @@ def test_path_json_roundtrip():
     p = SSEPath(GM, ((e, 1), (e, -1)))
     q = path_from_json(path_to_json(p))
     assert q == p
+    assert "degenerate" not in path_to_json(p)
+
+
+@pytest.mark.parametrize("sign", [True, 1.0])
+def test_path_sign_must_be_the_integer_one_or_minus_one(sign):
+    e = SSEEdge(GM, GM, GM, I2)
+    with pytest.raises(InvalidEdgeError, match="sign"):
+        SSEPath(GM, ((e, sign),))
 
 
 def test_fragment_json():

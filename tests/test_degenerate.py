@@ -3,14 +3,10 @@ import random
 import pytest
 
 from ssecalc.codes import equal_codes
-from ssecalc.complexes import SSEPath, compose_path
+from ssecalc.complexes import SSEPath, compose_path, path_from_json, path_to_json
 from ssecalc.degenerate import (
     DegSSEEdge,
-    DegSSEPath,
     cancel_backtracks,
-    check_deg_triangle,
-    deg_edge_from_json,
-    deg_edge_to_json,
     deg_triangulate,
     normalize_path,
     restrict_edge,
@@ -18,7 +14,7 @@ from ssecalc.degenerate import (
     restrict_triangle,
     to_strict_path,
 )
-from ssecalc.elementary import SSEEdge, Triangle
+from ssecalc.elementary import SSEEdge, Triangle, check_triangle, edge_from_json, edge_to_json
 from ssecalc.errors import EmptyCoreError, InvalidEdgeError, VerificationError
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate, mul
 from ssecalc.sampling import random_deg_bool_edge, random_deg_pair, random_nondeg_matrix
@@ -49,7 +45,7 @@ def test_spec_handmade_example():
     tri = deg_triangulate(DegSSEEdge(a, b, r, s))
     assert tri.k.members == (1,)
     assert tri.l.members == (1,)
-    assert all(check_deg_triangle(t) for t in tri.triangles)
+    assert all(check_triangle(t) for t in tri.triangles)
     assert tri.equations_checked >= 24
 
 
@@ -66,7 +62,7 @@ def test_random_degenerate_triangulations():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         r, s, a, b = random_deg_pair(rng, n, m)
         tri = deg_triangulate(DegSSEEdge(a, b, r, s))
-        assert all(check_deg_triangle(t) for t in tri.triangles)
+        assert all(check_triangle(t) for t in tri.triangles)
         # key identities from the construction
         assert mul(tri.e_s, s) == s
         assert mul(tri.e_s, b) == b
@@ -75,7 +71,7 @@ def test_random_degenerate_triangulations():
 def test_restrict_triangle_nondegenerate_unchanged():
     e = DegSSEEdge(GM, GM, GM, I2)
     t = Triangle(e, DegSSEEdge(GM, GM, I2, GM), e)
-    assert check_deg_triangle(t)
+    assert check_triangle(t)
     assert restrict_triangle(t) == t
 
 
@@ -90,9 +86,9 @@ def test_restrict_triangle_with_sink():
     rt = restrict_edge(e_pad)
     assert is_nondegenerate(rt.b)
     t2 = Triangle(e_pad, DegSSEEdge(b_pad, a, s_pad, r_pad), DegSSEEdge(a, a, I2, a))
-    if check_deg_triangle(t2):
+    if check_triangle(t2):
         rt2 = restrict_triangle(t2)
-        assert check_deg_triangle(rt2)
+        assert check_triangle(rt2)
 
 
 def test_restrict_triangle_from_triangulations():
@@ -110,7 +106,7 @@ def test_restrict_triangle_from_triangulations():
                 rt = restrict_triangle(t)
             except EmptyCoreError:
                 continue
-            assert check_deg_triangle(rt)
+            assert check_triangle(rt)
             done += 1
 
 
@@ -148,7 +144,7 @@ def sample_deg_path(rng, want_degenerate=True):
             continue
         if not is_nondegenerate(cur):
             continue
-        p = DegSSEPath(a0, tuple(steps))
+        p = SSEPath(a0, tuple(steps))
         deg = not all(is_nondegenerate(v) for v in p.vertices())
         if deg == want_degenerate:
             return p
@@ -183,7 +179,7 @@ def test_single_degenerate_midpoint_two_steps():
     m = mul(s, r)
     assert not is_nondegenerate(m)
     e = DegSSEEdge(a, m, r, s)
-    p = DegSSEPath(a, ((e, 1), (e.reversed(), 1)))
+    p = SSEPath(a, ((e, 1), (e.reversed(), 1)))
     q = normalize_path(p)
     assert len(q.steps) == 2
     assert all(is_nondegenerate(v) for v in q.vertices())
@@ -212,9 +208,17 @@ def test_cancel_backtracks():
 def test_deg_edge_json_roundtrip():
     a = NonnegMatrix([[1, 1], [0, 0]])
     e = DegSSEEdge(a, NonnegMatrix([[1]]), NonnegMatrix([[1], [0]]), NonnegMatrix([[1, 1]]))
-    obj = deg_edge_to_json(e)
+    obj = edge_to_json(e, degenerate=True)
     assert obj["degenerate"] is True
-    assert deg_edge_from_json(obj) == e
+    assert type(edge_from_json(obj, degenerate=True)) is DegSSEEdge
+    assert edge_from_json(obj, degenerate=True) == e
+    with pytest.raises(InvalidEdgeError):
+        edge_from_json(obj)  # A is degenerate, so not a strict SSEEdge
+    for p in (SSEPath(a, ((e, 1), (e, -1))), SSEPath(a, ())):
+        obj = path_to_json(p, degenerate=True)
+        assert obj["degenerate"] is True
+        assert all(st["edge"]["degenerate"] is True for st in obj["steps"])
+        assert path_from_json(obj, degenerate=True) == p
 
 
 def test_one_application_may_leave_zero_rows():
@@ -223,5 +227,5 @@ def test_one_application_may_leave_zero_rows():
     a = NonnegMatrix([[0, 1, 0], [0, 0, 0], [0, 1, 1]])
     e = DegSSEEdge(a, a, a, NonnegMatrix.identity(3))
     tri = deg_triangulate(e)
-    assert all(check_deg_triangle(t) for t in tri.triangles)
+    assert all(check_triangle(t) for t in tri.triangles)
     assert any(tri.top.a.row_mask(i) == 0 for i in range(tri.top.a.rows))

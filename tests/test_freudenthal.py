@@ -16,7 +16,6 @@ from ssecalc.freudenthal import (
     OracleUndefinedError,
     OrderedComplex,
     PairVertex,
-    _det,
     _perm_sign,
     _subdivision_cells,
     boundary,
@@ -25,10 +24,8 @@ from ssecalc.freudenthal import (
     check_subdivision,
     enumerate_subdivision,
     face_map,
-    flatten_to_first,
-    in_standard_simplex,
     make_pair,
-    simplex_det_sign,
+    split_pair,
     subdivision_operator,
     theta,
     theta_inverse,
@@ -59,6 +56,16 @@ def test_theta_inverse():
         for i in range(n + 1):
             for j in range(i, n + 1):
                 assert theta_inverse(theta(i, j, n)) == (i, j)
+
+
+def in_standard_simplex(point):
+    """Membership in {2 >= x_1 >= ... >= x_n >= 0}."""
+    prev = 2
+    for x in point:
+        if x > prev or x < 0:
+            return False
+        prev = x
+    return True
 
 
 def brute_force_cells(n):
@@ -110,41 +117,27 @@ def test_dimension_bound():
 
 
 def _det_by_permutations(rows):
+    """Leibniz expansion, each term signed by its count of inversions."""
     n = len(rows)
     total = 0
     for perm in permutations(range(n)):
-        term = _perm_sign([p + 1 for p in perm])
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = (-1) ** inversions
         for r in range(n):
             term *= rows[r][perm[r]]
         total += term
     return total
 
 
-def test_det_against_permutation_expansion():
-    matrices = [
-        [],
-        [[-7]],
-        [[1, 2, 3], [2, 4, 6], [0, 1, 5]],  # singular: dependent rows
-        [[0, 0, 1], [0, 0, 2], [3, 4, 5]],  # singular: no pivot in the second column
-        [[0, 1, 2], [3, 4, 5], [6, 7, 9]],  # needs a row swap
-        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],  # two swaps
-        [[-2, 3, -1], [4, -5, 6], [-7, 8, -10]],
-        [[2, -1, 0, 3], [-4, 0, 5, -1], [1, 2, -3, 0], [0, -6, 1, 2]],
-    ]
-    rng = random.Random(11)
-    for n in range(1, 6):
-        for _ in range(20):
-            matrices.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-    for rows in matrices:
-        assert _det(rows) == _det_by_permutations(rows), rows
-    assert _det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
-    assert _det([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
-
-
 def test_signs_match_determinant():
+    # a cell's sign is the determinant of its consecutive vertex steps
     for n in range(1, 7):
         for c in enumerate_subdivision(n):
-            assert simplex_det_sign(c.vertices) == c.sign
+            steps = [
+                [c.vertices[k + 1][i] - c.vertices[k][i] for i in range(n)]
+                for k in range(n)
+            ]
+            assert _det_by_permutations(steps) == c.sign
 
 
 def test_boundary_squares_to_zero():
@@ -181,6 +174,14 @@ def test_rho_on_vertex():
     c = Chain({(make_pair("v", "v"),): 1})
     assert not chain_rho(c)
     assert boundary(chain_rho(chain_f(c))) + chain_rho(chain_f(boundary(c))) == chain_f(c) - c
+
+
+def flatten_to_first(c):
+    """Project pair vertices to their first components (kills degenerates)."""
+    out = Chain()
+    for simplex, coeff in c.coeffs.items():
+        out.add(tuple(split_pair(x)[0] for x in simplex), coeff)
+    return out
 
 
 def test_rho_boundary_identity_on_subdivision_simplices():
@@ -334,22 +335,3 @@ def test_subdivision_operator_reports_missing_pairs():
 
     with pytest.raises(OracleUndefinedError):
         subdivision_operator(Chain({(phi0, phi1): 1}), broken)
-
-
-def test_complex_and_chain_json_roundtrip():
-    from ssecalc.freudenthal import (
-        chain_from_json,
-        chain_to_json,
-        complex_from_json,
-        complex_to_json,
-    )
-
-    k = OrderedComplex(
-        ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], [("a", "b", "c")]
-    )
-    k2 = complex_from_json(complex_to_json(k))
-    assert k2.vertices == k.vertices and k2.arrows == k.arrows
-    assert k2.simplices == k.simplices
-    c = k.chain({("a", "b", "c"): 2, ("a", "c"): -1})
-    c2 = chain_from_json(chain_to_json(c, k))
-    assert c2 == c

@@ -158,15 +158,6 @@ def test_refine_representative_matches_delta():
     assert equivalent(r, v.delta)
 
 
-def test_verdict_json():
-    from ssecalc.refinement import verdict_to_json
-
-    v = delta([identity_code(X), shift_code(X, 1)])
-    obj = verdict_to_json(v)
-    assert obj["in_h_n"] and "delta" in obj
-    assert obj["image_alphabet"] == [[1, 1], [1, 2], [2, 1]]
-
-
 def test_markov_witness_on_synthetic_non_markov_image():
     # a labeling of the golden-mean 2-blocks with an even-shift flavour:
     # single 'z' labels are impossible but the 1-step closure allows them,

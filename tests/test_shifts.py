@@ -11,12 +11,20 @@ from ssecalc.shifts import (
     VertexShift,
     higher_block,
     language_difference_witness,
-    language_equal,
-    shift_presentation,
 )
 
 GM = NonnegMatrix([[1, 1], [1, 0]])
 FULL2 = NonnegMatrix([[1, 1], [1, 1]])
+
+
+def shift_presentation(x: VertexShift) -> DeterministicPresentation:
+    """The canonical source-labeled presentation of a vertex shift."""
+    edges = [(i, i, j) for i in range(x.alphabet_size) for j in x.succ(i)]
+    return DeterministicPresentation.from_graph(LabeledGraph(x.alphabet_size, edges))
+
+
+def language_equal(p, q) -> bool:
+    return language_difference_witness(p, q) is None
 
 
 def test_shift_validation():
@@ -176,14 +184,3 @@ def test_language_equal_is_equivalence():
             for r in ps:
                 if language_equal(p, q) and language_equal(q, r):
                     assert language_equal(p, r)
-
-
-def test_shift_json_with_symbol_names():
-    from ssecalc.shifts import shift_from_json, shift_to_json
-
-    x = VertexShift(GM)
-    obj = shift_to_json(x, symbol_names=["a", "b"])
-    assert obj["symbols"] == ["a", "b"]
-    assert shift_from_json(obj) == x
-    with pytest.raises(InvalidMatrixError):
-        shift_to_json(x, symbol_names=["a"])
