@@ -137,7 +137,18 @@ def explore(
     experimental_counts switches to the much slower search over all
     nonnegative integer entries (matrices over Z>=0 instead of {0,1});
     the fragment then holds degenerate-flavoured edges and triangles.
+
+    max_inner and max_size must be ints >= 1, depth and max_edges ints
+    >= 0 (ValueError otherwise).
     """
+    for name, value, least in (
+        ("max_inner", max_inner, 1),
+        ("max_size", max_size, 1),
+        ("depth", depth, 0),
+        ("max_edges", max_edges, 0),
+    ):
+        if type(value) is not int or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
     if a.rows > max_size:
         raise ResourceBoundError(f"matrix size {a.rows} exceeds cap {max_size}")
     if experimental_counts:

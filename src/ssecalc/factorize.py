@@ -8,6 +8,20 @@ most one index between column sets and row sets.  The search branches on
 the first uncovered 1-entry, which yields every unordered cover exactly
 once; orderings of the rectangle list are emitted as separate (R, S)
 pairs since they are distinct edges of the complex.
+
+Three things keep the work per cover small.  The last rectangle is
+closed directly: with one rectangle left, every nonzero uncovered row
+must equal the first one, which is checked in O(n) and yields at most
+one cover.  Compatibility is checked by pair masks: the set of pairs
+{a < b} inside a row or column set is a bit mask, two sets share at most
+one index iff their pair masks are disjoint, and the search carries the
+OR of the pair masks of the row sets and of the column sets on its
+stack, so a candidate costs one AND against each (plus |γ ∩ ρ| <= 1 for
+the rectangle itself) instead of a loop over the stack.  The pair masks
+are memoized in a table that lives for one search.  An ordered search
+with max_results stops at max_results // inner! covers, since every
+cover has inner! orderings, with the message "more than max_results
+ordered factorizations".
 """
 
 from __future__ import annotations
@@ -31,46 +45,98 @@ def _subsets_containing(mask: int, forced: int) -> Iterator[int]:
         sub = (sub - 1) & rest
 
 
-def _covers(support: list[int], n: int, m: int, cap: Optional[int]) -> list[list[tuple[int, int]]]:
+def _check_inner(inner) -> None:
+    if type(inner) is not int or inner < 0:
+        raise ValueError(f"inner dimension must be an int >= 0, not {inner!r}")
+
+
+class _PairMasks(dict):
+    """Set mask x -> the mask with bit a·n+b set for every a < b in x,
+    computed on first lookup.  Two sets share at most one element iff
+    their pair masks are disjoint.  One instance lives for one search."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, x: int) -> int:
+        n = self.n
+        bits = [k for k in range(n) if x >> k & 1]
+        p = 0
+        for t, a in enumerate(bits):
+            for b in bits[t + 1 :]:
+                p |= 1 << (a * n + b)
+        self[x] = p
+        return p
+
+
+def _covers(
+    support: list[int],
+    n: int,
+    m: int,
+    cap: Optional[int],
+    bound_message: Optional[str] = None,
+) -> list[list[tuple[int, int]]]:
     """All unordered exact covers of the support by exactly m rectangles.
 
     Rectangles are (row_set_mask, col_set_mask) pairs, pairwise compatible
-    in the sense |cols(t) ∩ rows(u)| <= 1 (ordered, both ways).
+    in the sense |cols(t) ∩ rows(u)| <= 1 (ordered, both ways).  More than
+    cap covers raise ResourceBoundError with bound_message (by default the
+    unordered message).
     """
+    if bound_message is None:
+        bound_message = f"more than {cap} factorizations; raise the cap to enumerate"
     out: list[list[tuple[int, int]]] = []
     rect_stack: list[tuple[int, int]] = []
+    pairs = _PairMasks(n)
 
-    def first_uncovered(rows: list[int]) -> tuple[int, int]:
-        for i in range(n):
-            if rows[i]:
-                return i, (rows[i] & -rows[i]).bit_length() - 1
-        return -1, -1
+    def emit():
+        out.append(list(rect_stack))
+        if cap is not None and len(out) > cap:
+            raise ResourceBoundError(bound_message)
 
-    def compatible(rho: int, gamma: int) -> bool:
-        for rho2, gamma2 in rect_stack:
-            if (gamma & rho2).bit_count() > 1 or (gamma2 & rho).bit_count() > 1:
-                return False
-        return (gamma & rho).bit_count() <= 1
-
-    def rec(rows: list[int], used: int):
-        i, j = first_uncovered(rows)
-        if i < 0:
+    # row_pairs / col_pairs: OR of the pair masks of the row sets / column
+    # sets on the stack.  A rectangle (rho, gamma) is compatible with the
+    # stack iff pairs[gamma] misses row_pairs, pairs[rho] misses col_pairs
+    # and |gamma ∩ rho| <= 1.  Rows before i are covered.
+    def rec(rows: list[int], i: int, used: int, row_pairs: int, col_pairs: int):
+        while i < n and not rows[i]:
+            i += 1
+        if i == n:
             if used == m:
-                out.append(list(rect_stack))
-                if cap is not None and len(out) > cap:
-                    raise ResourceBoundError(
-                        f"more than {cap} factorizations; raise the cap to enumerate"
-                    )
+                emit()
             return
         if used == m:
             return
-        for gamma in _subsets_containing(rows[i], 1 << j):
+        row = rows[i]
+        if used == m - 1:
+            # the rest must be one rectangle: every nonzero row equals row
+            rho = 0
+            for k in range(i, n):
+                if rows[k]:
+                    if rows[k] != row:
+                        return
+                    rho |= 1 << k
+            both = row & rho
+            if pairs[row] & row_pairs or pairs[rho] & col_pairs or both & (both - 1):
+                return
+            rect_stack.append((rho, row))
+            emit()
+            rect_stack.pop()
+            return
+        for gamma in _subsets_containing(row, row & -row):
+            gamma_pairs = pairs[gamma]
+            if gamma_pairs & row_pairs:
+                continue
             rho_cand = 0
-            for i2 in range(n):
-                if gamma & ~rows[i2] == 0:
-                    rho_cand |= 1 << i2
+            for k in range(i, n):
+                if gamma & ~rows[k] == 0:
+                    rho_cand |= 1 << k
             for rho in _subsets_containing(rho_cand, 1 << i):
-                if not compatible(rho, gamma):
+                rho_pairs = pairs[rho]
+                both = gamma & rho
+                if rho_pairs & col_pairs or both & (both - 1):
                     continue
                 new_rows = rows[:]
                 r = rho
@@ -79,10 +145,10 @@ def _covers(support: list[int], n: int, m: int, cap: Optional[int]) -> list[list
                     r &= r - 1
                     new_rows[k] &= ~gamma
                 rect_stack.append((rho, gamma))
-                rec(new_rows, used + 1)
+                rec(new_rows, i, used + 1, row_pairs | rho_pairs, col_pairs | gamma_pairs)
                 rect_stack.pop()
 
-    rec(list(support), 0)
+    rec(list(support), 0, 0, 0, 0)
     return out
 
 
@@ -95,6 +161,7 @@ def factorizations_general(
     integers, entries above 1 allowed.  Enumerates candidate R matrices
     entry by entry, then solves the columns of S exactly; exponential and
     meant for very small inputs only."""
+    _check_inner(inner)
     if not a.is_square:
         raise ValueError("factorization search needs a square matrix")
     n = a.rows
@@ -182,15 +249,19 @@ def factorizations(
     max_results caps the output (ResourceBoundError when exceeded, no
     silent truncation).
     """
+    _check_inner(inner)
     if not a.is_boolean or not a.is_square:
         raise ValueError("factorization search needs a square {0,1} matrix")
     n = a.rows
     support = a.support_rows()
-    covers = _covers(support, n, inner, max_results)
-    # every cover has exactly inner! orderings, so an overflow is known
-    # before any triple is built
-    if ordered and max_results is not None and len(covers) * factorial(inner) > max_results:
-        raise ResourceBoundError(f"more than {max_results} ordered factorizations")
+    cap, message = max_results, None
+    if ordered and max_results is not None:
+        # every cover has exactly inner! orderings, so more than
+        # max_results // inner! covers is an overflow, known before any
+        # triple is built and before the rest of the covers are searched
+        cap = max_results // factorial(inner)
+        message = f"more than {max_results} ordered factorizations"
+    covers = _covers(support, n, inner, cap, message)
     out = []
     for cover in covers:
         seqs = permutations(cover) if ordered else (tuple(cover),)

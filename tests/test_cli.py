@@ -91,6 +91,30 @@ def test_explore(tmp_path):
     assert code == 3 and rep["kind"] == "bound"
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--max-inner", "-3", "max_inner"),
+        ("--max-inner", "0", "max_inner"),
+        ("--max-size", "0", "max_size"),
+        ("--depth", "-1", "depth"),
+        ("--bound", "-5", "max_edges"),
+    ],
+)
+def test_explore_arguments_out_of_range(tmp_path, flag, value, name):
+    path = write(tmp_path, "m.json", matrix_to_json(GM))
+    code, rep = run(tmp_path, "explore", "--input", path, flag, value)
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"].startswith(f"{name} must be an int >= ")
+
+
+def test_explore_ordered_bound_message(tmp_path):
+    path = write(tmp_path, "m.json", matrix_to_json(GM))
+    code, rep = run(tmp_path, "explore", "--input", path, "--bound", "0")
+    assert code == 3 and rep["kind"] == "bound"
+    assert rep["error"] == "more than 0 ordered factorizations"
+
+
 def test_explore_report_is_canonical_json(tmp_path):
     path = write(tmp_path, "m.json", matrix_to_json(GM))
     out = tmp_path / "out.json"

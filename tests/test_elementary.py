@@ -2,6 +2,7 @@ import random
 import re
 from itertools import permutations, product
 from math import factorial
+from typing import Optional
 
 import pytest
 
@@ -17,9 +18,9 @@ from ssecalc.elementary import (
     edge_to_json,
 )
 from ssecalc.errors import InvalidEdgeError, NotElementaryError, ResourceBoundError
-from ssecalc.factorize import factorizations
+from ssecalc.factorize import _covers, _subsets_containing, factorizations, factorizations_general
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate, mul
-from ssecalc.sampling import edge_pool, random_edge
+from ssecalc.sampling import edge_pool, random_edge, random_nondeg_matrix
 from ssecalc.shifts import VertexShift, higher_block
 
 GM = NonnegMatrix([[1, 1], [1, 0]])
@@ -205,8 +206,14 @@ def _ordered_reference(a, inner):
     return out
 
 
+FULL2 = NonnegMatrix([[1, 1], [1, 1]])
+BASE3 = NonnegMatrix([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
+BASE4 = NonnegMatrix([[1, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 0], [0, 0, 1, 0]])
+
+
 @pytest.mark.parametrize(
-    "a, inner", [(GM, 2), (GM, 3), (NonnegMatrix([[1, 1], [1, 1]]), 2), (NonnegMatrix([[1, 1], [1, 1]]), 3)]
+    "a, inner",
+    [(GM, 2), (GM, 3), (FULL2, 2), (FULL2, 3), (BASE3, 3), (BASE3, 4), (BASE4, 3), (BASE4, 4)],
 )
 def test_ordered_factorization_overflow_boundary(a, inner):
     covers = len(factorizations(a, inner, ordered=False))
@@ -216,6 +223,101 @@ def test_ordered_factorization_overflow_boundary(a, inner):
     with pytest.raises(ResourceBoundError) as exc:
         factorizations(a, inner, max_results=total - 1)
     assert str(exc.value) == f"more than {total - 1} ordered factorizations"
+    # more covers than the cap: the ordered search stops at its cover cap
+    # with the ordered message, the unordered message is unchanged
+    with pytest.raises(ResourceBoundError) as exc:
+        factorizations(a, inner, max_results=covers - 1)
+    assert str(exc.value) == f"more than {covers - 1} ordered factorizations"
+    with pytest.raises(ResourceBoundError) as exc:
+        factorizations(a, inner, ordered=False, max_results=covers - 1)
+    assert str(exc.value) == f"more than {covers - 1} factorizations; raise the cap to enumerate"
+
+
+@pytest.mark.parametrize("inner", [-1, 2.0, True, "2", None])
+@pytest.mark.parametrize("search", [factorizations, factorizations_general])
+def test_bad_inner_is_an_input_error(search, inner):
+    with pytest.raises(ValueError, match="inner dimension must be an int >= 0"):
+        search(GM, inner, max_results=10)
+
+
+def _reference_covers(support: list[int], n: int, m: int, cap: Optional[int]) -> list[list[tuple[int, int]]]:
+    """All unordered exact covers of the support by exactly m rectangles.
+
+    Rectangles are (row_set_mask, col_set_mask) pairs, pairwise compatible
+    in the sense |cols(t) ∩ rows(u)| <= 1 (ordered, both ways).
+    """
+    out: list[list[tuple[int, int]]] = []
+    rect_stack: list[tuple[int, int]] = []
+
+    def first_uncovered(rows: list[int]) -> tuple[int, int]:
+        for i in range(n):
+            if rows[i]:
+                return i, (rows[i] & -rows[i]).bit_length() - 1
+        return -1, -1
+
+    def compatible(rho: int, gamma: int) -> bool:
+        for rho2, gamma2 in rect_stack:
+            if (gamma & rho2).bit_count() > 1 or (gamma2 & rho).bit_count() > 1:
+                return False
+        return (gamma & rho).bit_count() <= 1
+
+    def rec(rows: list[int], used: int):
+        i, j = first_uncovered(rows)
+        if i < 0:
+            if used == m:
+                out.append(list(rect_stack))
+                if cap is not None and len(out) > cap:
+                    raise ResourceBoundError(
+                        f"more than {cap} factorizations; raise the cap to enumerate"
+                    )
+            return
+        if used == m:
+            return
+        for gamma in _subsets_containing(rows[i], 1 << j):
+            rho_cand = 0
+            for i2 in range(n):
+                if gamma & ~rows[i2] == 0:
+                    rho_cand |= 1 << i2
+            for rho in _subsets_containing(rho_cand, 1 << i):
+                if not compatible(rho, gamma):
+                    continue
+                new_rows = rows[:]
+                r = rho
+                while r:
+                    k = (r & -r).bit_length() - 1
+                    r &= r - 1
+                    new_rows[k] &= ~gamma
+                rect_stack.append((rho, gamma))
+                rec(new_rows, used + 1)
+                rect_stack.pop()
+
+    rec(list(support), 0)
+    return out
+
+
+def _covers_or_bound(search, *args):
+    try:
+        return search(*args)
+    except ResourceBoundError as exc:
+        return str(exc)
+
+
+COVER_CASES = {1: 2, 2: 8, 3: 12, 4: 12, 5: 4}  # random supports per size n
+
+
+def test_covers_match_reference_in_order():
+    """_covers returns the reference search's covers in the same order, and
+    the same bound message at the same cap."""
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for t in range(COVER_CASES[n]):
+            a = random_nondeg_matrix(rng, n, 0.4 + 0.5 * t / (COVER_CASES[n] - 1))
+            support = a.support_rows()
+            for inner in range(n + 2):
+                for cap in ([None] if n <= 3 else []) + [5, 50, 400]:
+                    args = (support, n, inner, cap)
+                    want = _covers_or_bound(_reference_covers, *args)
+                    assert _covers_or_bound(_covers, *args) == want, (a.to_lists(), inner, cap)
 
 
 # -- one edge algebra: SSEEdge is DegSSEEdge plus the strict checks ----
