@@ -8,6 +8,7 @@ errors, 3 when a resource or iteration bound was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -279,7 +280,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: building
+    it costs far more than a parse, and a parse leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ssecalc",
         description="Exact calculus of strong shift equivalences (batch JSON).",

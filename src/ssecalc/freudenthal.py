@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ResourceBoundError, SseError
@@ -81,7 +82,9 @@ def _perm_sign(perm: Sequence[int]) -> int:
 # tables at no more than MAX_SUBDIVISION_DIMENSION + 1 entries.
 MAX_SUBDIVISION_DIMENSION = 10
 _CELLS: dict[int, tuple[FreudenthalSimplex, ...]] = {}
-_INDEX_PAIRS: dict[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]] = {}
+_INDEX_PAIRS: dict[
+    int, tuple[tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]], ...]
+] = {}
 
 
 def _subdivision_cells(n: int) -> tuple[FreudenthalSimplex, ...]:
@@ -122,15 +125,22 @@ def _subdivision_cells(n: int) -> tuple[FreudenthalSimplex, ...]:
     return cells
 
 
-def _signed_index_pairs(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """For each cell of _subdivision_cells(n), in order: its sign and the
-    (i, j) of theta_inverse at each of its vertices."""
+def _signed_index_pairs(
+    n: int,
+) -> tuple[tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
+    """For each cell of _subdivision_cells(n), in order: its sign, the
+    (i, j) of theta_inverse at each of its vertices, and the position of
+    each (i, j) in the list of the pairs i <= j of 0..n, row by row."""
     table = _INDEX_PAIRS.get(n)
     if table is None:
-        table = _INDEX_PAIRS[n] = tuple(
-            (cell.sign, tuple(theta_inverse(p) for p in cell.vertices))
-            for cell in _subdivision_cells(n)
-        )
+        cells = _subdivision_cells(n)
+        upper = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+        slot = {ij: k for k, ij in enumerate(upper)}
+        rows = []
+        for cell in cells:
+            ij = tuple(theta_inverse(p) for p in cell.vertices)
+            rows.append((cell.sign, ij, tuple(slot[p] for p in ij)))
+        table = _INDEX_PAIRS[n] = tuple(rows)
     return table
 
 
@@ -169,24 +179,28 @@ class Chain:
                 self.add(tuple(simplex), c)
 
     def add(self, simplex: tuple, coeff: int) -> None:
-        if coeff == 0 or len(set(simplex)) != len(simplex):
-            return
-        new = self.coeffs.get(simplex, 0) + coeff
-        if new:
-            self.coeffs[simplex] = new
-        else:
-            self.coeffs.pop(simplex, None)
+        if coeff and len(set(simplex)) == len(simplex):
+            coeffs = self.coeffs
+            new = coeffs.get(simplex, 0) + coeff
+            if new:
+                coeffs[simplex] = new
+            else:
+                del coeffs[simplex]
 
     def __add__(self, other: "Chain") -> "Chain":
-        out = Chain(dict(self.coeffs), self.complex)
+        out = Chain(complex=self.complex)
+        out.coeffs.update(self.coeffs)
+        add = out.add
         for s, c in other.coeffs.items():
-            out.add(s, c)
+            add(s, c)
         return out
 
     def __sub__(self, other: "Chain") -> "Chain":
-        out = Chain(dict(self.coeffs), self.complex)
+        out = Chain(complex=self.complex)
+        out.coeffs.update(self.coeffs)
+        add = out.add
         for s, c in other.coeffs.items():
-            out.add(s, -c)
+            add(s, -c)
         return out
 
     def __eq__(self, other):
@@ -203,24 +217,45 @@ class Chain:
 
 def boundary(c: Chain) -> Chain:
     out = Chain(complex=c.complex)
+    add = out.add
     for simplex, coeff in c.coeffs.items():
         if len(simplex) == 1:
             continue
         for k in range(len(simplex)):
-            out.add(simplex[:k] + simplex[k + 1 :], coeff * (-1) ** k)
+            add(simplex[:k] + simplex[k + 1 :], coeff)
+            coeff = -coeff
     return out
 
 
 # -- pair vertices and the maps F, rho ----------------------------------
 
 
-@dataclass(frozen=True)
-class PairVertex:
-    """An ordered pair vertex of the subdivided complex; (v,v) never
-    occurs as a PairVertex, it collapses to the plain vertex v."""
+_PAIR = object()  # the tag of every PairVertex; no other tuple holds it
 
-    lo: Hashable
-    hi: Hashable
+
+class PairVertex(tuple):
+    """An ordered pair vertex of the subdivided complex; (v,v) never
+    occurs as a PairVertex, it collapses to the plain vertex v.
+
+    A pair is the tuple (_PAIR, lo, hi) under a module-private tag, so it
+    hashes and compares in C, and it never equals a plain vertex, not
+    even the tuple (lo, hi)."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Hashable, hi: Hashable) -> "PairVertex":
+        if lo == hi:
+            raise ValueError(f"a pair vertex needs lo != hi, got {lo!r} twice")
+        return tuple.__new__(cls, (_PAIR, lo, hi))
+
+    def __reduce__(self):
+        return PairVertex, (self[1], self[2])
+
+    lo = property(itemgetter(1))
+    hi = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return f"PairVertex(lo={self[1]!r}, hi={self[2]!r})"
 
 
 def make_pair(v, w):
@@ -228,30 +263,45 @@ def make_pair(v, w):
 
 
 def split_pair(x):
-    if isinstance(x, PairVertex):
-        return x.lo, x.hi
+    if type(x) is PairVertex:
+        return x[1], x[2]
     return x, x
 
 
 def chain_f(c: Chain) -> Chain:
     """The signed Freudenthal subdivision image of a chain."""
     out = Chain(complex=None)
+    add = out.add
     for simplex, coeff in c.coeffs.items():
-        for sign, ij in _signed_index_pairs(len(simplex) - 1):
-            out.add(tuple(make_pair(simplex[i], simplex[j]) for i, j in ij), coeff * sign)
+        table = _signed_index_pairs(len(simplex) - 1)
+        # each pair vertex is made once per simplex, not once per cell
+        pairs = [make_pair(v, w) for i, v in enumerate(simplex) for w in simplex[i:]]
+        take = pairs.__getitem__
+        for sign, _ij, slots in table:
+            add(tuple(map(take, slots)), coeff * sign)
     return out
 
 
 def chain_rho(c: Chain) -> Chain:
     """The alternating cone from subdivision simplices into the mixed
-    complex; degenerate output terms vanish."""
+    complex; degenerate output terms vanish.
+
+    Term k of a simplex is the first components of its vertices 0..k
+    followed by the pairs of its vertices k.., and those pairs are the
+    vertices themselves, since make_pair(*split_pair(x)) == x.  Once a
+    first component repeats, it repeats in every later term too, so the
+    terms from there on are all degenerate."""
     out = Chain(complex=None)
+    add = out.add
     for simplex, coeff in c.coeffs.items():
-        pairs = [split_pair(x) for x in simplex]
-        for k in range(len(pairs)):
-            head = tuple(a for a, _b in pairs[: k + 1])
-            tail = tuple(make_pair(a, b) for a, b in pairs[k:])
-            out.add(head + tail, coeff * (-1) ** k)
+        los = tuple(x.lo if type(x) is PairVertex else x for x in simplex)
+        seen = set()
+        for k, lo in enumerate(los):
+            if lo in seen:
+                break
+            seen.add(lo)
+            add(los[: k + 1] + simplex[k:], coeff)
+            coeff = -coeff
     return out
 
 
@@ -273,7 +323,10 @@ class SubdivisionCheck:
 def check_subdivision(n: int, trials: int, seed: int) -> SubdivisionCheck:
     """Check the counts and the chain-map identity of the subdivided
     n-simplex, and the chain homotopy on `trials` random chains of
-    n-simplices drawn with random.Random(seed)."""
+    n-simplices drawn with random.Random(seed); `trials` must be an
+    integer >= 0."""
+    if type(trials) is not int or trials < 0:
+        raise ValueError(f"trials must be an integer >= 0, not {trials!r}")
     cells = enumerate_subdivision(n)
     vertices = {v for c in cells for v in c.vertices}
     counts_ok = len(cells) == 2**n and len(vertices) == (n + 1) * (n + 2) // 2
@@ -410,7 +463,7 @@ def subdivision_operator(
         return cache[key]
 
     for simplex, coeff in c.coeffs.items():
-        for sign, ij in _signed_index_pairs(len(simplex) - 1):
+        for sign, ij, _slots in _signed_index_pairs(len(simplex) - 1):
             image = tuple(refined(simplex[i], simplex[j]) for (i, j) in ij)
             if len(set(image)) != len(image):
                 report.dropped_degenerate += 1

@@ -28,12 +28,12 @@ from .codes import (
     identity_code,
     is_alphabet_bijection,
     is_elementary,
-    is_inverse_elementary,
     normalize,
     verify_inverse,
 )
 from .errors import (
     InvalidCodeError,
+    MissingInverseError,
     NotElementaryError,
     ShiftMismatchError,
     VerificationError,
@@ -51,7 +51,7 @@ from .shifts import (
 class StarImage:
     """The image data of the diagonal map of a tuple of codes."""
 
-    sources: tuple[BlockCode, ...]
+    sources: tuple[BlockCode, ...]  # the components, in normal form
     side: int  # +1: windows in {0,1}; -1: windows in {-1,0}
     image_alphabet: tuple[tuple[int, ...], ...]  # lex-sorted symbol tuples
     ranks: dict[tuple[int, ...], int]
@@ -67,19 +67,22 @@ class RefinementVerdict:
     star: StarImage
 
 
-def _detect_side(codes: Sequence[BlockCode]) -> int:
-    if all(is_elementary(c) for c in codes):
+def _detect_side(normal: Sequence[BlockCode]) -> int:
+    """+1 for a tuple inside H, -1 for one inside H^{-1}, of codes in
+    normal form."""
+    if any(c._inverse is None for c in normal):
+        raise MissingInverseError("elementarity needs a stored inverse")
+    if all(_fits(c, 0, 1) for c in normal):
         return 1
-    if all(is_inverse_elementary(c) for c in codes):
+    if all(_fits(c, -1, 0) for c in normal):
         return -1
     raise NotElementaryError("tuple is neither inside H nor inside H^{-1}")
 
 
-def _window_tables(codes: Sequence[BlockCode], side: int) -> list[dict]:
+def _window_tables(normal: Sequence[BlockCode], side: int) -> list[dict]:
     lo, hi = (0, 1) if side == 1 else (-1, 0)
     tabs = []
-    for c in codes:
-        cn = normalize(c)
+    for cn in normal:
         if not _fits(cn, lo, hi, inverse=False):
             raise NotElementaryError(
                 f"window {cn.window} does not fit inside ({lo},{hi})"
@@ -91,14 +94,18 @@ def _window_tables(codes: Sequence[BlockCode], side: int) -> list[dict]:
 def star_image(codes: Sequence[BlockCode], side: int) -> StarImage:
     """Image data of the star map; no elementarity assumption beyond the
     forward windows fitting the side's two-coordinate window."""
-    codes = tuple(codes)
-    if not codes:
+    return _star_image(tuple(normalize(c) for c in codes), side)
+
+
+def _star_image(normal: tuple[BlockCode, ...], side: int) -> StarImage:
+    """star_image of codes already in normal form."""
+    if not normal:
         raise ValueError("star of an empty tuple")
-    x = codes[0].domain
-    for c in codes:
+    x = normal[0].domain
+    for c in normal:
         if c.domain != x:
             raise ShiftMismatchError("star components must share their domain")
-    tabs = _window_tables(codes, side)
+    tabs = _window_tables(normal, side)
     tuple_of_word = {w: tuple(tab[w] for tab in tabs) for w in x.words(2)}
     alphabet = tuple(sorted(set(tuple_of_word.values())))
     ranks = {t: i for i, t in enumerate(alphabet)}
@@ -106,12 +113,16 @@ def star_image(codes: Sequence[BlockCode], side: int) -> StarImage:
         (ranks[tuple_of_word[w[:2]]], ranks[tuple_of_word[w[1:]]])
         for w in x.words(3)
     )
-    return StarImage(codes, side, alphabet, ranks, tuple_of_word, transitions)
+    return StarImage(normal, side, alphabet, ranks, tuple_of_word, transitions)
 
 
 def star(codes: Sequence[BlockCode]) -> StarImage:
-    """The star product of a tuple of elementary codes (or of inverses)."""
-    return star_image(codes, _detect_side(codes))
+    """The star product of a tuple of elementary codes (or of inverses).
+
+    Each component is normalized once, here; side detection, the window
+    tables and the inverse table of delta all read these normal forms."""
+    normal = tuple(normalize(c) for c in codes)
+    return _star_image(normal, _detect_side(normal))
 
 
 def _markov_witness(si: StarImage):
@@ -145,7 +156,7 @@ def _delta_code(si: StarImage, verify: bool) -> BlockCode:
     comp = None
     comp_tab = None
     for idx, c in enumerate(si.sources):
-        gn = normalize(c.inverse)
+        gn = c.inverse
         if _fits(gn, lo, hi, inverse=False):
             comp = idx
             comp_tab = gn.table_at(lo, hi)
@@ -276,10 +287,12 @@ def verify_refinement_axioms(
     codes with common domain, plus randomized auxiliary data.
 
     Statements conditioned on delta being defined count as vacuous when
-    the membership hypothesis fails.
+    the membership hypothesis fails.  `trials` must be an integer >= 0.
     """
     from .sampling import random_bijection_code
 
+    if type(trials) is not int or trials < 0:
+        raise ValueError(f"trials must be an integer >= 0, not {trials!r}")
     codes = [normalize(c) for c in codes]
     for c in codes:
         if not is_elementary(c):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ssecalc.cli import main
+from ssecalc.cli import build_parser, main
 from ssecalc.codes import code_to_json, shift_code
 from ssecalc.complexes import SSEPath, path_to_json
 from ssecalc.elementary import SSEEdge, Triangle, edge_to_json, triangle_to_json
@@ -195,6 +195,29 @@ def test_freudenthal_check(tmp_path):
     code, rep = run(tmp_path, "freudenthal-check", "--dimension", "3", "--trials", "5")
     assert code == 0
     assert rep["cells"] == 8 and rep["chain_map_identity"] and rep["chain_homotopy"]
+
+
+def test_negative_trials_are_input_errors(tmp_path):
+    code, rep = run(tmp_path, "freudenthal-check", "--dimension", "3", "--trials", "-2")
+    assert code == 2 and rep["kind"] == "input" and "trials" in rep["error"]
+    path = write(tmp_path, "ax.json", {"base": matrix_to_json(GM), "tuple_size": 2})
+    code, rep = run(tmp_path, "refine-axioms", "--input", path, "--trials", "-1")
+    assert code == 2 and rep["kind"] == "input" and "trials" in rep["error"]
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    assert build_parser() is build_parser()
+    path = write(tmp_path, "ax.json", {"base": matrix_to_json(GM), "tuple_size": 2})
+    code, rep = run(tmp_path, "freudenthal-check", "--dimension", "2", "--trials", "1",
+                    "--seed", "9")
+    assert code == 0 and (rep["trials"], rep["seed"]) == (1, 9)
+    code, rep = run(tmp_path, "refine-axioms", "--input", path)
+    assert code == 0 and (rep["trials"], rep["seed"]) == (5, 0)
+    code, rep = run(tmp_path, "freudenthal-check", "--dimension", "3")
+    assert code == 0 and (rep["dimension"], rep["trials"], rep["seed"]) == (3, 5, 0)
+    assert "input" not in rep
+    args = build_parser().parse_args(["freudenthal-check", "--dimension", "2"])
+    assert args.output is None and not hasattr(args, "input")
 
 
 def test_refine_axioms(tmp_path):

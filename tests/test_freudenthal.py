@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import time
 from itertools import combinations, permutations, product
@@ -140,6 +142,93 @@ def test_signs_match_determinant():
             assert _det_by_permutations(steps) == c.sign
 
 
+def oracle_boundary(c):
+    out = Chain(complex=c.complex)
+    for simplex, coeff in c.coeffs.items():
+        if len(simplex) == 1:
+            continue
+        for k in range(len(simplex)):
+            out.add(simplex[:k] + simplex[k + 1 :], coeff * (-1) ** k)
+    return out
+
+
+def oracle_chain_f(c):
+    """F cell by cell: one make_pair per vertex of every cell."""
+    out = Chain()
+    for simplex, coeff in c.coeffs.items():
+        for cell in _subdivision_cells(len(simplex) - 1):
+            ij = [theta_inverse(p) for p in cell.vertices]
+            out.add(tuple(make_pair(simplex[i], simplex[j]) for i, j in ij), coeff * cell.sign)
+    return out
+
+
+def oracle_chain_rho(c):
+    """rho term by term: the first components of the head, the tail's
+    pairs rebuilt one by one, every term handed to Chain.add."""
+    out = Chain()
+    for simplex, coeff in c.coeffs.items():
+        pairs = [split_pair(x) for x in simplex]
+        for k in range(len(pairs)):
+            head = tuple(a for a, _b in pairs[: k + 1])
+            tail = tuple(make_pair(a, b) for a, b in pairs[k:])
+            out.add(head + tail, coeff * (-1) ** k)
+    return out
+
+
+def oracle_sum(c, d, sign):
+    out = Chain()
+    for simplex, coeff in c.coeffs.items():
+        out.add(simplex, coeff)
+    for simplex, coeff in d.coeffs.items():
+        out.add(simplex, sign * coeff)
+    return out
+
+
+def test_pair_vertex_is_a_tagged_value():
+    p = PairVertex("v", ("w", 1))
+    assert (p.lo, p.hi) == ("v", ("w", 1)) == split_pair(p)
+    assert p == PairVertex("v", ("w", 1)) and hash(p) == hash(PairVertex("v", ("w", 1)))
+    assert p == make_pair("v", ("w", 1))
+    assert p != ("v", ("w", 1)) and p != "v" and p != PairVertex(("w", 1), "v")
+    assert repr(p) == "PairVertex(lo='v', hi=('w', 1))"
+    assert split_pair(("v", "w")) == (("v", "w"), ("v", "w"))
+    for clone in [copy.copy(p), copy.deepcopy(p)] + [
+        pickle.loads(pickle.dumps(p, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]:
+        assert type(clone) is PairVertex and clone == p and hash(clone) == hash(p)
+        assert (clone.lo, clone.hi) == (p.lo, p.hi)
+    with pytest.raises(AttributeError):
+        p.lo = "u"
+    with pytest.raises(ValueError):
+        PairVertex("v", "v")
+
+
+def _random_simplex(rng, pool, length):
+    return tuple(rng.choice(pool) for _ in range(length))
+
+
+def test_chain_maps_match_oracles():
+    rng = random.Random(11)
+    plain = [0, 1, 2, 3, "a", "b", "c", (0, 1), (1, 0), ("a", 2), (0, 1, 2)]
+    mixed = plain + [make_pair(u, v) for u, v in [(0, 1), (1, 2), ("a", "b"), ((0, 1), 1),
+                                                  (0, (0, 1)), ("b", 3)]]
+    for trial in range(60):
+        pool = plain if trial % 2 else mixed
+        c = Chain()
+        d = Chain()
+        for _ in range(5):
+            length = rng.randint(1, 5)
+            c.add(_random_simplex(rng, pool, length), rng.randint(-3, 3))
+            d.add(_random_simplex(rng, pool, length), rng.randint(-3, 3))
+        assert boundary(c) == oracle_boundary(c)
+        assert chain_f(c) == oracle_chain_f(c)
+        assert chain_rho(c) == oracle_chain_rho(c)
+        fc = chain_f(c)
+        assert chain_rho(fc) == oracle_chain_rho(fc)
+        assert c + d == oracle_sum(c, d, 1) and c - d == oracle_sum(c, d, -1)
+        assert c - c == Chain()
+
+
 def test_boundary_squares_to_zero():
     rng = random.Random(0)
     simps = list(combinations(range(6), 3))
@@ -229,6 +318,13 @@ def test_check_subdivision():
         check = check_subdivision(n, trials=3, seed=n)
         assert check.ok
         assert check.cells == 2**n and check.vertices == (n + 1) * (n + 2) // 2
+    assert check_subdivision(2, trials=0, seed=0).ok
+
+
+@pytest.mark.parametrize("trials", [-1, -2, 1.0, "2", True, None])
+def test_check_subdivision_rejects_bad_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        check_subdivision(2, trials=trials, seed=0)
 
 
 def test_freudenthal_check_dimension_bound(tmp_path):

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from ssecalc import codes
 from ssecalc.codes import (
     compose,
     equal_codes,
@@ -229,3 +230,25 @@ def test_some_permutations_never_lists_a_large_symmetric_group():
     assert perms == expected
     assert _some_permutations(3, 5, random.Random(4)) == list(permutations(range(3)))
     assert len(_some_permutations(3, 4, random.Random(4))) == 5
+
+
+def test_delta_normalizes_each_component_once(monkeypatch):
+    calls = []
+    normal_data = codes._normalize_data
+
+    def counted(f):
+        calls.append(f)
+        return normal_data(f)
+
+    pair = [normalize(identity_code(X)), normalize(shift_code(X, 1))]
+    monkeypatch.setattr(codes, "_normalize_data", counted)
+    v = delta(pair, verify=False)
+    assert v.in_h_n
+    # the normal form of each component and of its inverse, once each
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("trials", [-1, 0.5, None])
+def test_axiom_suite_rejects_bad_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        verify_refinement_axioms([identity_code(X)], trials=trials)
