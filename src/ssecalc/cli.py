@@ -295,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "freudenthal-check":
             p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0, help="seed for random suites")
-        p.add_argument("--trials", type=int, default=5, help="random trials")
+        if name in ("freudenthal-check", "refine-axioms"):
+            p.add_argument("--seed", type=int, default=0, help="seed for random suites")
+            p.add_argument("--trials", type=int, default=5, help="random trials")
         if name == "explore":
             p.add_argument("--max-inner", type=int, default=4)
             p.add_argument("--max-size", type=int, default=6)

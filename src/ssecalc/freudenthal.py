@@ -169,11 +169,10 @@ def face_map(k: int, point: Sequence[int]) -> tuple[int, ...]:
 class Chain:
     """A finitely supported integer combination of ordered simplices."""
 
-    __slots__ = ("coeffs", "complex")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[dict] = None, complex: Optional["OrderedComplex"] = None):
+    def __init__(self, coeffs: Optional[dict] = None):
         self.coeffs: dict[tuple, int] = {}
-        self.complex = complex
         if coeffs:
             for simplex, c in coeffs.items():
                 self.add(tuple(simplex), c)
@@ -188,7 +187,7 @@ class Chain:
                 del coeffs[simplex]
 
     def __add__(self, other: "Chain") -> "Chain":
-        out = Chain(complex=self.complex)
+        out = Chain()
         out.coeffs.update(self.coeffs)
         add = out.add
         for s, c in other.coeffs.items():
@@ -196,7 +195,7 @@ class Chain:
         return out
 
     def __sub__(self, other: "Chain") -> "Chain":
-        out = Chain(complex=self.complex)
+        out = Chain()
         out.coeffs.update(self.coeffs)
         add = out.add
         for s, c in other.coeffs.items():
@@ -216,7 +215,7 @@ class Chain:
 
 
 def boundary(c: Chain) -> Chain:
-    out = Chain(complex=c.complex)
+    out = Chain()
     add = out.add
     for simplex, coeff in c.coeffs.items():
         if len(simplex) == 1:
@@ -270,7 +269,7 @@ def split_pair(x):
 
 def chain_f(c: Chain) -> Chain:
     """The signed Freudenthal subdivision image of a chain."""
-    out = Chain(complex=None)
+    out = Chain()
     add = out.add
     for simplex, coeff in c.coeffs.items():
         table = _signed_index_pairs(len(simplex) - 1)
@@ -291,7 +290,7 @@ def chain_rho(c: Chain) -> Chain:
     vertices themselves, since make_pair(*split_pair(x)) == x.  Once a
     first component repeats, it repeats in every later term too, so the
     terms from there on are all degenerate."""
-    out = Chain(complex=None)
+    out = Chain()
     add = out.add
     for simplex, coeff in c.coeffs.items():
         los = tuple(x.lo if type(x) is PairVertex else x for x in simplex)
@@ -419,7 +418,7 @@ class OrderedComplex:
         return tuple(simplex) in self.simplices
 
     def chain(self, coeffs: dict) -> Chain:
-        c = Chain(coeffs, complex=self)
+        c = Chain(coeffs)
         for s in c.coeffs:
             if s not in self.simplices:
                 raise InvalidChainError(f"simplex {s!r} outside the complex")
@@ -450,7 +449,7 @@ def subdivision_operator(
     l = 0 case is accepted and counted separately.
     """
     report = SubdivisionReport()
-    out = Chain(complex=None)
+    out = Chain()
     cache: dict = {}
 
     def refined(u, v):

@@ -5,8 +5,9 @@ executable property suite.
 A tuple of conjugacies out of a common shift X is sent to the diagonal
 map into the product of their codomains.  Membership in H_n asks whether
 the image of that map is again a 1-step vertex shift over its symbol
-tuples; this is decided exactly, by language equality between the image
-presentation and its 1-step closure.  When the image is Markov, delta
+tuples; this is certified exactly by a mutually inverse pair onto the
+image's 1-step closure, and only a failed certificate builds automata,
+for a closure word the image misses.  When the image is Markov, delta
 returns the conjugacy onto the canonically relabeled vertex shift, the
 relabeling being the lexicographic rank of the symbol tuples.
 """
@@ -64,7 +65,6 @@ class RefinementVerdict:
     in_h_n: bool
     delta: Optional[BlockCode]
     witness: Optional[tuple]
-    star: StarImage
 
 
 def _detect_side(normal: Sequence[BlockCode]) -> int:
@@ -142,7 +142,10 @@ def _markov_witness(si: StarImage):
     return language_difference_witness(clo, img)
 
 
-def _delta_code(si: StarImage, verify: bool) -> BlockCode:
+def _delta_code(si: StarImage) -> Optional[BlockCode]:
+    """The map onto the 1-step closure of the image with its inverse, or
+    None unless the pair is certified mutually inverse (a certified map is
+    onto the closure, so the image is Markov)."""
     x = si.sources[0].domain
     n_img = len(si.image_alphabet)
     masks = [0] * n_img
@@ -153,55 +156,48 @@ def _delta_code(si: StarImage, verify: bool) -> BlockCode:
     # the inverse reads any single component whose inverse window fits the
     # mirrored side; for tuples in H (resp. H^{-1}) every component works
     lo, hi = (-1, 0) if si.side == 1 else (0, 1)
-    comp = None
-    comp_tab = None
-    for idx, c in enumerate(si.sources):
-        gn = c.inverse
-        if _fits(gn, lo, hi, inverse=False):
-            comp = idx
-            comp_tab = gn.table_at(lo, hi)
+    for comp, c in enumerate(si.sources):
+        if _fits(c.inverse, lo, hi, inverse=False):
+            comp_tab = c.inverse.table_at(lo, hi)
             break
-    if comp is None:
-        raise NotElementaryError("no component inverse fits the mirrored window")
-    bwd = {}
-    for (u, v) in si.transitions:
-        key = (u, v)
-        bwd[key] = comp_tab[(si.image_alphabet[u][comp], si.image_alphabet[v][comp])]
-    if si.side == 1:
-        f = BlockCode(x, target, 0, 1, fwd, inverse=(-1, 0, bwd))
     else:
-        f = BlockCode(x, target, -1, 0, fwd, inverse=(0, 1, bwd))
-    if verify and not verify_inverse(f, f.inverse):
-        raise VerificationError("delta code failed inverse verification")
-    return f
+        raise NotElementaryError("no component inverse fits the mirrored window")
+    alphabet = si.image_alphabet
+    bwd = {
+        (u, v): comp_tab[(alphabet[u][comp], alphabet[v][comp])]
+        for (u, v) in si.transitions
+    }
+    try:
+        f = BlockCode(x, target, -hi, -lo, fwd, inverse=(lo, hi, bwd))
+    except InvalidCodeError:
+        return None
+    return f if verify_inverse(f, f.inverse) else None
 
 
-def delta(codes: Sequence[BlockCode], verify: bool = True) -> RefinementVerdict:
-    """Decide membership of the tuple in H_n and return the refinement map."""
-    return _delta_verdict(star(codes), verify)
-
-
-def _delta_verdict(si: StarImage, verify: bool) -> RefinementVerdict:
+def delta(codes: Sequence[BlockCode]) -> RefinementVerdict:
+    """Decide membership of the tuple in H_n and return the refinement map;
+    the automata run only after a failed certificate, for the witness."""
+    si = star(codes)
+    f = _delta_code(si)
+    if f is not None:
+        return RefinementVerdict(True, f, None)
     witness = _markov_witness(si)
-    if witness is not None:
-        return RefinementVerdict(False, None, witness, si)
-    return RefinementVerdict(True, _delta_code(si, verify), None, si)
+    if witness is None:
+        raise VerificationError("delta pair failed inverse verification on a Markov image")
+    return RefinementVerdict(False, None, witness)
 
 
-def star_map_general(codes: Sequence[BlockCode], side: int, verify: bool = True) -> BlockCode:
+def star_map_general(codes: Sequence[BlockCode], side: int) -> BlockCode:
     """delta without the elementarity precondition on the components.
 
     The forward windows must fit the side's window and at least one
-    component inverse must fit the mirror window; the image must come out
-    Markov (it does for the pairs this is used on, which is asserted).
+    component inverse must fit the mirror window; the delta pair must be
+    certified (it is for the pairs this is used on, which is asserted).
     """
-    si = star_image(codes, side)
-    v = _delta_verdict(si, verify)
-    if not v.in_h_n:
-        raise VerificationError(
-            f"star image unexpectedly not Markov; witness {v.witness}"
-        )
-    return v.delta
+    f = _delta_code(star_image(codes, side))
+    if f is None:
+        raise VerificationError("star image failed inverse verification")
+    return f
 
 
 def equivalent(f: BlockCode, g: BlockCode) -> bool:
@@ -300,14 +296,11 @@ def verify_refinement_axioms(
     rng = random.Random(seed)
     res = {name: AxiomResult(name) for name in AXIOM_NAMES}
 
-    def maybe_delta(tup):
-        return delta(tup, verify=False)
-
     def refined_arrow_pair(psi):
         """An arrow d -> chi between genuinely different elementary codes:
         chi is a relabeling of psi and d = delta(psi, chi)."""
         chi = normalize(compose(random_bijection_code(rng, psi.codomain), psi))
-        v = delta([psi, chi], verify=False)
+        v = delta([psi, chi])
         if not v.in_h_n:
             return None
         return v.delta, chi
@@ -326,7 +319,7 @@ def verify_refinement_axioms(
 
     # H_1 = H and delta(phi) ~ phi
     for c in codes:
-        v = maybe_delta([c])
+        v = delta([c])
         res["trivial-membership"].record(v.in_h_n, "singleton not in H_1")
         if v.in_h_n:
             res["trivial-delta"].record(
@@ -334,11 +327,11 @@ def verify_refinement_axioms(
             )
 
     # permutations
-    base_v = maybe_delta(codes)
+    base_v = delta(codes)
     perms = _some_permutations(len(codes), trials, rng)
     for kappa in perms:
         permuted = [codes[k] for k in kappa]
-        v2 = maybe_delta(permuted)
+        v2 = delta(permuted)
         res["permutation-membership"].record(
             v2.in_h_n == base_v.in_h_n, f"membership changed under {kappa}"
         )
@@ -352,10 +345,10 @@ def verify_refinement_axioms(
             res["permutation-delta"].vacuous += 1
 
     # grouping with k groups of size 1, and 2 groups of size 2 when possible
-    singles = [maybe_delta([c]) for c in codes]
+    singles = [delta([c]) for c in codes]
     if all(v.in_h_n for v in singles):
-        lhs = maybe_delta([v.delta for v in singles])
-        rhs = maybe_delta(codes)
+        lhs = delta([v.delta for v in singles])
+        rhs = delta(codes)
         res["grouping"].record(
             lhs.in_h_n == rhs.in_h_n, "grouping membership iff fails (k x 1)"
         )
@@ -365,11 +358,11 @@ def verify_refinement_axioms(
             )
     if len(codes) >= 2:
         doubled = [codes[0], codes[0], codes[1], codes[1]]
-        inner1 = maybe_delta([codes[0], codes[0]])
-        inner2 = maybe_delta([codes[1], codes[1]])
-        flat = maybe_delta(doubled)
+        inner1 = delta([codes[0], codes[0]])
+        inner2 = delta([codes[1], codes[1]])
+        flat = delta(doubled)
         if inner1.in_h_n and inner2.in_h_n:
-            nested = maybe_delta([inner1.delta, inner2.delta])
+            nested = delta([inner1.delta, inner2.delta])
             res["grouping"].record(
                 nested.in_h_n == flat.in_h_n, "grouping membership iff fails (2 x 2)"
             )
@@ -382,8 +375,8 @@ def verify_refinement_axioms(
 
     # dropping a redundant argument
     dup = [codes[0]] + codes
-    v_dup = maybe_delta(dup)
-    v_plain = maybe_delta(codes)
+    v_dup = delta(dup)
+    v_plain = delta(codes)
     res["drop-redundant"].record(
         v_dup.in_h_n == v_plain.in_h_n, "drop membership iff fails"
     )
@@ -405,18 +398,18 @@ def verify_refinement_axioms(
         d, chi = pair
         # chi <- d -> beta∘d
         phi3 = normalize(compose(random_bijection_code(rng, d.codomain), d))
-        v = maybe_delta([chi, d, phi3])
+        v = delta([chi, d, phi3])
         res["arrow-left-pair"].record(v.in_h_n, "arrow-2 membership fails")
 
         # d -> chi <- beta∘chi
         phi_r = normalize(compose(random_bijection_code(rng, chi.codomain), chi))
-        v = maybe_delta([d, chi, phi_r])
+        v = delta([d, chi, phi_r])
         res["arrow-right-pair"].record(v.in_h_n, "arrow-3 membership fails")
 
         # arrow-delta: d -> chi and psi -> beta∘psi => delta pair arrow
         phi_b = normalize(compose(random_bijection_code(rng, psi.codomain), psi))
-        v_ac = maybe_delta([d, psi])
-        v_bd = maybe_delta([chi, phi_b])
+        v_ac = delta([d, psi])
+        v_bd = delta([chi, phi_b])
         if v_ac.in_h_n and v_bd.in_h_n:
             res["arrow-delta"].record(
                 arrow(v_ac.delta, v_bd.delta), "arrow-delta fails"
@@ -459,12 +452,10 @@ def refine_representative(phi1: BlockCode, phi2: BlockCode) -> Optional[BlockCod
         raise ShiftMismatchError("refinement pair must share its domain")
     h = compose(phi2, phi1.inverse)
     if is_elementary(h):
-        inner = star_map_general(
-            [identity_code(phi1.codomain), normalize(h)], side=1, verify=False
-        )
+        inner = star_map_general([identity_code(phi1.codomain), normalize(h)], side=1)
         return canonical_representative(normalize(compose(inner, phi1)))
     try:
-        v = delta([phi1, phi2], verify=False)
+        v = delta([phi1, phi2])
     except NotElementaryError:
         return None
     if not v.in_h_n:
@@ -497,6 +488,9 @@ def axiom_input_from_json(obj: dict, seed: int) -> tuple[list[BlockCode], dict]:
         if not isinstance(listed, list) or not listed:
             raise InvalidCodeError("codes must be a nonempty list of block codes")
         codes = [code_from_json(c) for c in listed]
+        for c in codes:
+            if c._inverse is not None and not verify_inverse(c, c._inverse):
+                raise InvalidCodeError("stored inverse failed verification")
         return codes, {"codes": len(codes)}
     base = matrix_from_json(obj["base"])
     n = obj.get("tuple_size", 2)

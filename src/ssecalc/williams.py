@@ -50,7 +50,7 @@ def _step_for(code: BlockCode, side: str) -> DecompositionStep:
 
 def _two_block_refinement(x: VertexShift, g: int) -> BlockCode:
     """delta(id_X, tau_{g,X}): the canonical two-block presentation move."""
-    return star_map_general([identity_code(x), shift_code(x, g)], side=g, verify=False)
+    return star_map_general([identity_code(x), shift_code(x, g)], side=g)
 
 
 def _hull(window: tuple[int, int]) -> tuple[int, int]:
@@ -99,10 +99,8 @@ def reduce_inverse_window(
     g = 1 if hi > 0 else -1
     x, y = cur.domain, cur.codomain
     tau = shift_code(y, g)
-    psi1 = star_map_general(
-        [identity_code(x), compose(tau, cur)], side=g, verify=False
-    )
-    psi2 = star_map_general([identity_code(y), tau], side=g, verify=False)
+    psi1 = star_map_general([identity_code(x), compose(tau, cur)], side=g)
+    psi2 = star_map_general([identity_code(y), tau], side=g)
     nxt = normalize(compose(psi2, compose(cur, psi1.inverse)))
     if _hull(nxt.window) != (0, 0):
         raise VerificationError("conjugated map is not one-block")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ssecalc.cli import build_parser, main
+from ssecalc.cli import _COMMANDS, build_parser, main
 from ssecalc.codes import code_to_json, shift_code
 from ssecalc.complexes import SSEPath, path_to_json
 from ssecalc.elementary import SSEEdge, Triangle, edge_to_json, triangle_to_json
@@ -350,3 +350,61 @@ def test_refine_axioms_large_tuple(tmp_path):
     path = write(tmp_path, "ax.json", {"base": matrix_to_json(GM), "tuple_size": 12})
     code, rep = run(tmp_path, "refine-axioms", "--input", path, "--trials", "3")
     assert code == 0 and rep["all_passed"]
+
+
+FULL2 = NonnegMatrix([[1, 1], [1, 1]])
+
+
+def _code_json(domain, codomain, window, table, inverse=None):
+    """A block code object with 1-based symbols."""
+    obj = {
+        "domain": matrix_to_json(domain),
+        "codomain": matrix_to_json(codomain),
+        "window": list(window),
+        "table": [[list(w), v] for w, v in table],
+    }
+    if inverse is not None:
+        obj["inverse"] = inverse
+    return obj
+
+
+# the identity of the full 2-shift with the swap stored as its inverse
+IDENTITY_WITH_SWAP = _code_json(
+    FULL2, FULL2, (0, 0), [((1,), 1), ((2,), 2)],
+    _code_json(FULL2, FULL2, (0, 0), [((1,), 2), ((2,), 1)]),
+)
+# a golden-mean to full-2-shift 2-block code with a constant inverse
+TWO_BLOCK_WITH_CONSTANT = _code_json(
+    GM, FULL2, (0, 1), [((1, 1), 1), ((1, 2), 2), ((2, 1), 2)],
+    _code_json(FULL2, GM, (0, 0), [((1,), 1), ((2,), 1)]),
+)
+
+
+@pytest.mark.parametrize(
+    "code_obj", [IDENTITY_WITH_SWAP, TWO_BLOCK_WITH_CONSTANT], ids=["swap", "constant"]
+)
+def test_refine_axioms_refuses_a_false_stored_inverse(tmp_path, code_obj):
+    path = write(tmp_path, "ax.json", {"codes": [code_obj]})
+    code, rep = run(tmp_path, "refine-axioms", "--input", path)
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == "stored inverse failed verification"
+
+
+def test_refine_axioms_on_listed_codes(tmp_path):
+    sigma = code_to_json(shift_code(VertexShift(GM), 1))
+    path = write(tmp_path, "ax.json", {"codes": [sigma, sigma]})
+    code, rep = run(tmp_path, "refine-axioms", "--input", path, "--trials", "2")
+    assert code == 0 and rep["all_passed"] and rep["input"] == {"codes": 2}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [name for name in _COMMANDS if name not in ("freudenthal-check", "refine-axioms")],
+)
+@pytest.mark.parametrize("flag", ["--seed", "--trials"])
+def test_seed_and_trials_belong_to_the_random_suites(tmp_path, capsys, command, flag):
+    path = write(tmp_path, "in.json", {})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", path, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

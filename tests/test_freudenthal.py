@@ -143,7 +143,7 @@ def test_signs_match_determinant():
 
 
 def oracle_boundary(c):
-    out = Chain(complex=c.complex)
+    out = Chain()
     for simplex, coeff in c.coeffs.items():
         if len(simplex) == 1:
             continue

@@ -12,10 +12,12 @@ from ssecalc.codes import (
     normalize,
     shift_code,
 )
-from ssecalc.errors import NotElementaryError, ShiftMismatchError
+from ssecalc.elementary import code_from_edge
+from ssecalc.errors import NotElementaryError, ShiftMismatchError, VerificationError
 from ssecalc.matrices import NonnegMatrix
 from ssecalc.refinement import (
     AXIOM_NAMES,
+    _markov_witness,
     _some_permutations,
     arrow,
     canonical_representative,
@@ -26,8 +28,15 @@ from ssecalc.refinement import (
     star,
     verify_refinement_axioms,
 )
-from ssecalc.sampling import random_bijection_code, random_tuple
-from ssecalc.shifts import VertexShift, higher_block
+from ssecalc.sampling import (
+    random_bijection_code,
+    random_conjugacy,
+    random_edge,
+    random_nondeg_matrix,
+    random_tuple,
+)
+from ssecalc.shifts import DeterministicPresentation, VertexShift, higher_block
+from ssecalc.williams import decompose
 
 GM = NonnegMatrix([[1, 1], [1, 0]])
 FULL2 = NonnegMatrix([[1, 1], [1, 1]])
@@ -242,13 +251,71 @@ def test_delta_normalizes_each_component_once(monkeypatch):
 
     pair = [normalize(identity_code(X)), normalize(shift_code(X, 1))]
     monkeypatch.setattr(codes, "_normalize_data", counted)
-    v = delta(pair, verify=False)
+    v = delta(pair)
     assert v.in_h_n
-    # the normal form of each component and of its inverse, once each
-    assert len(calls) <= 4
+    # the normal form of each component and of its inverse, once each; the
+    # certificate's normal forms are of the compositions, not counted here
+    for f in (*pair, *(c.inverse for c in pair)):
+        assert sum(g is f for g in calls) <= 1
 
 
 @pytest.mark.parametrize("trials", [-1, 0.5, None])
 def test_axiom_suite_rejects_bad_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         verify_refinement_axioms([identity_code(X)], trials=trials)
+
+
+def _inverse_tuple(rng, base, n):
+    """n random codes in H^{-1} out of base: inverses of reversed edges."""
+    return [
+        code_from_edge(random_edge(rng, base).reversed()).inverse for _ in range(n)
+    ]
+
+
+def test_certificate_agrees_with_the_automata_on_random_tuples():
+    rng = random.Random(5)
+    bases = [GM, FULL2] + [random_nondeg_matrix(rng, 3) for _ in range(3)]
+    for base in bases:
+        for n in (1, 2, 3):
+            for tup in (random_tuple(rng, base, n), _inverse_tuple(rng, base, n)):
+                v = delta(tup)
+                assert v.in_h_n == (_markov_witness(star(tup)) is None)
+                assert (v.delta is None) == (not v.in_h_n)
+
+
+# the golden-mean 2-blocks 00 -> 0, 01 -> 1, 10 -> 1 onto the full 2-shift,
+# with a constant map stored as its inverse: the image is not Markov
+TWO_BLOCK = codes.BlockCode(
+    X, Y, 0, 1, {(0, 0): 0, (0, 1): 1, (1, 0): 1}, inverse=(0, 0, {(0,): 0, (1,): 0})
+)
+# the identity of the full 2-shift with the swap stored as its inverse
+IDENTITY_WITH_SWAP = codes.BlockCode(
+    Y, Y, 0, 0, {(0,): 0, (1,): 1}, inverse=(0, 0, {(0,): 1, (1,): 0})
+)
+
+
+def test_delta_of_a_non_markov_image_has_a_witness():
+    v = delta([TWO_BLOCK])
+    assert not v.in_h_n and v.delta is None
+    assert v.witness == (0, 1, 0)
+
+
+def test_delta_refuses_a_markov_image_whose_pair_fails_the_certificate():
+    with pytest.raises(VerificationError):
+        delta([IDENTITY_WITH_SWAP])
+
+
+def test_decompose_builds_no_automaton(monkeypatch):
+    calls = []
+    from_graph = DeterministicPresentation.from_graph
+
+    def counted(graph):
+        calls.append(graph)
+        return from_graph(graph)
+
+    monkeypatch.setattr(DeterministicPresentation, "from_graph", counted)
+    rng = random.Random(6)
+    fs = [shift_code(X, 1), shift_code(Y, -1)]
+    fs += [random_conjugacy(rng, base, 3, max_inner=3) for base in (GM, FULL2, GM)]
+    assert sum(len(decompose(f)) for f in fs) > len(fs)
+    assert calls == []
