@@ -158,14 +158,7 @@ def restrict_triangle(t: Triangle) -> Triangle:
     for name, idx in (("A", ja), ("B", jb), ("C", jc)):
         if not idx.members:
             raise EmptyCoreError(f"core of {name} is empty")
-    a = submatrix(t.e1.a, ja, ja)
-    b = submatrix(t.e1.b, jb, jb)
-    c = submatrix(t.e2.b, jc, jc)
-    out = Triangle(
-        DegSSEEdge(a, b, submatrix(t.e1.r, ja, jb), submatrix(t.e1.s, jb, ja)),
-        DegSSEEdge(b, c, submatrix(t.e2.r, jb, jc), submatrix(t.e2.s, jc, jb)),
-        DegSSEEdge(a, c, submatrix(t.e3.r, ja, jc), submatrix(t.e3.s, jc, ja)),
-    )
+    out = Triangle(restrict_edge(t.e1), restrict_edge(t.e2), restrict_edge(t.e3))
     if not check_triangle(out):
         raise VerificationError("restricted triangle fails the equations")
     return out
@@ -221,12 +214,16 @@ def normalize_path(p: SSEPath, max_rounds: int | None = None) -> SSEPath:
 
     Alternates row passes and (transposed) column passes until every
     vertex is nondegenerate; the endpoints must already be nondegenerate
-    and are kept fixed.
+    and are kept fixed.  max_rounds, an int >= 0, bounds the passes
+    (IterationBoundError when they do not converge); by default it is 2
+    plus the number of rows of all the vertices.
     """
     if not is_nondegenerate(p.base) or not is_nondegenerate(p.end):
         raise InvalidEdgeError("normalize_path needs nondegenerate endpoints")
     if max_rounds is None:
         max_rounds = 2 + sum(v.rows for v in p.vertices())
+    elif type(max_rounds) is not int or max_rounds < 0:
+        raise ValueError(f"max_rounds must be an int >= 0, not {max_rounds!r}")
     cur = p
     for _ in range(max_rounds):
         if all(is_nondegenerate(v) for v in cur.vertices()):

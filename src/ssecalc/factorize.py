@@ -26,7 +26,7 @@ ordered factorizations".
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 from typing import Iterator, Optional
 
@@ -152,6 +152,19 @@ def _covers(
     return out
 
 
+def _columns(r_rows: list[list[int]], col: list[int], k: int = 0) -> list[tuple[int, ...]]:
+    """Entries k.. of every column s with R·s = col, in lexicographic
+    order.  Entry k is capped by col[i] // R[i][k] over the rows using it."""
+    if k == len(r_rows[0]):
+        return [] if any(col) else [()]
+    cap = min((c // r[k] for c, r in zip(col, r_rows) if r[k]), default=max(col, default=0))
+    return [
+        (v,) + tail
+        for v in range(cap + 1)
+        for tail in _columns(r_rows, [c - v * r[k] for c, r in zip(col, r_rows)], k + 1)
+    ]
+
+
 def factorizations_general(
     a: NonnegMatrix,
     inner: int,
@@ -159,81 +172,36 @@ def factorizations_general(
 ) -> list[tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]]:
     """Experimental: nondegenerate factorizations over the nonnegative
     integers, entries above 1 allowed.  Enumerates candidate R matrices
-    entry by entry, then solves the columns of S exactly; exponential and
-    meant for very small inputs only."""
+    in row-major order, each entry capped by the maximum of its row of A,
+    then solves the columns of S exactly; exponential and meant for very
+    small inputs only."""
     _check_inner(inner)
     if not a.is_square:
         raise ValueError("factorization search needs a square matrix")
     n = a.rows
-    row_caps = [max(a.row_list(i)) for i in range(n)]
+    caps = [range(max(a.row_list(i)) + 1) for i in range(n) for _ in range(inner)]
+    cols = [[a.entry(i, j) for i in range(n)] for j in range(n)]
     out: list[tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]] = []
-
-    def r_candidates(i: int, row: list[int], rows: list[list[int]]):
-        if i == n:
-            for k in range(inner):
-                if all(r[k] == 0 for r in rows):
-                    return
-            solve_s([list(r) for r in rows])
-            return
-        if len(row) == inner:
-            rows.append(list(row))
-            r_candidates(i + 1, [], rows)
-            rows.pop()
-            return
-        for v in range(row_caps[i] + 1):
-            row.append(v)
-            r_candidates(i, row, rows)
-            row.pop()
-
-    def solve_s(r_rows: list[list[int]]):
-        cols: list[list[int]] = []
-
-        def fill(j: int, scol: list[int], remaining: list[int]):
-            if len(scol) == inner:
-                if all(v == 0 for v in remaining):
-                    cols.append(list(scol))
-                return
-            k = len(scol)
-            cap = min(
-                (remaining[i] // r_rows[i][k] for i in range(n) if r_rows[i][k]),
-                default=max(remaining, default=0),
-            )
-            for v in range(cap + 1):
-                scol.append(v)
-                fill(j, scol, [remaining[i] - v * r_rows[i][k] for i in range(n)])
-                scol.pop()
-
-        per_col: list[list[list[int]]] = []
-        for j in range(n):
-            cols = []
-            fill(j, [], [a.entry(i, j) for i in range(n)])
-            if not cols:
-                return
-            per_col.append(cols)
-
-        def assemble(j: int, chosen: list[list[int]]):
-            if j == n:
-                s_entries = [
-                    [chosen[jj][k] for jj in range(n)] for k in range(inner)
-                ]
-                if any(all(v == 0 for v in srow) for srow in s_entries):
-                    return
-                r = NonnegMatrix(r_rows)
-                s = NonnegMatrix(s_entries)
-                out.append((r, s, mul(s, r)))
-                if max_results is not None and len(out) > max_results:
-                    raise ResourceBoundError(
-                        f"more than {max_results} general factorizations"
-                    )
-                return
-            for c in per_col[j]:
-                chosen.append(c)
-                assemble(j + 1, chosen)
-                chosen.pop()
-
-        assemble(0, [])
-
-    r_candidates(0, [], [])
+    for flat in product(*caps):
+        if not all(any(flat[k::inner]) for k in range(inner)):
+            continue  # R has a zero column
+        r_rows = [list(flat[i * inner : (i + 1) * inner]) for i in range(n)]
+        per_col = []
+        for col in cols:
+            per_col.append(_columns(r_rows, col))
+            if not per_col[-1]:
+                break  # no S, and product(*per_col) is empty
+        for chosen in product(*per_col):
+            s_rows = list(zip(*chosen))
+            if not all(any(row) for row in s_rows):
+                continue  # S has a zero row
+            r = NonnegMatrix(r_rows)
+            s = NonnegMatrix(s_rows)
+            out.append((r, s, mul(s, r)))
+            if max_results is not None and len(out) > max_results:
+                raise ResourceBoundError(
+                    f"more than {max_results} general factorizations"
+                )
     return out
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .elementary import SSEEdge, Triangle, check_triangle
+from .elementary import DegSSEEdge, Triangle, check_triangle
 from .errors import (
     GStarOverflowError,
     InvalidEdgeError,
@@ -123,16 +123,11 @@ def bar(a: GroupRingMatrix) -> NonnegMatrix:
     return NonnegMatrix.from_bool_rows(a.cols * ng, masks)
 
 
-def hat(e: NonnegMatrix, group: FiniteGroup, shape: tuple[int, int]) -> GroupRingMatrix:
-    """Inverse of bar; input must be G-invariant, violations are reported."""
-    m, n = shape
+def _check_invariant(e: NonnegMatrix, group: FiniteGroup, m: int, n: int) -> None:
+    """Raise InvalidMatrixError unless e[(k,e),(l,h)] = e[(k,g),(l,gh)] for
+    all blocks (k, l) and g, h in G, which is invariance under the left
+    action f(k,h) = (k,fh)."""
     ng = group.order
-    if not e.is_boolean:
-        raise InvalidMatrixError("hat needs a {0,1} matrix")
-    if e.rows != m * ng or e.cols != n * ng:
-        raise InvalidMatrixError(
-            f"shape {e.rows}x{e.cols} does not match {m}x{n} blocks of size {ng}"
-        )
     for k in range(m):
         for l in range(n):
             for g in range(ng):
@@ -144,6 +139,19 @@ def hat(e: NonnegMatrix, group: FiniteGroup, shape: tuple[int, int]) -> GroupRin
                             "not G-invariant at symbols "
                             f"(k={k + 1}, l={l + 1}, g={group.names[g]}, h={group.names[h]})"
                         )
+
+
+def hat(e: NonnegMatrix, group: FiniteGroup, shape: tuple[int, int]) -> GroupRingMatrix:
+    """Inverse of bar; input must be G-invariant, violations are reported."""
+    m, n = shape
+    ng = group.order
+    if not e.is_boolean:
+        raise InvalidMatrixError("hat needs a {0,1} matrix")
+    if e.rows != m * ng or e.cols != n * ng:
+        raise InvalidMatrixError(
+            f"shape {e.rows}x{e.cols} does not match {m}x{n} blocks of size {ng}"
+        )
+    _check_invariant(e, group, m, n)
     ent = [
         [
             frozenset(
@@ -181,18 +189,7 @@ class MarkedGGraph:
         if len(self.marks) != self.n_orbits or len(seen) != self.n_orbits:
             raise InvalidMatrixError("need exactly one mark per orbit")
         adj = self.adjacency
-        op = self.group.op
-        for k in range(self.n_orbits):
-            for l in range(self.n_orbits):
-                for g in range(ng):
-                    for h in range(ng):
-                        for f in range(ng):
-                            if adj.entry(k * ng + g, l * ng + h) != adj.entry(
-                                k * ng + op(f, g), l * ng + op(f, h)
-                            ):
-                                raise InvalidMatrixError(
-                                    "adjacency is not G-invariant"
-                                )
+        _check_invariant(adj, self.group, self.n_orbits, self.n_orbits)
         cols = adj.transpose()
         for i in range(n):
             if not adj.row_mask(i) or not cols.row_mask(i):
@@ -202,31 +199,20 @@ class MarkedGGraph:
 def mark_and_relabel(d: MarkedGGraph) -> GroupRingMatrix:
     """The canonical matrix over G* of a marked G-graph.
 
-    Vertex (k,h) is h·g_k^{-1} applied to the mark (k,g_k), so it is
-    relabeled (rank of the mark, h·g_k^{-1}); the relabeled adjacency is
-    G-invariant and hat produces the matrix.
+    Vertex (l,h) is h·g_l^{-1} applied to the mark (l,g_l), so entry (t, u)
+    is {h·g_l^{-1} : (k,g_k) -> (l,h)} for the marks (k,g_k) and (l,g_l)
+    of ranks t and u.  MarkedGGraph has checked G-invariance, so the rows
+    of the marks determine the matrix.
     """
-    g = d.group
-    ng = g.order
-    n = d.n_orbits
-    relabeled = [[0] * (n * ng) for _ in range(n * ng)]
-    # mark t is vertex (orbit_t, g_t); new index of (orbit_t's vertex (k,h))
-    orbit_rank = {orbit: t for t, (orbit, _) in enumerate(d.marks)}
-    mark_elem = {orbit: ge for (orbit, ge) in d.marks}
-    for k in range(n):
-        t = orbit_rank[k]
-        gk_inv = g.inv(mark_elem[k])
-        for h in range(ng):
-            new = t * ng + g.op(h, gk_inv)
-            old = k * ng + h
-            for l in range(n):
-                u = orbit_rank[l]
-                gl_inv = g.inv(mark_elem[l])
-                for h2 in range(ng):
-                    relabeled[new][u * ng + g.op(h2, gl_inv)] = d.adjacency.entry(
-                        old, l * ng + h2
-                    )
-    return hat(NonnegMatrix(relabeled), g, (n, n))
+    g, ng, adj = d.group, d.group.order, d.adjacency
+    entries = [
+        [
+            frozenset(g.op(h, g.inv(gl)) for h in range(ng) if adj.entry(k * ng + gk, l * ng + h))
+            for l, gl in d.marks
+        ]
+        for k, gk in d.marks
+    ]
+    return GroupRingMatrix(g, entries)
 
 
 @dataclass(frozen=True)
@@ -255,17 +241,16 @@ def equivariant_triangle(t: Triangle) -> bool:
     leaving G* are reported (GStarOverflowError), distinctly from plain
     inequality.
 
-    The verdict is cross-checked against the boolean triangle equations of
-    the barred matrices, which must agree by multiplicativity."""
+    The verdict is cross-checked against the triangle equations of the
+    barred matrices, which must agree by multiplicativity; these are
+    DegSSEEdges, since a matrix over G* may have a zero row."""
     verdict = (
         mul_gstar(t.e1.r, t.e2.r) == t.e3.r
         and mul_gstar(t.e2.r, t.e3.s) == t.e1.s
         and mul_gstar(t.e3.s, t.e1.r) == t.e2.s
     )
     barred = Triangle(
-        SSEEdge(bar(t.e1.a), bar(t.e1.b), bar(t.e1.r), bar(t.e1.s)),
-        SSEEdge(bar(t.e2.a), bar(t.e2.b), bar(t.e2.r), bar(t.e2.s)),
-        SSEEdge(bar(t.e3.a), bar(t.e3.b), bar(t.e3.r), bar(t.e3.s)),
+        *(DegSSEEdge(bar(e.a), bar(e.b), bar(e.r), bar(e.s)) for e in (t.e1, t.e2, t.e3))
     )
     if verdict != check_triangle(barred):
         raise VerificationError("group-ring and barred triangle verdicts differ")

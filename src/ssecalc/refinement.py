@@ -478,11 +478,19 @@ def axiom_input_from_json(obj: dict, seed: int) -> tuple[list[BlockCode], dict]:
     """The code tuple of an axiom-suite input and the echo a report gives
     of it.  {"codes": [code, ...]} lists the codes; {"base": matrix,
     "tuple_size": n} draws n elementary codes out of base with
-    random.Random(seed), n defaulting to 2."""
+    random.Random(seed), n defaulting to 2.  Any other key, or keys of
+    both forms, is an InvalidCodeError."""
     from .sampling import random_tuple
 
     if not isinstance(obj, dict):
         raise InvalidCodeError("axiom input must be a JSON object")
+    allowed = ("codes",) if "codes" in obj else ("base", "tuple_size")
+    for key in obj:
+        if key not in allowed:
+            raise InvalidCodeError(
+                f"unexpected axiom input key {key!r}: give only \"codes\", "
+                "or \"base\" with an optional \"tuple_size\""
+            )
     if "codes" in obj:
         listed = obj["codes"]
         if not isinstance(listed, list) or not listed:

@@ -166,6 +166,14 @@ def test_normalize_degenerate(tmp_path):
     path = write(tmp_path, "degpath.json", obj)
     code, rep = run(tmp_path, "normalize-degenerate", "--input", path)
     assert code == 0 and rep["composite_agrees_on_cores"]
+    # the bound counts rounds: a negative one is an input error, and 0
+    # rounds leave the degenerate midpoint
+    for bound in ("-1", "-7"):
+        code, rep = run(tmp_path, "normalize-degenerate", "--input", path, "--bound", bound)
+        assert code == 2 and rep["kind"] == "input", rep
+        assert rep["error"] == f"max_rounds must be an int >= 0, not {bound}"
+    code, rep = run(tmp_path, "normalize-degenerate", "--input", path, "--bound", "0")
+    assert code == 3 and rep["kind"] == "bound", rep
 
 
 def test_gsft_bar_and_hat(tmp_path):
@@ -271,6 +279,25 @@ def test_refine_axioms_malformed_input(tmp_path):
         path = write(tmp_path, "ax.json", obj)
         code, rep = run(tmp_path, "refine-axioms", "--input", path)
         assert code == 2 and rep["kind"] == "input", obj
+
+
+def test_refine_axioms_refuses_unknown_keys(tmp_path):
+    gm = matrix_to_json(GM)
+    codes = [_code_obj()]
+    for obj, key in (
+        ({"base": gm, "steps": 5}, "steps"),
+        ({"base": gm, "tuple_size": 2, "trials": 9}, "trials"),
+        ({"codes": codes, "base": gm}, "base"),
+        ({"codes": codes, "tuple_size": 2}, "tuple_size"),
+    ):
+        path = write(tmp_path, "ax.json", obj)
+        code, rep = run(tmp_path, "refine-axioms", "--input", path)
+        assert code == 2 and rep["kind"] == "input", obj
+        assert f"unexpected axiom input key {key!r}" in rep["error"], rep
+    for obj in ({"base": gm}, {"base": gm, "tuple_size": 2}, {"codes": codes}):
+        path = write(tmp_path, "ax.json", obj)
+        code, rep = run(tmp_path, "refine-axioms", "--input", path, "--trials", "1")
+        assert code == 0 and rep["all_passed"], obj
 
 
 def test_cayley_schedule_non_object_group(tmp_path):

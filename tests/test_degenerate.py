@@ -15,7 +15,7 @@ from ssecalc.degenerate import (
     to_strict_path,
 )
 from ssecalc.elementary import SSEEdge, Triangle, check_triangle, edge_from_json, edge_to_json
-from ssecalc.errors import EmptyCoreError, InvalidEdgeError, VerificationError
+from ssecalc.errors import EmptyCoreError, InvalidEdgeError, IterationBoundError, VerificationError
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate, mul
 from ssecalc.sampling import random_deg_bool_edge, random_deg_pair, random_nondeg_matrix
 
@@ -186,6 +186,22 @@ def test_single_degenerate_midpoint_two_steps():
     f_in = compose_path(to_strict_path(restrict_path_to_cores(p)))
     f_out = compose_path(to_strict_path(q))
     assert equal_codes(f_in, f_out)
+
+
+def test_normalize_path_bound_must_be_a_nonnegative_int():
+    r = NonnegMatrix([[1, 0, 1], [0, 1, 0]])
+    s = NonnegMatrix([[1, 1], [1, 0], [0, 0]])
+    e = DegSSEEdge(GM, mul(s, r), r, s)
+    p = SSEPath(GM, ((e, 1), (e.reversed(), 1)))
+    for bad in (-1, -5, 1.0, True, "2"):
+        with pytest.raises(ValueError, match="max_rounds must be an int >= 0"):
+            normalize_path(p, max_rounds=bad)
+    with pytest.raises(ValueError, match=r"max_rounds must be an int >= 0, not -1$"):
+        normalize_path(p, max_rounds=-1)
+    # a bound of 0 rounds is valid and leaves the degenerate midpoint
+    with pytest.raises(IterationBoundError):
+        normalize_path(p, max_rounds=0)
+    assert all(is_nondegenerate(v) for v in normalize_path(p, max_rounds=1).vertices())
 
 
 def test_normalize_path_random_composites_agree():

@@ -17,7 +17,7 @@ from ssecalc.elementary import (
     edge_from_json,
     edge_to_json,
 )
-from ssecalc.errors import InvalidEdgeError, NotElementaryError, ResourceBoundError
+from ssecalc.errors import InvalidEdgeError, NotElementaryError, ResourceBoundError, SseError
 from ssecalc.factorize import _covers, _subsets_containing, factorizations, factorizations_general
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate, mul
 from ssecalc.sampling import edge_pool, random_edge, random_nondeg_matrix
@@ -318,6 +318,103 @@ def test_covers_match_reference_in_order():
                     args = (support, n, inner, cap)
                     want = _covers_or_bound(_reference_covers, *args)
                     assert _covers_or_bound(_covers, *args) == want, (a.to_lists(), inner, cap)
+
+
+def _reference_factorizations_general(a, inner, max_results=None):
+    """The Z>=0 factorization search as nested closures: R entry by entry
+    (row-major), then every column of S, then S assembled column by column."""
+    n = a.rows
+    row_caps = [max(a.row_list(i)) for i in range(n)]
+    out = []
+
+    def r_candidates(i, row, rows):
+        if i == n:
+            for k in range(inner):
+                if all(r[k] == 0 for r in rows):
+                    return
+            solve_s([list(r) for r in rows])
+            return
+        if len(row) == inner:
+            rows.append(list(row))
+            r_candidates(i + 1, [], rows)
+            rows.pop()
+            return
+        for v in range(row_caps[i] + 1):
+            row.append(v)
+            r_candidates(i, row, rows)
+            row.pop()
+
+    def solve_s(r_rows):
+        cols = []
+
+        def fill(scol, remaining):
+            if len(scol) == inner:
+                if all(v == 0 for v in remaining):
+                    cols.append(list(scol))
+                return
+            k = len(scol)
+            cap = min(
+                (remaining[i] // r_rows[i][k] for i in range(n) if r_rows[i][k]),
+                default=max(remaining, default=0),
+            )
+            for v in range(cap + 1):
+                scol.append(v)
+                fill(scol, [remaining[i] - v * r_rows[i][k] for i in range(n)])
+                scol.pop()
+
+        per_col = []
+        for j in range(n):
+            cols = []
+            fill([], [a.entry(i, j) for i in range(n)])
+            if not cols:
+                return
+            per_col.append(cols)
+
+        def assemble(j, chosen):
+            if j == n:
+                s_entries = [[chosen[jj][k] for jj in range(n)] for k in range(inner)]
+                if any(all(v == 0 for v in srow) for srow in s_entries):
+                    return
+                r = NonnegMatrix(r_rows)
+                s = NonnegMatrix(s_entries)
+                out.append((r, s, mul(s, r)))
+                if max_results is not None and len(out) > max_results:
+                    raise ResourceBoundError(f"more than {max_results} general factorizations")
+                return
+            for c in per_col[j]:
+                chosen.append(c)
+                assemble(j + 1, chosen)
+                chosen.pop()
+
+        assemble(0, [])
+
+    r_candidates(0, [], [])
+    return out
+
+
+def _search_outcome(search, *args):
+    try:
+        return search(*args)
+    except SseError as exc:
+        return type(exc), str(exc)
+
+
+def test_general_factorizations_match_reference_in_order():
+    """The Z>=0 search returns the closure search's triples in the same
+    order, and the same error (bound or empty inner) for the same input."""
+    rng = random.Random(5)
+    kinds = {"found": 0, "none": 0, "error": 0}
+    for n in (1, 2, 3):
+        for t in range(10):
+            a = NonnegMatrix([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
+            for inner in range(4 if n < 3 or t < 3 else 3):
+                cap = rng.choice([None, 3, 30])
+                want = _search_outcome(_reference_factorizations_general, a, inner, cap)
+                assert _search_outcome(factorizations_general, a, inner, cap) == want, (
+                    a.to_lists(), inner, cap
+                )
+                kinds["error" if isinstance(want, tuple) else "found" if want else "none"] += 1
+    assert min(kinds.values()) >= 5, kinds
 
 
 # -- one edge algebra: SSEEdge is DegSSEEdge plus the strict checks ----

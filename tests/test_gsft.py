@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ssecalc.errors import GStarOverflowError, InvalidEdgeError, InvalidMatrixError
+from ssecalc.errors import GStarOverflowError, InvalidEdgeError, InvalidMatrixError, SseError
 from ssecalc.groups import FiniteGroup, cyclic_group, symmetric_group
 from ssecalc.gsft import (
     GroupRingMatrix,
@@ -20,7 +20,7 @@ from ssecalc.gsft import (
     product_in_gstar,
 )
 from ssecalc.matrices import NonnegMatrix, mul
-from ssecalc.elementary import SSEEdge, Triangle, check_triangle
+from ssecalc.elementary import DegSSEEdge, SSEEdge, Triangle, check_triangle
 
 Z3 = cyclic_group(3)
 Z2 = cyclic_group(2)
@@ -139,6 +139,11 @@ def test_marked_graph_validation():
     )
     with pytest.raises(InvalidMatrixError):
         MarkedGGraph(Z3, 2, sinkful, ((0, 0), (1, 0)))
+    # invariance is hat's test, with hat's message
+    rows = BAR_EXAMPLE.to_lists()
+    rows[0][0] = 0
+    with pytest.raises(InvalidMatrixError, match="not G-invariant at symbols"):
+        MarkedGGraph(Z3, 2, NonnegMatrix(rows), ((0, 0), (1, 0)))
 
 
 def test_mul_gstar_overflow_reported():
@@ -209,3 +214,94 @@ def test_one_orbit_of_loops():
     g = MarkedGGraph(Z3, 1, NonnegMatrix.identity(3), ((0, 0),))
     a = mark_and_relabel(g)
     assert a.entries == ((frozenset({0}),),)
+
+
+def test_equivariant_triangle_with_a_zero_row():
+    # r has a zero row, so bar(r·s) does too; the barred cross-check must
+    # take such edges and return the verdict
+    r = GroupRingMatrix(Z2, [[{0}], [set()]])
+    s = GroupRingMatrix(Z2, [[{0}, {1}]])
+    a, b = mul_gstar(r, s), mul_gstar(s, r)
+    e1 = GsftEdge(a, b, r, s)
+    e2 = GsftEdge(b, b, GroupRingMatrix(Z2, [[{0}]]), b)
+    assert equivariant_triangle(Triangle(e1, e2, e1)) is True
+    barred = DegSSEEdge(bar(a), bar(b), bar(r), bar(s))
+    assert not barred.a.row_mask(2)
+
+
+def _reference_marked_graph(group, n_orbits, adj, marks):
+    """The checks and the relabeling of a marked G-graph as they were
+    written before the G-invariance test was shared with hat: a loop over
+    every f, g, h, then hat of the densely relabeled adjacency."""
+    ng = group.order
+    n = n_orbits * ng
+    if adj.rows != n or adj.cols != n:
+        raise InvalidMatrixError("adjacency shape does not match orbits x |G|")
+    if not adj.is_boolean:
+        raise InvalidMatrixError("adjacency must be {0,1} (no parallel edges)")
+    seen = set()
+    for orbit, g in marks:
+        if not (0 <= orbit < n_orbits and 0 <= g < ng):
+            raise InvalidMatrixError("mark out of range")
+        seen.add(orbit)
+    if len(marks) != n_orbits or len(seen) != n_orbits:
+        raise InvalidMatrixError("need exactly one mark per orbit")
+    op = group.op
+    for k in range(n_orbits):
+        for l in range(n_orbits):
+            for g in range(ng):
+                for h in range(ng):
+                    for f in range(ng):
+                        if adj.entry(k * ng + g, l * ng + h) != adj.entry(
+                            k * ng + op(f, g), l * ng + op(f, h)
+                        ):
+                            raise InvalidMatrixError("adjacency is not G-invariant")
+    cols = adj.transpose()
+    for i in range(n):
+        if not adj.row_mask(i) or not cols.row_mask(i):
+            raise InvalidMatrixError("graph has a sink or a source")
+    relabeled = [[0] * n for _ in range(n)]
+    orbit_rank = {orbit: t for t, (orbit, _) in enumerate(marks)}
+    mark_elem = {orbit: ge for (orbit, ge) in marks}
+    for k in range(n_orbits):
+        t = orbit_rank[k]
+        gk_inv = group.inv(mark_elem[k])
+        for h in range(ng):
+            new = t * ng + op(h, gk_inv)
+            for l in range(n_orbits):
+                u = orbit_rank[l]
+                gl_inv = group.inv(mark_elem[l])
+                for h2 in range(ng):
+                    relabeled[new][u * ng + op(h2, gl_inv)] = adj.entry(k * ng + h, l * ng + h2)
+    return hat(NonnegMatrix(relabeled), group, (n_orbits, n_orbits))
+
+
+def _outcome(build):
+    try:
+        return build().entries
+    except SseError as exc:
+        return type(exc)
+
+
+def test_marked_graph_matches_reference_on_random_graphs():
+    rng = random.Random(11)
+    groups = [cyclic_group(k) for k in (1, 2, 3, 4)] + [S3]
+    kinds = {"entries": 0, "broken": 0}
+    for trial in range(200):
+        group = groups[trial % len(groups)]
+        ng = group.order
+        n_orbits = rng.randint(1, 3)
+        rows = bar(rand_gstar(rng, group, n_orbits, n_orbits, density=0.5)).to_lists()
+        if rng.random() < 0.2:
+            i, j = rng.randrange(n_orbits * ng), rng.randrange(n_orbits * ng)
+            rows[i][j] = 1 - rows[i][j]
+        adj = NonnegMatrix(rows)
+        orbits = list(range(n_orbits))
+        rng.shuffle(orbits)
+        marks = tuple((k, rng.randrange(ng)) for k in orbits)
+        got = _outcome(lambda: mark_and_relabel(MarkedGGraph(group, n_orbits, adj, marks)))
+        want = _outcome(lambda: _reference_marked_graph(group, n_orbits, adj, marks))
+        assert got == want, (group, rows, marks)
+        kinds["entries" if isinstance(want, tuple) else "broken"] += 1
+    assert kinds["entries"] > 40 and kinds["broken"] > 40
+
