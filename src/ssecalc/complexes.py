@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 from .codes import BlockCode, compose, identity_code, normalize
 from .elementary import (
@@ -23,7 +24,14 @@ from .elementary import (
 )
 from .errors import InvalidEdgeError, ResourceBoundError
 from .factorize import factorizations, factorizations_general
-from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json, mul
+from .matrices import (
+    NonnegMatrix,
+    _boolean_mul,
+    is_nondegenerate,
+    matrix_from_json,
+    matrix_to_json,
+    mul,
+)
 from .shifts import VertexShift
 
 
@@ -103,6 +111,23 @@ def automorphism_from_loop(p: SSEPath) -> BlockCode:
     return compose_path(p)
 
 
+class _Products(dict):
+    """(id(X), id(Y)) -> X·Y for X and Y among the matrices, computed on
+    first lookup and interned; None where multiply gives None."""
+
+    __slots__ = ("matrices", "multiply", "intern")
+
+    def __init__(self, matrices: dict, multiply, intern):
+        self.matrices, self.multiply, self.intern = matrices, multiply, intern
+
+    def __missing__(self, key: tuple[int, int]) -> Optional[NonnegMatrix]:
+        p = self.multiply(self.matrices[key[0]], self.matrices[key[1]])
+        if p is not None:
+            p = self.intern(p, p)
+        self[key] = p
+        return p
+
+
 @dataclass
 class ComplexFragment:
     """A finite piece of the SSE complex around a base matrix."""
@@ -131,7 +156,11 @@ def explore(
     among the recorded edges A -> C with that R, in recording order, and
     each candidate is then checked against all three equations of
     check_triangle.  The products are read from a table local to the call,
-    so each distinct product is computed once.  Caps raise
+    so each distinct product is computed once.  Every matrix of the call
+    is interned, so the scan keys and compares matrices by identity.  The
+    edges out of a nondegenerate vertex and every triangle are built
+    without their checks, which the exact covers and the lookup already
+    guarantee; a degenerate base gets checked edges.  Caps raise
     ResourceBoundError, they never silently truncate.
 
     experimental_counts switches to the much slower search over all
@@ -152,75 +181,82 @@ def explore(
     if a.rows > max_size:
         raise ResourceBoundError(f"matrix size {a.rows} exceeds cap {max_size}")
     if experimental_counts:
-        find, make_edge = factorizations_general, DegSSEEdge
+        find, checked_edge, multiply = factorizations_general, DegSSEEdge, mul
     else:
         if not a.is_boolean:
             raise ResourceBoundError(
                 "entries above 1 need the experimental_counts flag"
             )
-        find, make_edge = factorizations, SSEEdge
+        # a strict R or S is {0,1}, so a product with a larger entry
+        # equals none of them and is recorded as a miss (None)
+        find, checked_edge, multiply = factorizations, SSEEdge, _boolean_mul
     # one object per distinct matrix of the call, so that equal matrices
-    # below are mostly the same object and compare by identity
+    # below are the same object: they are keyed by id() and compared by
+    # identity, and canon keeps them alive for the call
     canon: dict[NonnegMatrix, NonnegMatrix] = {a: a}
     intern = canon.setdefault
-    vertices: dict[NonnegMatrix, None] = {a: None}
-    edges: dict[tuple, object] = {}
+    vertices: dict[int, NonnegMatrix] = {id(a): a}
+    edges: dict[tuple[int, int], DegSSEEdge] = {}  # by (R, S)
     frontier = [a]
     for _ in range(depth):
         next_frontier = []
         for v in frontier:
             if v.rows > max_size:
                 continue
+            # an exact cover of a nondegenerate {0,1} A makes R, S and B
+            # nondegenerate {0,1} with RS = A and SR = B, so its edges and
+            # their reverses need no check
+            if experimental_counts or not is_nondegenerate(v):
+                make_edge = checked_edge
+            else:
+                make_edge = SSEEdge._trusted
             for m in range(1, max_inner + 1):
                 for r, s, b in find(v, m, max_results=max_edges):
                     r, s, b = intern(r, r), intern(s, s), intern(b, b)
-                    key = (v, b, r, s)
+                    key = (id(r), id(s))  # A = RS and B = SR
                     if key not in edges:
-                        e = make_edge(v, b, r, s)
-                        edges[key] = e
-                        edges[(b, v, s, r)] = e.reversed()
+                        edges[key] = make_edge(v, b, r, s)
+                        edges[(id(s), id(r))] = make_edge(b, v, s, r)
                         if len(edges) > max_edges:
                             raise ResourceBoundError(
                                 f"more than {max_edges} edges; tighten the bounds"
                             )
-                    if b not in vertices:
-                        vertices[b] = None
+                    if id(b) not in vertices:
+                        vertices[id(b)] = b
                         next_frontier.append(b)
         frontier = next_frontier
     edge_list = list(edges.values())
-    by_source: dict[NonnegMatrix, list] = {}
-    # source -> target -> R -> edges, each list in edge_list order
-    by_ends: dict[NonnegMatrix, dict[NonnegMatrix, dict[NonnegMatrix, list]]] = {}
-    for e in edge_list:
-        by_source.setdefault(e.a, []).append(e)
-        by_ends.setdefault(e.a, {}).setdefault(e.b, {}).setdefault(e.r, []).append(e)
-    # (X, Y) -> X·Y; few distinct R and S occur, so most products repeat
-    products: dict[tuple[NonnegMatrix, NonnegMatrix], NonnegMatrix] = {}
-
-    def product(x: NonnegMatrix, y: NonnegMatrix) -> NonnegMatrix:
-        p = products.get((x, y))
-        if p is None:
-            p = mul(x, y)
-            p = products[(x, y)] = intern(p, p)
-        return p
-
+    # source -> target -> [(position in edge_list, edge, id of the target)],
+    # and source -> target -> R -> edges, each list in edge_list order
+    by_target: dict[int, dict[int, list]] = {}
+    by_ends: dict[int, dict[int, dict[int, list]]] = {}
+    for pos, e in enumerate(edge_list):
+        a_id, b_id = id(e.a), id(e.b)
+        by_target.setdefault(a_id, {}).setdefault(b_id, []).append((pos, e, b_id))
+        by_ends.setdefault(a_id, {}).setdefault(b_id, {}).setdefault(id(e.r), []).append(e)
+    # few distinct R and S occur, so most products repeat
+    products = _Products({id(m): m for m in canon}, multiply, intern)
+    # the three triangle equations of check_triangle; the first,
+    # R1·R2 = R3, is the lookup of e3 by its R
     triangles = []
+    triangle = Triangle._trusted
     for e1 in edge_list:
-        from_a = by_ends[e1.a]
-        for e2 in by_source.get(e1.b, ()):
-            by_r = from_a.get(e2.b)
-            if by_r is None:
+        from_a, out_of_b = by_ends[id(e1.a)], by_target[id(e1.b)]
+        r1, s1 = e1.r, e1.s
+        # the e2 out of B into the targets A has edges to, in edge_list order
+        for _pos, e2, c in sorted(
+            t for c in out_of_b.keys() & from_a.keys() for t in out_of_b[c]
+        ):
+            by_r = from_a[c]
+            r2 = e2.r
+            r3 = products[id(r1), id(r2)]
+            if r3 is None:
                 continue
-            r3 = product(e1.r, e2.r)
-            for e3 in by_r.get(r3, ()):
-                # the three triangle equations of check_triangle
-                if (
-                    r3 == e3.r
-                    and product(e2.r, e3.s) == e1.s
-                    and product(e3.s, e1.r) == e2.s
-                ):
-                    triangles.append(Triangle(e1, e2, e3))
-    return ComplexFragment(list(vertices), edge_list, triangles, depth, max_inner)
+            for e3 in by_r.get(id(r3), ()):
+                s3 = id(e3.s)
+                if products[id(r2), s3] is s1 and products[s3, id(r1)] is e2.s:
+                    triangles.append(triangle(e1, e2, e3))
+    return ComplexFragment(list(vertices.values()), edge_list, triangles, depth, max_inner)
 
 
 # -- JSON formats ------------------------------------------------------
@@ -295,15 +331,23 @@ def fragment_to_text(f: ComplexFragment, indent: str = "") -> str:
 
     indent prefixes every line after the first, as json.dumps does for a
     fragment nested in a larger object.  The records have a fixed shape, so
-    each is one %-template, and each matrix is encoded once by json.dumps.
+    each is one %-template, and each matrix is written once, directly.
     """
     vindex = {v: i for i, v in enumerate(f.vertices)}
     item = indent + "    "  # indent of an edge, triangle or vertex record
     field = item + "  "  # indent of a record's fields
 
     def matrix_text(m: NonnegMatrix, pad: str) -> str:
-        return json.dumps(matrix_to_json(m), indent=2, sort_keys=True).replace(
-            "\n", "\n" + pad
+        """json.dumps(matrix_to_json(m), indent=2, sort_keys=True) with pad
+        after every newline."""
+        entry = f",\n{pad}      "
+        rows = f",\n{pad}    ".join(
+            f"[\n{pad}      " + entry.join(map(str, m.row_list(i))) + f"\n{pad}    ]"
+            for i in range(m.rows)
+        )
+        return (
+            f'{{\n{pad}  "cols": {m.cols},\n{pad}  "entries": [\n{pad}    {rows}\n'
+            f'{pad}  ],\n{pad}  "rows": {m.rows}\n{pad}}}'
         )
 
     field_text: dict[NonnegMatrix, str] = {}  # R and S text, once per matrix

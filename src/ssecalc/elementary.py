@@ -51,6 +51,19 @@ class DegSSEEdge:
         if mul(s, r) != b:
             raise InvalidEdgeError("SR != B")
 
+    @classmethod
+    def _trusted(cls, a, b, r, s) -> "DegSSEEdge":
+        """An edge of this class built without __post_init__, for callers
+        that already know it passes every check (a factorization search
+        guarantees them).  The fields are set in declaration order, as
+        __init__ sets them, so instances keep sharing their dict keys."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "a", a)
+        object.__setattr__(e, "b", b)
+        object.__setattr__(e, "r", r)
+        object.__setattr__(e, "s", s)
+        return e
+
     def reversed(self) -> "DegSSEEdge":
         return type(self)(self.b, self.a, self.s, self.r)
 
@@ -90,6 +103,16 @@ class Triangle:
     e1: DegSSEEdge
     e2: DegSSEEdge
     e3: DegSSEEdge
+
+    @classmethod
+    def _trusted(cls, e1, e2, e3) -> "Triangle":
+        """A triangle built without the endpoint checks, for callers whose
+        lookup already chains the edges; fields set as in _trusted edges."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "e1", e1)
+        object.__setattr__(t, "e2", e2)
+        object.__setattr__(t, "e3", e3)
+        return t
 
     def __post_init__(self):
         if self.e1.b != self.e2.a:

@@ -22,16 +22,28 @@ are memoized in a table that lives for one search.  An ordered search
 with max_results stops at max_results // inner! covers, since every
 cover has inner! orderings, with the message "more than max_results
 ordered factorizations".
+
+The triples are built once per cover: the row masks of R, S and B are
+read off the rectangles, and each ordering π is a relabeling of them (S's
+rows permuted by π, R's columns and B's rows and columns relabeled), with
+one relabeling table per π shared by every cover of the call.
+FactorizationSpace keeps only the covers and builds the triple at an
+index on access, for callers that draw a few triples out of many.
+Inner dimension 0 has no factorization.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import permutations, product
 from math import factorial
+from operator import index
 from typing import Iterator, Optional
 
 from .errors import ResourceBoundError
 from .matrices import NonnegMatrix, mul
+
+_from_packed = NonnegMatrix._from_packed
 
 
 def _subsets_containing(mask: int, forced: int) -> Iterator[int]:
@@ -178,6 +190,8 @@ def factorizations_general(
     _check_inner(inner)
     if not a.is_square:
         raise ValueError("factorization search needs a square matrix")
+    if inner == 0:
+        return []  # no R has zero columns
     n = a.rows
     caps = [range(max(a.row_list(i)) + 1) for i in range(n) for _ in range(inner)]
     cols = [[a.entry(i, j) for i in range(n)] for j in range(n)]
@@ -205,6 +219,152 @@ def factorizations_general(
     return out
 
 
+def _search(
+    a: NonnegMatrix, inner: int, ordered: bool, max_results: Optional[int]
+) -> list[list[tuple[int, int]]]:
+    """The covers behind factorizations(a, inner, ordered, max_results),
+    with its argument checks and its bound errors."""
+    _check_inner(inner)
+    if not a.is_boolean or not a.is_square:
+        raise ValueError("factorization search needs a square {0,1} matrix")
+    if inner == 0:
+        return []  # no R has zero columns
+    cap, message = max_results, None
+    if ordered and max_results is not None:
+        # every cover has exactly inner! orderings, so more than
+        # max_results // inner! covers is an overflow, known before any
+        # triple is built and before the rest of the covers are searched
+        cap = max_results // factorial(inner)
+        message = f"more than {max_results} ordered factorizations"
+    return _covers(a.support_rows(), a.rows, inner, cap, message)
+
+
+class _Relabel(dict):
+    """Mask x -> the mask with bit t set iff bit perm[t] of x is set,
+    computed on first lookup.  One instance per ordering perm."""
+
+    __slots__ = ("perm",)
+
+    def __init__(self, perm: tuple[int, ...]):
+        self.perm = perm
+
+    def __missing__(self, x: int) -> int:
+        y = 0
+        for t, p in enumerate(self.perm):
+            if x >> p & 1:
+                y |= 1 << t
+        self[x] = y
+        return y
+
+
+def _cover_masks(cover: list[tuple[int, int]], n: int) -> tuple[list[int], list[int], list[int]]:
+    """The row masks of R, S and B of a cover, rectangles in cover order:
+    bit t of row k of R says k is in row set t, row t of S is column set
+    t, and bit u of row t of B says column set t meets row set u."""
+    r_masks = [0] * n
+    for t, (rho, _gamma) in enumerate(cover):
+        while rho:
+            k = (rho & -rho).bit_length() - 1
+            rho &= rho - 1
+            r_masks[k] |= 1 << t
+    s_masks = [gamma for _rho, gamma in cover]
+    b_masks = [
+        sum(1 << u for u, (rho, _g) in enumerate(cover) if gamma & rho) for gamma in s_masks
+    ]
+    return r_masks, s_masks, b_masks
+
+
+def _ordering(
+    masks: tuple[list[int], list[int], list[int]], relabel: _Relabel
+) -> tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]:
+    """(R, S, B) of a cover with its rectangles taken in the order
+    relabel.perm: S's rows are permuted, R's columns and B's rows and
+    columns relabeled.  relabel may be shared by many covers."""
+    r_masks, s_masks, b_masks = masks
+    perm = relabel.perm
+    n, m = len(r_masks), len(perm)
+    return (
+        _from_packed(n, m, 1, tuple(map(relabel.__getitem__, r_masks))),
+        _from_packed(m, n, 1, tuple([s_masks[p] for p in perm])),
+        _from_packed(m, m, 1, tuple([relabel[b_masks[p]] for p in perm])),
+    )
+
+
+def _unrank(rank: int, m: int) -> tuple[int, ...]:
+    """The permutation at position rank of itertools.permutations(range(m)),
+    read off rank in the factorial number system."""
+    rest = list(range(m))
+    perm = []
+    for k in range(m - 1, -1, -1):
+        digit, rank = divmod(rank, factorial(k))
+        perm.append(rest.pop(digit))
+    return tuple(perm)
+
+
+def _triples(
+    covers: list[list[tuple[int, int]]], n: int, m: int, ordered: bool
+) -> Iterator[tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]]:
+    """(R, S, B) of every cover, one per ordering of its rectangles in
+    itertools.permutations order, or in cover order only when unordered."""
+    if not covers:
+        return
+    perms = permutations(range(m)) if ordered else [tuple(range(m))]
+    relabels = [_Relabel(perm) for perm in perms]
+    for cover in covers:
+        masks = _cover_masks(cover, n)
+        for relabel in relabels:
+            yield _ordering(masks, relabel)
+
+
+class FactorizationSpace:
+    """The (R, S, B) of a with inner dimension 1..max_inner, as a sequence
+    built on access.
+
+    Inner dimension m holds factorizations(a, m, max_results=max_results)
+    or, when that overflows, factorizations(a, m, ordered=False,
+    max_results=max_results), whose own overflow raises.  Only the covers
+    are kept: index i decodes to (m, cover, ordering rank), and the rank
+    unranks to the permutation itertools.permutations emits there, so the
+    sequence equals the concatenation of those lists.
+    """
+
+    __slots__ = ("n", "_starts", "_blocks", "_len")
+
+    def __init__(self, a: NonnegMatrix, max_inner: int, max_results: int):
+        self.n = a.rows
+        self._starts: list[int] = []  # index of each block's first triple
+        self._blocks: list[tuple[int, list, bool]] = []  # (m, covers, ordered)
+        total = 0
+        for m in range(1, max_inner + 1):
+            try:
+                covers, ordered = _search(a, m, True, max_results), True
+            except ResourceBoundError:
+                covers, ordered = _search(a, m, False, max_results), False
+            if covers:
+                self._starts.append(total)
+                self._blocks.append((m, covers, ordered))
+                total += len(covers) * (factorial(m) if ordered else 1)
+        self._len = total
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]:
+        i = index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("factorization index out of range")
+        block = bisect_right(self._starts, i) - 1
+        m, covers, ordered = self._blocks[block]
+        c, rank = divmod(i - self._starts[block], factorial(m) if ordered else 1)
+        return _ordering(_cover_masks(covers[c], self.n), _Relabel(_unrank(rank, m)))
+
+    def __iter__(self) -> Iterator[tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]]:
+        for m, covers, ordered in self._blocks:
+            yield from _triples(covers, self.n, m, ordered)
+
+
 def factorizations(
     a: NonnegMatrix,
     inner: int,
@@ -215,44 +375,7 @@ def factorizations(
 
     With ordered=True every ordering of the inner index set is emitted;
     max_results caps the output (ResourceBoundError when exceeded, no
-    silent truncation).
+    silent truncation).  Inner dimension 0 has no factorization.
     """
-    _check_inner(inner)
-    if not a.is_boolean or not a.is_square:
-        raise ValueError("factorization search needs a square {0,1} matrix")
-    n = a.rows
-    support = a.support_rows()
-    cap, message = max_results, None
-    if ordered and max_results is not None:
-        # every cover has exactly inner! orderings, so more than
-        # max_results // inner! covers is an overflow, known before any
-        # triple is built and before the rest of the covers are searched
-        cap = max_results // factorial(inner)
-        message = f"more than {max_results} ordered factorizations"
-    covers = _covers(support, n, inner, cap, message)
-    out = []
-    for cover in covers:
-        seqs = permutations(cover) if ordered else (tuple(cover),)
-        for seq in seqs:
-            r_masks = [0] * n
-            s_masks = []
-            for t, (rho, gamma) in enumerate(seq):
-                s_masks.append(gamma)
-                rr = rho
-                while rr:
-                    k = (rr & -rr).bit_length() - 1
-                    rr &= rr - 1
-                    r_masks[k] |= 1 << t
-            r = NonnegMatrix.from_bool_rows(inner, r_masks)
-            s = NonnegMatrix.from_bool_rows(n, s_masks)
-            b_masks = []
-            for rho, gamma in seq:
-                row = 0
-                for u, (rho2, _g2) in enumerate(seq):
-                    inter = gamma & rho2
-                    if inter:
-                        row |= 1 << u
-                b_masks.append(row)
-            b = NonnegMatrix.from_bool_rows(inner, b_masks)
-            out.append((r, s, b))
-    return out
+    covers = _search(a, inner, ordered, max_results)
+    return list(_triples(covers, a.rows, inner, ordered))

@@ -178,7 +178,13 @@ class Chain:
                 self.add(tuple(simplex), c)
 
     def add(self, simplex: tuple, coeff: int) -> None:
-        if coeff and len(set(simplex)) == len(simplex):
+        """Add coeff·simplex; a simplex with a repeated vertex is zero."""
+        if len(set(simplex)) == len(simplex):
+            self._add(simplex, coeff)
+
+    def _add(self, simplex: tuple, coeff: int) -> None:
+        """add for a simplex known to have no repeated vertex."""
+        if coeff:
             coeffs = self.coeffs
             new = coeffs.get(simplex, 0) + coeff
             if new:
@@ -216,7 +222,7 @@ class Chain:
 
 def boundary(c: Chain) -> Chain:
     out = Chain()
-    add = out.add
+    add = out._add  # a face of a simplex repeats none of its vertices
     for simplex, coeff in c.coeffs.items():
         if len(simplex) == 1:
             continue
@@ -270,7 +276,11 @@ def split_pair(x):
 def chain_f(c: Chain) -> Chain:
     """The signed Freudenthal subdivision image of a chain."""
     out = Chain()
-    add = out.add
+    # a cell's (i, j) rise in both coordinates, and its every i is at most
+    # its every j; so a diagonal v_k and a pair (v_i, v_j) of one cell
+    # have k = i or k = j, and since a simplex repeats no vertex, no image
+    # repeats one either
+    add = out._add
     for simplex, coeff in c.coeffs.items():
         table = _signed_index_pairs(len(simplex) - 1)
         # each pair vertex is made once per simplex, not once per cell

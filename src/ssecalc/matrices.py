@@ -11,7 +11,7 @@ multiply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -190,24 +190,9 @@ def mul(a: NonnegMatrix, b: NonnegMatrix) -> NonnegMatrix:
     if a.cols != b.rows:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a._width == 1 and b._width == 1:
-        acc_rows = []
-        boolean_ok = True
-        for sel in a._rows:
-            acc = 0
-            dup = 0
-            s = sel
-            while s:
-                k = (s & -s).bit_length() - 1
-                s &= s - 1
-                brow = b._rows[k]
-                dup |= acc & brow
-                acc |= brow
-            if dup:
-                boolean_ok = False
-                break
-            acc_rows.append(acc)
-        if boolean_ok:
-            return NonnegMatrix._from_packed(a.rows, b.cols, 1, tuple(acc_rows))
+        p = _boolean_mul(a, b)
+        if p is not None:
+            return p
         # some entry is >= 2: count with popcounts on column masks
         if a.rows * b.cols > _SCHOOLBOOK_LIMIT:
             raise InvalidMatrixError("non-boolean product of huge boolean matrices")
@@ -235,11 +220,31 @@ def mul(a: NonnegMatrix, b: NonnegMatrix) -> NonnegMatrix:
     return NonnegMatrix(out)
 
 
+def _boolean_mul(a: NonnegMatrix, b: NonnegMatrix) -> Optional[NonnegMatrix]:
+    """a·b of {0,1} matrices of matching shape when it is a {0,1} matrix
+    too, else None (some entry is >= 2).  Unchecked: the caller ensures
+    both are {0,1} and a.cols == b.rows."""
+    brows = b._rows
+    acc_rows = []
+    for sel in a._rows:
+        acc = 0
+        dup = 0
+        while sel:
+            k = (sel & -sel).bit_length() - 1
+            sel &= sel - 1
+            brow = brows[k]
+            dup |= acc & brow
+            acc |= brow
+        if dup:
+            return None
+        acc_rows.append(acc)
+    return NonnegMatrix._from_packed(a.rows, b.cols, 1, tuple(acc_rows))
+
+
 def is_nondegenerate(a: NonnegMatrix) -> bool:
     """True iff every row and every column has a positive entry."""
     colacc = 0
-    for i in range(a.rows):
-        m = a.row_mask(i)
+    for m in a._rows if a._width == 1 else a.support_rows():
         if m == 0:
             return False
         colacc |= m

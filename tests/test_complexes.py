@@ -261,7 +261,9 @@ def test_explore_triangles_match_reference_scan(a, max_inner, depth):
 
 
 @pytest.mark.parametrize(
-    "a, max_inner", [(NonnegMatrix([[2]]), 1), (FULL2, 2)], ids=["two", "full2"]
+    "a, max_inner",
+    [(NonnegMatrix([[2]]), 1), (NonnegMatrix([[2]]), 2), (FULL2, 2)],
+    ids=["two", "two-inner2", "full2"],
 )
 def test_explore_experimental_counts_triangles_match_reference_scan(a, max_inner):
     frag = explore(a, max_inner, experimental_counts=True)
@@ -278,6 +280,7 @@ _FRAGMENTS = {
     "zero": (NonnegMatrix([[0]]), 3, 1, False),
     "no-triangles": (NonnegMatrix([[0, 1, 1], [0, 1, 1], [1, 0, 1]]), 2, 1, False),
     "counts": (FULL2, 2, 1, True),
+    "counts-wide-entries": (NonnegMatrix([[12]]), 2, 1, True),
     **{
         f"rand{seed}": (_random_base(random.Random(seed), 3), 4, 1, False)
         for seed in range(4)
@@ -305,6 +308,8 @@ def test_fragment_text_is_json_dumps(fragment):
         assert obj["edges"] and obj["triangles"] == []
     if name == "counts":
         assert not all(e.is_boolean for e in frag.edges)
+    if name == "counts-wide-entries":
+        assert (len(obj["edges"]), len(obj["triangles"])) == (166, 357)
 
 
 def test_explore_triangles_pass_check_triangle(fragment):

@@ -322,7 +322,10 @@ def test_covers_match_reference_in_order():
 
 def _reference_factorizations_general(a, inner, max_results=None):
     """The Z>=0 factorization search as nested closures: R entry by entry
-    (row-major), then every column of S, then S assembled column by column."""
+    (row-major), then every column of S, then S assembled column by column.
+    Inner dimension 0 has no factorization."""
+    if inner == 0:
+        return []
     n = a.rows
     row_caps = [max(a.row_list(i)) for i in range(n)]
     out = []
@@ -401,7 +404,7 @@ def _search_outcome(search, *args):
 
 def test_general_factorizations_match_reference_in_order():
     """The Z>=0 search returns the closure search's triples in the same
-    order, and the same error (bound or empty inner) for the same input."""
+    order, and the same bound error for the same input."""
     rng = random.Random(5)
     kinds = {"found": 0, "none": 0, "error": 0}
     for n in (1, 2, 3):

@@ -88,6 +88,12 @@ def test_is_nondegenerate():
     assert is_nondegenerate(NonnegMatrix([[1, 1], [1, 0]]))
     assert not is_nondegenerate(NonnegMatrix([[1, 0], [1, 0]]))
     assert not is_nondegenerate(NonnegMatrix([[0]]))
+    assert not is_nondegenerate(NonnegMatrix([[1, 1], [0, 0]]))
+    # entries above 1: packed rows are wider than one bit per column
+    assert is_nondegenerate(NonnegMatrix([[2, 0], [0, 5]]))
+    assert not is_nondegenerate(NonnegMatrix([[3, 0], [4, 0]]))
+    assert not is_nondegenerate(NonnegMatrix([[0, 0, 0], [7, 1, 2], [1, 0, 9]]))
+    assert not is_nondegenerate(NonnegMatrix([[2, 0, 1], [1, 0, 3]]))
 
 
 def test_submatrix_basics():
