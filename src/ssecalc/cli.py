@@ -27,7 +27,6 @@ from .complexes import (
     SSEPath,
     compose_path,
     explore,
-    fragment_to_text,
     homotopic,
     path_from_json,
     path_pair_from_json,
@@ -57,7 +56,7 @@ from .gsft import (
     hat,
     hat_input_from_json,
 )
-from .matrices import matrix_from_json, matrix_to_json
+from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json
 from .refinement import axiom_input_from_json, report_to_json, verify_refinement_axioms
 from .williams import decompose
 
@@ -67,18 +66,78 @@ def _load(path: str):
         return json.load(fh)
 
 
+def _matrix_text(m: NonnegMatrix, pad: str) -> str:
+    """json.dumps(matrix_to_json(m), indent=2, sort_keys=True) with pad
+    after every newline."""
+    entry = f",\n{pad}      "
+    rows = f",\n{pad}    ".join(
+        f"[\n{pad}      " + entry.join(map(str, m.row_list(i))) + f"\n{pad}    ]"
+        for i in range(m.rows)
+    )
+    return (
+        f'{{\n{pad}  "cols": {m.cols},\n{pad}  "entries": [\n{pad}    {rows}\n'
+        f'{pad}  ],\n{pad}  "rows": {m.rows}\n{pad}}}'
+    )
+
+
+def _fragment_text(f: ComplexFragment) -> str:
+    """The "fragment" value of an explore report as json.dumps(report,
+    indent=2, sort_keys=True) writes it, without building its dict.
+
+    The records have a fixed shape, so each is one %-template, and each
+    matrix is written once, directly.  Vertices are indexed by matrix and
+    triangle edges by identity, since explore's triangles hold the
+    fragment's own edge objects."""
+    item, field = " " * 6, " " * 8  # indents of a record and of its fields
+    vindex = {v: i for i, v in enumerate(f.vertices)}
+    eindex = {id(e): i for i, e in enumerate(f.edges)}
+    field_text: dict[NonnegMatrix, str] = {}  # R and S text, once per matrix
+
+    def edge_matrix_text(m: NonnegMatrix) -> str:
+        t = field_text.get(m)
+        if t is None:
+            t = field_text[m] = _matrix_text(m, field)
+        return t
+
+    edge_record = (
+        f'{{\n{field}"R": %s,\n{field}"S": %s,\n'
+        f'{field}"source": %d,\n{field}"target": %d\n{item}}}'
+    )
+    edges = [
+        edge_record % (edge_matrix_text(e.r), edge_matrix_text(e.s), vindex[e.a], vindex[e.b])
+        for e in f.edges
+    ]
+    triangle_record = f'{{\n{field}"e1": %d,\n{field}"e2": %d,\n{field}"e3": %d\n{item}}}'
+    triangles = [
+        triangle_record % (eindex[id(t.e1)], eindex[id(t.e2)], eindex[id(t.e3)])
+        for t in f.triangles
+    ]
+    vertices = [_matrix_text(v, item) for v in f.vertices]
+
+    def listing(records: list[str]) -> str:
+        if not records:
+            return "[]"
+        return f"[\n{item}" + f",\n{item}".join(records) + "\n    ]"
+
+    return (
+        f'{{\n    "depth": {f.depth},\n    "edges": {listing(edges)},\n'
+        f'    "max_inner": {f.max_inner},\n    "triangles": {listing(triangles)},\n'
+        f'    "vertices": {listing(vertices)}\n  }}'
+    )
+
+
 def _encode(report: dict) -> str:
     """json.dumps(report, indent=2, sort_keys=True).
 
-    An explore report holds its ComplexFragment, which fragment_to_text
+    An explore report holds its ComplexFragment, which _fragment_text
     writes directly: the same bytes, several times faster on large
-    fragments than encoding the dict of fragment_to_json."""
+    fragments than encoding the fragment as a dict."""
     frag = report.get("fragment")
     if not isinstance(frag, ComplexFragment):
         return json.dumps(report, indent=2, sort_keys=True)
     text = json.dumps({**report, "fragment": None}, indent=2, sort_keys=True)
     head, tail = text.split('\n  "fragment": null', 1)
-    return f'{head}\n  "fragment": {fragment_to_text(frag, "  ")}{tail}'
+    return f'{head}\n  "fragment": {_fragment_text(frag)}{tail}'
 
 
 def _emit(args, report: dict) -> None:

@@ -9,7 +9,6 @@ and comparing normal forms.  explore materializes the depth-bounded
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,16 +111,16 @@ def automorphism_from_loop(p: SSEPath) -> BlockCode:
 
 
 class _Products(dict):
-    """(id(X), id(Y)) -> X·Y for X and Y among the matrices, computed on
-    first lookup and interned; None where multiply gives None."""
+    """(X, Y) -> X·Y for interned matrices X and Y, computed on first
+    lookup and interned; None where multiply gives None."""
 
-    __slots__ = ("matrices", "multiply", "intern")
+    __slots__ = ("multiply", "intern")
 
-    def __init__(self, matrices: dict, multiply, intern):
-        self.matrices, self.multiply, self.intern = matrices, multiply, intern
+    def __init__(self, multiply, intern):
+        self.multiply, self.intern = multiply, intern
 
-    def __missing__(self, key: tuple[int, int]) -> Optional[NonnegMatrix]:
-        p = self.multiply(self.matrices[key[0]], self.matrices[key[1]])
+    def __missing__(self, key: tuple[NonnegMatrix, NonnegMatrix]) -> Optional[NonnegMatrix]:
+        p = self.multiply(*key)
         if p is not None:
             p = self.intern(p, p)
         self[key] = p
@@ -157,11 +156,12 @@ def explore(
     each candidate is then checked against all three equations of
     check_triangle.  The products are read from a table local to the call,
     so each distinct product is computed once.  Every matrix of the call
-    is interned, so the scan keys and compares matrices by identity.  The
-    edges out of a nondegenerate vertex and every triangle are built
-    without their checks, which the exact covers and the lookup already
-    guarantee; a degenerate base gets checked edges.  Caps raise
-    ResourceBoundError, they never silently truncate.
+    is interned, so the tables are keyed by the matrices themselves and
+    the scan compares them by identity.  The edges out of a nondegenerate
+    vertex and every triangle are built without their checks, which the
+    exact covers and the lookup already guarantee; a degenerate base gets
+    checked edges.  Caps raise ResourceBoundError, they never silently
+    truncate.
 
     experimental_counts switches to the much slower search over all
     nonnegative integer entries (matrices over Z>=0 instead of {0,1});
@@ -191,12 +191,12 @@ def explore(
         # equals none of them and is recorded as a miss (None)
         find, checked_edge, multiply = factorizations, SSEEdge, _boolean_mul
     # one object per distinct matrix of the call, so that equal matrices
-    # below are the same object: they are keyed by id() and compared by
-    # identity, and canon keeps them alive for the call
+    # below are the same object: the tables below are keyed by them, and
+    # a lookup or a product test then matches by identity
     canon: dict[NonnegMatrix, NonnegMatrix] = {a: a}
     intern = canon.setdefault
-    vertices: dict[int, NonnegMatrix] = {id(a): a}
-    edges: dict[tuple[int, int], DegSSEEdge] = {}  # by (R, S)
+    vertices: dict[NonnegMatrix, None] = {a: None}  # in discovery order
+    edges: dict[tuple[NonnegMatrix, NonnegMatrix], DegSSEEdge] = {}  # by (R, S)
     frontier = [a]
     for _ in range(depth):
         next_frontier = []
@@ -213,50 +213,48 @@ def explore(
             for m in range(1, max_inner + 1):
                 for r, s, b in find(v, m, max_results=max_edges):
                     r, s, b = intern(r, r), intern(s, s), intern(b, b)
-                    key = (id(r), id(s))  # A = RS and B = SR
-                    if key not in edges:
-                        edges[key] = make_edge(v, b, r, s)
-                        edges[(id(s), id(r))] = make_edge(b, v, s, r)
+                    if (r, s) not in edges:  # A = RS and B = SR
+                        edges[r, s] = make_edge(v, b, r, s)
+                        edges[s, r] = make_edge(b, v, s, r)
                         if len(edges) > max_edges:
                             raise ResourceBoundError(
                                 f"more than {max_edges} edges; tighten the bounds"
                             )
-                    if id(b) not in vertices:
-                        vertices[id(b)] = b
+                    if b not in vertices:
+                        vertices[b] = None
                         next_frontier.append(b)
         frontier = next_frontier
     edge_list = list(edges.values())
-    # source -> target -> [(position in edge_list, edge, id of the target)],
-    # and source -> target -> R -> edges, each list in edge_list order
-    by_target: dict[int, dict[int, list]] = {}
-    by_ends: dict[int, dict[int, dict[int, list]]] = {}
+    # source -> target -> R -> [(position in edge_list, edge)], each list
+    # in edge_list order
+    index: dict[NonnegMatrix, dict[NonnegMatrix, dict[NonnegMatrix, list]]] = {}
     for pos, e in enumerate(edge_list):
-        a_id, b_id = id(e.a), id(e.b)
-        by_target.setdefault(a_id, {}).setdefault(b_id, []).append((pos, e, b_id))
-        by_ends.setdefault(a_id, {}).setdefault(b_id, {}).setdefault(id(e.r), []).append(e)
+        index.setdefault(e.a, {}).setdefault(e.b, {}).setdefault(e.r, []).append((pos, e))
     # few distinct R and S occur, so most products repeat
-    products = _Products({id(m): m for m in canon}, multiply, intern)
+    products = _Products(multiply, intern)
     # the three triangle equations of check_triangle; the first,
     # R1·R2 = R3, is the lookup of e3 by its R
     triangles = []
     triangle = Triangle._trusted
     for e1 in edge_list:
-        from_a, out_of_b = by_ends[id(e1.a)], by_target[id(e1.b)]
+        from_a, out_of_b = index[e1.a], index[e1.b]
         r1, s1 = e1.r, e1.s
         # the e2 out of B into the targets A has edges to, in edge_list order
-        for _pos, e2, c in sorted(
-            t for c in out_of_b.keys() & from_a.keys() for t in out_of_b[c]
+        for _pos, e2 in sorted(
+            pair
+            for c in out_of_b.keys() & from_a.keys()
+            for by_r in out_of_b[c].values()
+            for pair in by_r
         ):
-            by_r = from_a[c]
             r2 = e2.r
-            r3 = products[id(r1), id(r2)]
+            r3 = products[r1, r2]
             if r3 is None:
                 continue
-            for e3 in by_r.get(id(r3), ()):
-                s3 = id(e3.s)
-                if products[id(r2), s3] is s1 and products[s3, id(r1)] is e2.s:
+            for _pos, e3 in from_a[e2.b].get(r3, ()):
+                s3 = e3.s
+                if products[r2, s3] is s1 and products[s3, r1] is e2.s:
                     triangles.append(triangle(e1, e2, e3))
-    return ComplexFragment(list(vertices.values()), edge_list, triangles, depth, max_inner)
+    return ComplexFragment(list(vertices), edge_list, triangles, depth, max_inner)
 
 
 # -- JSON formats ------------------------------------------------------
@@ -292,109 +290,3 @@ def path_pair_from_json(obj: dict) -> tuple[SSEPath, SSEPath]:
     if not isinstance(obj, dict):
         raise InvalidEdgeError("a path pair must be a JSON object")
     return path_from_json(obj["p"]), path_from_json(obj["q"])
-
-
-def fragment_to_json(f: ComplexFragment) -> dict:
-    vindex = {v: i for i, v in enumerate(f.vertices)}
-    edges = []
-    eindex = {}
-    for e in f.edges:
-        eindex[(e.a, e.b, e.r, e.s)] = len(edges)
-        edges.append(
-            {
-                "source": vindex[e.a],
-                "target": vindex[e.b],
-                "R": matrix_to_json(e.r),
-                "S": matrix_to_json(e.s),
-            }
-        )
-    triangles = [
-        {
-            "e1": eindex[(t.e1.a, t.e1.b, t.e1.r, t.e1.s)],
-            "e2": eindex[(t.e2.a, t.e2.b, t.e2.r, t.e2.s)],
-            "e3": eindex[(t.e3.a, t.e3.b, t.e3.r, t.e3.s)],
-        }
-        for t in f.triangles
-    ]
-    return {
-        "vertices": [matrix_to_json(v) for v in f.vertices],
-        "edges": edges,
-        "triangles": triangles,
-        "depth": f.depth,
-        "max_inner": f.max_inner,
-    }
-
-
-def fragment_to_text(f: ComplexFragment, indent: str = "") -> str:
-    """json.dumps(fragment_to_json(f), indent=2, sort_keys=True), written
-    without building the dict.
-
-    indent prefixes every line after the first, as json.dumps does for a
-    fragment nested in a larger object.  The records have a fixed shape, so
-    each is one %-template, and each matrix is written once, directly.
-    """
-    vindex = {v: i for i, v in enumerate(f.vertices)}
-    item = indent + "    "  # indent of an edge, triangle or vertex record
-    field = item + "  "  # indent of a record's fields
-
-    def matrix_text(m: NonnegMatrix, pad: str) -> str:
-        """json.dumps(matrix_to_json(m), indent=2, sort_keys=True) with pad
-        after every newline."""
-        entry = f",\n{pad}      "
-        rows = f",\n{pad}    ".join(
-            f"[\n{pad}      " + entry.join(map(str, m.row_list(i))) + f"\n{pad}    ]"
-            for i in range(m.rows)
-        )
-        return (
-            f'{{\n{pad}  "cols": {m.cols},\n{pad}  "entries": [\n{pad}    {rows}\n'
-            f'{pad}  ],\n{pad}  "rows": {m.rows}\n{pad}}}'
-        )
-
-    field_text: dict[NonnegMatrix, str] = {}  # R and S text, once per matrix
-
-    def edge_matrix_text(m: NonnegMatrix) -> str:
-        t = field_text.get(m)
-        if t is None:
-            t = field_text[m] = matrix_text(m, field)
-        return t
-
-    edge_record = (
-        f'{{\n{field}"R": %s,\n{field}"S": %s,\n'
-        f'{field}"source": %d,\n{field}"target": %d\n{item}}}'
-    )
-    edges = []
-    eindex = {}
-    for e in f.edges:
-        eindex[(e.a, e.b, e.r, e.s)] = len(edges)
-        edges.append(
-            edge_record
-            % (edge_matrix_text(e.r), edge_matrix_text(e.s), vindex[e.a], vindex[e.b])
-        )
-    triangle_record = (
-        f'{{\n{field}"e1": %d,\n{field}"e2": %d,\n{field}"e3": %d\n{item}}}'
-    )
-    # each edge object's index, read off its key once
-    by_id = {id(e): eindex[(e.a, e.b, e.r, e.s)] for e in f.edges}
-
-    def index(e: DegSSEEdge) -> int:
-        i = by_id.get(id(e))
-        return eindex[(e.a, e.b, e.r, e.s)] if i is None else i
-
-    triangles = [
-        triangle_record % (index(t.e1), index(t.e2), index(t.e3))
-        for t in f.triangles
-    ]
-    vertices = [matrix_text(v, item) for v in f.vertices]
-
-    def listing(records: list[str]) -> str:
-        if not records:
-            return "[]"
-        return f"[\n{item}" + f",\n{item}".join(records) + f"\n{indent}  ]"
-
-    return (
-        f'{{\n{indent}  "depth": {json.dumps(f.depth)},\n'
-        f'{indent}  "edges": {listing(edges)},\n'
-        f'{indent}  "max_inner": {json.dumps(f.max_inner)},\n'
-        f'{indent}  "triangles": {listing(triangles)},\n'
-        f'{indent}  "vertices": {listing(vertices)}\n{indent}}}'
-    )

@@ -23,6 +23,8 @@ class FiniteGroup:
     def __init__(self, names, table):
         self.names = tuple(names)
         n = len(self.names)
+        if any(type(name) is not str for name in self.names):
+            raise InvalidGroupError("element names must be strings")
         if len(set(self.names)) != n or n == 0:
             raise InvalidGroupError("element names must be nonempty and distinct")
         self.table = tuple(tuple(row) for row in table)
@@ -30,6 +32,8 @@ class FiniteGroup:
             raise InvalidGroupError("table must be n x n")
         for r in self.table:
             for v in r:
+                if type(v) is not int:
+                    raise InvalidGroupError(f"table entry {v!r} is not an integer")
                 if not (0 <= v < n):
                     raise InvalidGroupError("table entry out of range")
         for i in range(n):

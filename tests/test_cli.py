@@ -1,6 +1,11 @@
+import copy
+import functools
 import json
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssecalc.cli import _COMMANDS, build_parser, main
 from ssecalc.codes import code_to_json, shift_code
@@ -136,11 +141,12 @@ def test_explore_pinned_results(tmp_path):
     assert rep["fragment"]["vertices"] == [matrix_to_json(NonnegMatrix([[0]]))]
 
 
-def test_normalize_degenerate(tmp_path):
+def _degenerate_path():
+    """Out from GM to B = SR, which has a zero row, and back."""
     r = NonnegMatrix([[1, 0, 1], [0, 1, 0]])
     s = NonnegMatrix([[1, 1], [1, 0], [0, 0]])
     m = mul(s, r)
-    obj = {
+    return {
         "base": matrix_to_json(GM),
         "steps": [
             {
@@ -163,7 +169,10 @@ def test_normalize_degenerate(tmp_path):
             },
         ],
     }
-    path = write(tmp_path, "degpath.json", obj)
+
+
+def test_normalize_degenerate(tmp_path):
+    path = write(tmp_path, "degpath.json", _degenerate_path())
     code, rep = run(tmp_path, "normalize-degenerate", "--input", path)
     assert code == 0 and rep["composite_agrees_on_cores"]
     # the bound counts rounds: a negative one is an input error, and 0
@@ -176,23 +185,22 @@ def test_normalize_degenerate(tmp_path):
     assert code == 3 and rep["kind"] == "bound", rep
 
 
+Z3 = {"elements": ["e", "a", "a^2"], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+Z3_MATRIX = {
+    "group": Z3,
+    "rows": 2,
+    "cols": 2,
+    "entries": [[["e", "a"], ["a"]], [["a^2"], ["a^2"]]],
+}
+
+
 def test_gsft_bar_and_hat(tmp_path):
-    groupobj = {
-        "elements": ["e", "a", "a^2"],
-        "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
-    }
-    aobj = {
-        "group": groupobj,
-        "rows": 2,
-        "cols": 2,
-        "entries": [[["e", "a"], ["a"]], [["a^2"], ["a^2"]]],
-    }
-    path = write(tmp_path, "gr.json", aobj)
+    path = write(tmp_path, "gr.json", Z3_MATRIX)
     code, rep = run(tmp_path, "gsft-bar", "--input", path)
     assert code == 0
     assert rep["bar"]["rows"] == 6
     back = write(
-        tmp_path, "hat.json", {"group": groupobj, "matrix": rep["bar"], "shape": [2, 2]}
+        tmp_path, "hat.json", {"group": Z3, "matrix": rep["bar"], "shape": [2, 2]}
     )
     code, rep2 = run(tmp_path, "gsft-hat", "--input", back)
     assert code == 0
@@ -435,3 +443,104 @@ def test_seed_and_trials_belong_to_the_random_suites(tmp_path, capsys, command, 
         main([command, "--input", path, flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def _group_input(command, names, table=((0, 1), (1, 0))):
+    """A valid gsft-hat, gsft-bar or cayley-schedule input over a two-element
+    group, with the given element names and table."""
+    group = {"elements": list(names), "table": [list(row) for row in table]}
+    if command == "gsft-hat":
+        matrix = matrix_to_json(NonnegMatrix([[1, 1], [1, 1]]))
+        return {"group": group, "matrix": matrix, "shape": [1, 1]}
+    if command == "gsft-bar":
+        return {"group": group, "rows": 1, "cols": 1, "entries": [[list(names)]]}
+    return {"group": {"type": "table", **group}, "generators": list(names), "window": list(names)}
+
+
+@pytest.mark.parametrize("command", ["gsft-hat", "gsft-bar", "cayley-schedule"])
+def test_group_element_names_must_be_strings(tmp_path, command):
+    path = write(tmp_path, "in.json", _group_input(command, ["e", "a"]))
+    code, rep = run(tmp_path, command, "--input", path)
+    assert code == 0, rep
+    names = ["e", 0] if command == "gsft-hat" else ["e", 1]
+    path = write(tmp_path, "in.json", _group_input(command, names))
+    code, rep = run(tmp_path, command, "--input", path)
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == "element names must be strings"
+
+
+def test_group_table_entries_must_be_integers(tmp_path):
+    obj = _group_input("gsft-bar", ["e", "a"], table=[[0, True], [True, 0]])
+    path = write(tmp_path, "in.json", obj)
+    code, rep = run(tmp_path, "gsft-bar", "--input", path)
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == "table entry True is not an integer"
+
+
+# one valid input per subcommand that reads one, with its extra arguments
+_SWEEP_INPUTS = [
+    ("verify-edge", edge_to_json(SSEEdge(GM, GM, GM, I2)), ()),
+    ("verify-triangle", triangle_to_json(Triangle(*[SSEEdge(GM, GM, I2, GM)] * 3)), ()),
+    ("code", edge_to_json(SSEEdge(GM, GM, GM, I2)), ()),
+    ("extract", _code_obj(), ()),
+    ("decompose", _code_obj(), ()),
+    ("compose-path", _signed_path(1), ()),
+    ("homotopic", {"p": _signed_path(1), "q": _signed_path(1)}, ()),
+    ("explore", matrix_to_json(GM), ("--max-inner", "2", "--max-size", "3")),
+    ("normalize-degenerate", _degenerate_path(), ()),
+    ("gsft-bar", Z3_MATRIX, ()),
+    ("gsft-hat", _group_input("gsft-hat", ["e", "a"]), ()),
+    ("refine-axioms", {"base": matrix_to_json(GM), "tuple_size": 2}, ("--trials", "1")),
+    ("cayley-schedule", _zd_window(2, [[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [1, 1]]), ()),
+    ("cayley-schedule", _group_input("cayley-schedule", ["e", "a"]), ()),
+]
+# the report key of each subcommand that can exit 1, false when it does
+_VERDICTS = {
+    "verify-edge": "verified",
+    "verify-triangle": "verified",
+    "decompose": "recomposes",
+    "homotopic": "homotopic",
+    "normalize-degenerate": "composite_agrees_on_cores",
+    "refine-axioms": "all_passed",
+    "cayley-schedule": "verified",
+}
+_SMALL_VALUES = [-1, 0, 1, 2, 3, 1.5, True, None, "x", [], {}]
+
+
+def _slots(obj, path=()):
+    """The path of every value nested in obj."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_keep_the_exit_contract(sweep_dir, data):
+    """One key deleted or one value replaced in a valid input never
+    escapes main, and never reads as a false verdict."""
+    command, obj, extra = data.draw(st.sampled_from(_SWEEP_INPUTS))
+    obj = copy.deepcopy(obj)
+    *head, last = data.draw(st.sampled_from(list(_slots(obj))))
+    parent = functools.reduce(operator.getitem, head, obj)
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(data.draw(st.sampled_from(_SMALL_VALUES)))
+    code, rep = run(sweep_dir, command, "--input", write(sweep_dir, "in.json", obj), *extra)
+    assert code in (0, 1, 2, 3), rep
+    if code == 2:
+        assert rep["kind"] == "input", rep
+    if code == 1:
+        assert rep[_VERDICTS[command]] is False, rep

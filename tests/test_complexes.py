@@ -10,8 +10,6 @@ from ssecalc.complexes import (
     automorphism_from_loop,
     compose_path,
     explore,
-    fragment_to_json,
-    fragment_to_text,
     homotopic,
     path_from_json,
     path_to_json,
@@ -141,6 +139,43 @@ def test_path_sign_must_be_the_integer_one_or_minus_one(sign):
     e = SSEEdge(GM, GM, GM, I2)
     with pytest.raises(InvalidEdgeError, match="sign"):
         SSEPath(GM, ((e, sign),))
+
+
+def fragment_to_json(f):
+    """The explore report's "fragment" object, built as a dict: the oracle
+    of the CLI's direct writer."""
+    vindex = {v: i for i, v in enumerate(f.vertices)}
+    eindex = {(e.a, e.b, e.r, e.s): i for i, e in enumerate(f.edges)}
+
+    def edge_index(e):
+        return eindex[(e.a, e.b, e.r, e.s)]
+
+    return {
+        "vertices": [matrix_to_json(v) for v in f.vertices],
+        "edges": [
+            {
+                "source": vindex[e.a],
+                "target": vindex[e.b],
+                "R": matrix_to_json(e.r),
+                "S": matrix_to_json(e.s),
+            }
+            for e in f.edges
+        ],
+        "triangles": [
+            {"e1": edge_index(t.e1), "e2": edge_index(t.e2), "e3": edge_index(t.e3)}
+            for t in f.triangles
+        ],
+        "depth": f.depth,
+        "max_inner": f.max_inner,
+    }
+
+
+def _assert_report_matches_oracle(a, frag):
+    """The CLI's explore report text equals json.dumps of the report built
+    with the oracle."""
+    report = {"command": "explore", "input": matrix_to_json(a), "elapsed_seconds": 0.125}
+    want = json.dumps({**report, "fragment": fragment_to_json(frag)}, indent=2, sort_keys=True)
+    assert _encode({**report, "fragment": frag}) == want
 
 
 def test_fragment_json():
@@ -297,11 +332,8 @@ def fragment(request):
 
 def test_fragment_text_is_json_dumps(fragment):
     name, a, frag = fragment
+    _assert_report_matches_oracle(a, frag)
     obj = fragment_to_json(frag)
-    assert fragment_to_text(frag) == json.dumps(obj, indent=2, sort_keys=True)
-    report = {"command": "explore", "input": matrix_to_json(a), "elapsed_seconds": 0.125}
-    want = json.dumps({**report, "fragment": obj}, indent=2, sort_keys=True)
-    assert _encode({**report, "fragment": frag}) == want
     if name == "zero":
         assert obj["edges"] == [] and obj["triangles"] == []
     if name == "no-triangles":
@@ -317,3 +349,21 @@ def test_explore_triangles_pass_check_triangle(fragment):
     assert all(check_triangle(t) for t in frag.triangles)
     edges = set(map(id, frag.edges))
     assert all({id(t.e1), id(t.e2), id(t.e3)} <= edges for t in frag.triangles)
+
+
+# the benchmark's four deep explore inputs: (base, max_inner, depth) and
+# the (vertices, edges, triangles) of their fragments
+@pytest.mark.parametrize(
+    "a, max_inner, depth, counts",
+    [
+        (GM, 3, 3, (8, 104, 960)),
+        (FULL2, 3, 2, (13, 340, 4908)),
+        (FULL2, 3, 3, (13, 340, 4908)),
+        (GM, 4, 2, (104, 1256, 11328)),
+    ],
+    ids=["gm-d3", "full2-d2", "full2-d3", "gm-d2-inner4"],
+)
+def test_deep_explore_counts(a, max_inner, depth, counts):
+    frag = explore(a, max_inner, depth=depth)
+    assert (len(frag.vertices), len(frag.edges), len(frag.triangles)) == counts
+    _assert_report_matches_oracle(a, frag)
