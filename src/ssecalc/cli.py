@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -68,27 +69,31 @@ def _load(path: str):
 
 def _matrix_text(m: NonnegMatrix, pad: str) -> str:
     """json.dumps(matrix_to_json(m), indent=2, sort_keys=True) with pad
-    after every newline."""
+    after every newline.  The rows of a {0,1} matrix are written from
+    their masks, one character per entry."""
     entry = f",\n{pad}      "
-    rows = f",\n{pad}    ".join(
-        f"[\n{pad}      " + entry.join(map(str, m.row_list(i))) + f"\n{pad}    ]"
-        for i in range(m.rows)
-    )
+    if m.is_boolean:
+        form = f"0{m.cols}b"
+        cells = (entry.join(format(mask, form)[::-1]) for mask in m.support_rows())
+    else:
+        cells = (entry.join(map(str, m.row_list(i))) for i in range(m.rows))
+    rows = f",\n{pad}    ".join(f"[\n{pad}      {row}\n{pad}    ]" for row in cells)
     return (
         f'{{\n{pad}  "cols": {m.cols},\n{pad}  "entries": [\n{pad}    {rows}\n'
         f'{pad}  ],\n{pad}  "rows": {m.rows}\n{pad}}}'
     )
 
 
-def _fragment_text(f: ComplexFragment) -> str:
-    """The "fragment" value of an explore report as json.dumps(report,
-    indent=2, sort_keys=True) writes it, without building its dict.
+def _fragment_text(f: ComplexFragment, pad: str) -> str:
+    """The fragment of an explore report as json.dumps writes its dict at
+    indent 2 with pad after every newline, without building the dict.
 
     The records have a fixed shape, so each is one %-template, and each
     matrix is written once, directly.  Vertices are indexed by matrix and
     triangle edges by identity, since explore's triangles hold the
     fragment's own edge objects."""
-    item, field = " " * 6, " " * 8  # indents of a record and of its fields
+    inner = pad + "  "
+    item, field = inner + "  ", inner + "    "  # indents of a record and of its fields
     vindex = {v: i for i, v in enumerate(f.vertices)}
     eindex = {id(e): i for i, e in enumerate(f.edges)}
     field_text: dict[NonnegMatrix, str] = {}  # R and S text, once per matrix
@@ -117,27 +122,65 @@ def _fragment_text(f: ComplexFragment) -> str:
     def listing(records: list[str]) -> str:
         if not records:
             return "[]"
-        return f"[\n{item}" + f",\n{item}".join(records) + "\n    ]"
+        return f"[\n{item}" + f",\n{item}".join(records) + f"\n{inner}]"
 
     return (
-        f'{{\n    "depth": {f.depth},\n    "edges": {listing(edges)},\n'
-        f'    "max_inner": {f.max_inner},\n    "triangles": {listing(triangles)},\n'
-        f'    "vertices": {listing(vertices)}\n  }}'
+        f'{{\n{inner}"depth": {f.depth},\n{inner}"edges": {listing(edges)},\n'
+        f'{inner}"max_inner": {f.max_inner},\n{inner}"triangles": {listing(triangles)},\n'
+        f'{inner}"vertices": {listing(vertices)}\n{pad}}}'
     )
 
 
-def _encode(report: dict) -> str:
-    """json.dumps(report, indent=2, sort_keys=True).
+_string_text = json.encoder.encode_basestring_ascii
 
-    An explore report holds its ComplexFragment, which _fragment_text
-    writes directly: the same bytes, several times faster on large
-    fragments than encoding the fragment as a dict."""
-    frag = report.get("fragment")
-    if not isinstance(frag, ComplexFragment):
-        return json.dumps(report, indent=2, sort_keys=True)
-    text = json.dumps({**report, "fragment": None}, indent=2, sort_keys=True)
-    head, tail = text.split('\n  "fragment": null', 1)
-    return f'{head}\n  "fragment": {_fragment_text(frag)}{tail}'
+
+def _text(v, pad: str) -> str:
+    """json.dumps(v, indent=2, sort_keys=True) with pad after every newline.
+
+    Plain strings, ints, lists, tuples and dicts with string keys are
+    written here, a list of plain ints in one join; a ComplexFragment by
+    _fragment_text.  Everything else (subclasses, non-string keys, NaN
+    and infinities) is json.dumps of its subtree."""
+    t = type(v)
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        if {*map(type, v)} == {int}:
+            body = f",\n{inner}".join(map(int.__repr__, v))
+        else:
+            body = f",\n{inner}".join([_text(x, inner) for x in v])
+        return f"[\n{inner}{body}\n{pad}]"
+    if t is int:
+        return int.__repr__(v)
+    if t is str:
+        return _string_text(v)
+    if t is dict and all(type(k) is str for k in v):
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        body = f",\n{inner}".join(
+            [f"{_string_text(k)}: {_text(v[k], inner)}" for k in sorted(v)]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if v is None:
+        return "null"
+    if t is float and math.isfinite(v):
+        return float.__repr__(v)
+    if t is ComplexFragment:
+        return _fragment_text(v, pad)
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _encode(report: dict) -> str:
+    """json.dumps(report, indent=2, sort_keys=True), written by _text:
+    json's C encoder runs only without indent, and its Python encoder is
+    several times slower."""
+    return _text(report, "")
 
 
 def _emit(args, report: dict) -> None:

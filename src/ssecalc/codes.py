@@ -50,20 +50,19 @@ class BlockCode:
     ):
         if left > right:
             raise InvalidCodeError("window left must be <= right")
-        set_ = object.__setattr__
-        set_(self, "domain", domain)
-        set_(self, "codomain", codomain)
-        set_(self, "left", left)
-        set_(self, "right", right)
-        set_(self, "table", MappingProxyType(dict(table)))
-        set_(self, "_hash", None)
+        _set_domain(self, domain)
+        _set_codomain(self, codomain)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_table(self, MappingProxyType(dict(table)))
+        _set_hash(self, None)
         if not unchecked:
             self._validate()
         partner = None
         if inverse is not None:
             partner = BlockCode(codomain, domain, *inverse, unchecked=unchecked)
-            set_(partner, "_inverse", self)
-        set_(self, "_inverse", partner)
+            _set_inverse(partner, self)
+        _set_inverse(self, partner)
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockCode is immutable")
@@ -72,15 +71,29 @@ class BlockCode:
         raise AttributeError("BlockCode is immutable")
 
     def _validate(self):
-        width = self.width
-        words = self.domain.words(width)
-        if set(self.table) != set(words):
-            missing = set(words) - set(self.table)
-            extra = set(self.table) - set(words)
-            raise InvalidCodeError(
-                f"table must be total on allowed {width}-words "
-                f"(missing {len(missing)}, extra {len(extra)})"
-            )
+        width, table, x = self.width, self.table, self.domain
+        # A wide window has exponentially many allowed words, so the table's
+        # size is checked against their count before any word is built.
+        # Every symbol has a successor, so the count never falls as words
+        # grow and can stop once it exceeds the table; keys of the window's
+        # length bound the number of steps by the input's size.
+        total = f"table must be total on allowed {width}-words"
+        if any(len(w) != width for w in table):
+            raise InvalidCodeError(f"{total} (a key has another length)")
+        ends = [1] * x.alphabet_size  # allowed words of the current length, by last symbol
+        for _ in range(width - 1):
+            if sum(ends) > len(table):
+                break
+            ends = [sum(ends[i] for i in x.pred(j)) for j in range(x.alphabet_size)]
+        count = sum(ends)
+        if count != len(table):
+            allowed = "more words" if count > len(table) else f"{count} words"
+            raise InvalidCodeError(f"{total} (table of {len(table)}, {allowed})")
+        words = x.words(width)
+        if set(table) != set(words):
+            missing = set(words) - set(table)
+            extra = set(table) - set(words)
+            raise InvalidCodeError(f"{total} (missing {len(missing)}, extra {len(extra)})")
         n_out = self.codomain.alphabet_size
         for w, v in self.table.items():
             if not (0 <= v < n_out):
@@ -157,7 +170,7 @@ class BlockCode:
                     tuple(sorted(self.table.items())),
                 )
             )
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -165,6 +178,13 @@ class BlockCode:
             f"BlockCode({self.domain.alphabet_size}->{self.codomain.alphabet_size} "
             f"symbols, window [{self.left},{self.right}])"
         )
+
+
+# The slots are set through their member descriptors, past the refusing
+# __setattr__, as in matrices.NonnegMatrix.
+_set_domain, _set_codomain, _set_left, _set_right, _set_table, _set_inverse, _set_hash = (
+    BlockCode.__dict__[name].__set__ for name in BlockCode.__slots__
+)
 
 
 def identity_code(x: VertexShift) -> BlockCode:

@@ -51,11 +51,11 @@ class NonnegMatrix:
                 if v > maxval:
                     maxval = v
         width = max(1, maxval.bit_length())
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_width", width)
-        object.__setattr__(self, "_rows", tuple(_pack(row, width) for row in data))
-        object.__setattr__(self, "_hash", None)
+        _set_rows(self, len(data))
+        _set_cols(self, cols)
+        _set_width(self, width)
+        _set_packed(self, tuple(_pack(row, width) for row in data))
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("NonnegMatrix is immutable")
@@ -66,11 +66,11 @@ class NonnegMatrix:
     @classmethod
     def _from_packed(cls, rows: int, cols: int, width: int, packed: tuple[int, ...]) -> "NonnegMatrix":
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_width", width)
-        object.__setattr__(m, "_rows", packed)
-        object.__setattr__(m, "_hash", None)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_width(m, width)
+        _set_packed(m, packed)
+        _set_hash(m, None)
         return m
 
     @classmethod
@@ -148,7 +148,7 @@ class NonnegMatrix:
         h = self._hash
         if h is None:
             h = hash((self.rows, self.cols, self._width, self._rows))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -178,6 +178,14 @@ class NonnegMatrix:
         for _ in range(k):
             acc = mul(acc, self)
         return acc
+
+
+# The slots are set through their member descriptors: the class's own
+# __setattr__ refuses every assignment, and object.__setattr__ costs a
+# lookup per call.
+_set_rows, _set_cols, _set_width, _set_packed, _set_hash = (
+    NonnegMatrix.__dict__[name].__set__ for name in NonnegMatrix.__slots__
+)
 
 
 def mul(a: NonnegMatrix, b: NonnegMatrix) -> NonnegMatrix:

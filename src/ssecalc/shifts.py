@@ -54,11 +54,12 @@ class VertexShift:
         cached = self._words.get(length)
         if cached is not None:
             return cached
-        if length == 1:
-            out = tuple((a,) for a in range(self.alphabet_size))
-        else:
-            prev = self.words(length - 1)
-            out = tuple(w + (a,) for w in prev for a in self._succ[w[-1]])
+        # extend the longest cached shorter words, one symbol at a time
+        built = max((k for k in self._words if k < length), default=1)
+        out = self._words.get(built) or tuple((a,) for a in range(self.alphabet_size))
+        succ = self._succ
+        for _ in range(length - built):
+            out = tuple(w + (a,) for w in out for a in succ[w[-1]])
         self._words[length] = out
         return out
 

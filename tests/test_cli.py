@@ -2,12 +2,13 @@ import copy
 import functools
 import json
 import operator
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssecalc.cli import _COMMANDS, build_parser, main
+from ssecalc.cli import _COMMANDS, _encode, build_parser, main
 from ssecalc.codes import code_to_json, shift_code
 from ssecalc.complexes import SSEPath, path_to_json
 from ssecalc.elementary import SSEEdge, Triangle, edge_to_json, triangle_to_json
@@ -325,6 +326,20 @@ def _signed_path(sign):
     return {"base": matrix_to_json(GM), "steps": [step]}
 
 
+@pytest.mark.parametrize("command", ["extract", "decompose"])
+@pytest.mark.parametrize("right", [1500, 39])
+def test_a_wide_code_window_is_an_input_error(tmp_path, command, right):
+    """The golden-mean identity table on a window of right + 1 coordinates
+    is refused before its allowed words are built."""
+    obj = code_to_json(shift_code(VertexShift(GM), 1), include_inverse=False)
+    path = write(tmp_path, "code.json", dict(obj, window=[0, right]))
+    start = time.monotonic()
+    code, rep = run(tmp_path, command, "--input", path)
+    assert time.monotonic() - start < 0.5
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"].startswith(f"table must be total on allowed {right + 1}-words")
+
+
 # signs that are not the integer 1 or -1, each through every path decoder
 _BAD_SIGN_INPUTS = [
     (command, obj)
@@ -504,7 +519,7 @@ _VERDICTS = {
     "refine-axioms": "all_passed",
     "cayley-schedule": "verified",
 }
-_SMALL_VALUES = [-1, 0, 1, 2, 3, 1.5, True, None, "x", [], {}]
+_VALUES = [-1, 0, 1, 2, 3, 1500, 10**20, 1.5, True, None, "x", [], {}]
 
 
 def _slots(obj, path=()):
@@ -528,19 +543,78 @@ def sweep_dir(tmp_path_factory):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_inputs_keep_the_exit_contract(sweep_dir, data):
-    """One key deleted or one value replaced in a valid input never
-    escapes main, and never reads as a false verdict."""
+    """One or two keys deleted or renamed, or values replaced, in a valid
+    input never escape main, and never read as a false verdict."""
     command, obj, extra = data.draw(st.sampled_from(_SWEEP_INPUTS))
     obj = copy.deepcopy(obj)
-    *head, last = data.draw(st.sampled_from(list(_slots(obj))))
-    parent = functools.reduce(operator.getitem, head, obj)
-    if isinstance(parent, dict) and data.draw(st.booleans()):
-        del parent[last]
-    else:
-        parent[last] = copy.deepcopy(data.draw(st.sampled_from(_SMALL_VALUES)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        *head, last = data.draw(st.sampled_from(list(_slots(obj))))
+        parent = functools.reduce(operator.getitem, head, obj)
+        change = data.draw(st.sampled_from(["delete", "rename", "replace"]))
+        if isinstance(parent, dict) and change == "delete":
+            del parent[last]
+        elif isinstance(parent, dict) and change == "rename":
+            names = {p[-1] for p in _slots(obj) if isinstance(p[-1], str)}
+            parent[data.draw(st.sampled_from(sorted(names | {"x"})))] = parent.pop(last)
+        else:
+            parent[last] = copy.deepcopy(data.draw(st.sampled_from(_VALUES)))
     code, rep = run(sweep_dir, command, "--input", write(sweep_dir, "in.json", obj), *extra)
     assert code in (0, 1, 2, 3), rep
     if code == 2:
         assert rep["kind"] == "input", rep
     if code == 1:
         assert rep[_VERDICTS[command]] is False, rep
+
+
+@pytest.mark.parametrize(
+    "command, obj, extra",
+    [*_SWEEP_INPUTS, ("freudenthal-check", None, ("--dimension", "3", "--trials", "1"))],
+    ids=[c for c, _, _ in _SWEEP_INPUTS] + ["freudenthal-check"],
+)
+def test_reports_are_canonical_json(tmp_path, command, obj, extra):
+    argv = [command, *extra]
+    if obj is not None:
+        argv += ["--input", write(tmp_path, "in.json", obj)]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.text()
+    | st.integers().map(_Int)
+    | st.text().map(_Str)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.lists(st.integers())
+        | st.dictionaries(st.text(), inner)
+        | st.dictionaries(st.text() | st.text().map(_Str), inner)
+        | st.dictionaries(st.integers() | st.booleans() | st.floats(), inner)
+        | st.dictionaries(st.none(), inner)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_report_writer_is_json_dumps(value):
+    assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -265,3 +265,21 @@ def test_code_from_json_requires_integers():
     ):
         with pytest.raises(InvalidCodeError):
             code_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "window, table, detail",
+    [
+        ((0, 1500), {(0,): 0, (1,): 1}, "a key has another length"),
+        ((0, 39), {(0,) * 40: 0, (1,) + (0,) * 39: 1}, "table of 2, more words"),
+        ((0, 2), {(0, 0, 0): 0}, "table of 1, more words"),
+        ((0, 1), {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1}, "table of 4, 3 words"),
+    ],
+)
+def test_table_size_is_checked_before_the_words_are_built(window, table, detail):
+    x = VertexShift(NonnegMatrix([[1, 1], [1, 0]]))
+    with pytest.raises(InvalidCodeError) as exc:
+        BlockCode(x, x, *window, table)
+    width = window[1] - window[0] + 1
+    assert str(exc.value) == f"table must be total on allowed {width}-words ({detail})"
+    assert max(x._words, default=0) < width

@@ -197,12 +197,15 @@ def test_json_roundtrip():
 
 def test_matrices_are_immutable():
     a = NonnegMatrix([[1]])
-    hash(a)
-    for name in NonnegMatrix.__slots__:
+    b = NonnegMatrix.identity(2)  # built from packed rows
+    for m in (a, b, mul(b, b)):
+        hash(m)
+        for name in NonnegMatrix.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(m, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
         with pytest.raises(AttributeError):
-            setattr(a, name, 0)
-        with pytest.raises(AttributeError):
-            delattr(a, name)
-    with pytest.raises(AttributeError):
-        a.extra = 0
+            m.extra = 0
     assert (a.rows, a.cols) == (1, 1) and a.to_lists() == [[1]]
+    assert b.to_lists() == [[1, 0], [0, 1]]

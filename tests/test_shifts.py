@@ -67,6 +67,19 @@ def test_word_counts_monotone():
             assert len(x.words(length + 1)) >= len(x.words(length))
 
 
+def test_words_do_not_depend_on_the_cache():
+    fresh = [VertexShift(GM).words(n) for n in range(1, 8)]
+    x = VertexShift(GM)
+    for n in (5, 2, 7, 1, 3, 6, 4):
+        assert x.words(n) == fresh[n - 1]
+
+
+def test_long_words_of_a_permutation():
+    x = VertexShift(NonnegMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    words = x.words(2000)
+    assert len(words) == 3 and [w[:4] for w in words] == [(0, 1, 2, 0), (1, 2, 0, 1), (2, 0, 1, 2)]
+
+
 def test_higher_block_window_one():
     x = VertexShift(GM)
     y, f = higher_block(x, 1)
