@@ -90,19 +90,29 @@ class BlockCode:
             allowed = "more words" if count > len(table) else f"{count} words"
             raise InvalidCodeError(f"{total} (table of {len(table)}, {allowed})")
         words = x.words(width)
-        if set(table) != set(words):
+        # the table has as many keys as there are words, so holding every
+        # word makes it total; the sets are built only for the message
+        if not all(map(table.__contains__, words)):
             missing = set(words) - set(table)
             extra = set(table) - set(words)
             raise InvalidCodeError(f"{total} (missing {len(missing)}, extra {len(extra)})")
         n_out = self.codomain.alphabet_size
-        for w, v in self.table.items():
-            if not (0 <= v < n_out):
-                raise InvalidCodeError(f"table value {v} outside codomain alphabet")
+        values = table.values()
+        if min(values) < 0 or max(values) >= n_out:
+            for v in values:
+                if not (0 <= v < n_out):
+                    raise InvalidCodeError(f"table value {v} outside codomain alphabet")
         # adjacent image symbols must be codomain-allowed; by induction this
-        # makes image words of every length allowed
-        for w in self.domain.words(width + 1):
-            if not self.codomain.has_edge(self.table[w[:-1]], self.table[w[1:]]):
-                raise InvalidCodeError(f"image of word {w} leaves the codomain shift")
+        # makes image words of every length allowed.  The (width+1)-words
+        # w + (a,) are visited in the order of x.words(width + 1).
+        masks = self.codomain.matrix.support_rows()
+        succ = x._succ
+        for w in words:
+            row = masks[table[w]]
+            u = w[1:]
+            for a in succ[w[-1]]:
+                if not row >> table[u + (a,)] & 1:
+                    raise InvalidCodeError(f"image of word {w + (a,)} leaves the codomain shift")
 
     # -- basic queries --------------------------------------------------
 
@@ -205,14 +215,13 @@ def _compose_data(g: BlockCode, f: BlockCode) -> tuple[int, int, dict]:
     if f.codomain != g.domain:
         raise ShiftMismatchError("compose: f.codomain != g.domain")
     width = f.width + g.width - 1
-    ftab = f.table
+    ftab = f.table.__getitem__
     gtab = g.table
-    fw = f.width
-    gw = g.width
-    table = {}
-    for w in f.domain.words(width):
-        mid = tuple(ftab[w[i : i + fw]] for i in range(gw))
-        table[w] = gtab[mid]
+    windows = [slice(i, i + f.width) for i in range(g.width)]
+    table = {
+        w: gtab[tuple(map(ftab, map(w.__getitem__, windows)))]
+        for w in f.domain.words(width)
+    }
     return f.left + g.left, f.right + g.right, table
 
 
@@ -240,20 +249,20 @@ def _try_rewindow(x: VertexShift, width: int, tab: Mapping, slide: bool, right: 
     words = x.words(width if slide else width - 1)
     new = {}
     if right:
-        succ = x.succ
+        succ = x._succ
         for u in words:
             core = u[1:] if slide else u
-            it = iter(succ(u[-1]))
+            it = iter(succ[u[-1]])
             v0 = tab[core + (next(it),)]
             for a in it:
                 if tab[core + (a,)] != v0:
                     return None
             new[u] = v0
     else:
-        pred = x.pred
+        pred = x._pred
         for u in words:
             core = u[:-1] if slide else u
-            it = iter(pred(u[0]))
+            it = iter(pred[u[0]])
             v0 = tab[(next(it),) + core]
             for a in it:
                 if tab[(a,) + core] != v0:

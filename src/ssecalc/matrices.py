@@ -63,6 +63,9 @@ class NonnegMatrix:
     def __delattr__(self, name):
         raise AttributeError("NonnegMatrix is immutable")
 
+    def __reduce__(self):
+        return (NonnegMatrix, (self.to_lists(),))
+
     @classmethod
     def _from_packed(cls, rows: int, cols: int, width: int, packed: tuple[int, ...]) -> "NonnegMatrix":
         m = object.__new__(cls)

@@ -7,6 +7,7 @@ Symbols are 0-based internally; all JSON formats are 1-based.
 
 from __future__ import annotations
 
+import weakref
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidMatrixError
@@ -14,25 +15,47 @@ from .matrices import NonnegMatrix, is_nondegenerate
 
 
 class VertexShift:
-    """The shift of bi-infinite paths in the graph of a nondegenerate {0,1} matrix."""
+    """The shift of bi-infinite paths in the graph of a nondegenerate {0,1} matrix.
 
-    __slots__ = ("matrix", "_succ", "_pred", "_words", "_hash")
+    Shifts are immutable, and equal matrices share one shift while it is
+    alive: ``VertexShift(m)`` returns the live shift of a matrix equal to
+    ``m`` if there is one, so its successor and predecessor tuples and its
+    word tables are built once per matrix.
+    """
 
-    def __init__(self, matrix: NonnegMatrix):
+    __slots__ = ("matrix", "_succ", "_pred", "_words", "_hash", "__weakref__")
+
+    def __new__(cls, matrix: NonnegMatrix):
+        live = _LIVE.get(matrix)
+        if live is not None:
+            return live
         if not matrix.is_square:
             raise InvalidMatrixError("vertex shift needs a square matrix")
         if not matrix.is_boolean:
             raise InvalidMatrixError("vertex shift needs a {0,1} matrix")
         if not is_nondegenerate(matrix):
             raise InvalidMatrixError("vertex shift needs a nondegenerate matrix")
-        self.matrix = matrix
+        self = object.__new__(cls)
+        _set_matrix(self, matrix)
         n = matrix.rows
         rows = matrix.support_rows()
-        self._succ = tuple(_bits(rows[i]) for i in range(n))
+        _set_succ(self, tuple(_bits(rows[i]) for i in range(n)))
         cols = matrix.transpose().support_rows()
-        self._pred = tuple(_bits(cols[j]) for j in range(n))
-        self._words: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._hash = hash(matrix)
+        _set_pred(self, tuple(_bits(cols[j]) for j in range(n)))
+        _set_words(self, {})
+        _set_hash(self, hash(matrix))
+        # only a shift whose matrix passed every check is recorded; another
+        # thread may have recorded one first, and then that one is shared
+        return _LIVE.setdefault(matrix, self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VertexShift is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("VertexShift is immutable")
+
+    def __reduce__(self):
+        return (VertexShift, (self.matrix,))
 
     @property
     def alphabet_size(self) -> int:
@@ -73,6 +96,17 @@ class VertexShift:
 
     def __repr__(self) -> str:
         return f"VertexShift({self.alphabet_size} symbols)"
+
+
+# The slots are set through their member descriptors, past the refusing
+# __setattr__, as in matrices.NonnegMatrix.
+_set_matrix, _set_succ, _set_pred, _set_words, _set_hash = (
+    VertexShift.__dict__[name].__set__ for name in VertexShift.__slots__[:5]
+)
+
+# The live shift of each matrix.  A shift leaves the table when nothing else
+# references it, so the table holds no more shifts than the program uses.
+_LIVE: "weakref.WeakValueDictionary[NonnegMatrix, VertexShift]" = weakref.WeakValueDictionary()
 
 
 def _bits(mask: int) -> tuple[int, ...]:

@@ -566,6 +566,26 @@ def test_mutated_inputs_keep_the_exit_contract(sweep_dir, data):
         assert rep[_VERDICTS[command]] is False, rep
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    dimension=st.sampled_from([*range(-1, 7), 11]),
+    trials=st.integers(-2, 3),
+    seed=st.integers(),
+)
+def test_freudenthal_check_flags_keep_the_exit_contract(sweep_dir, dimension, trials, seed):
+    """Out-of-range dimensions and trials are input errors, a dimension above
+    the subdivision bound is a bound error, and nothing escapes main."""
+    argv = ["--dimension", str(dimension), "--trials", str(trials), "--seed", str(seed)]
+    code, rep = run(sweep_dir, "freudenthal-check", *argv)
+    assert code in (0, 2, 3), rep
+    if code == 0:
+        assert "kind" not in rep and rep["chain_homotopy"] is True, rep
+    if code == 2:
+        assert rep["kind"] == "input", rep
+    if code == 3:
+        assert rep["kind"] == "bound", rep
+
+
 @pytest.mark.parametrize(
     "command, obj, extra",
     [*_SWEEP_INPUTS, ("freudenthal-check", None, ("--dimension", "3", "--trials", "1"))],

@@ -1,6 +1,9 @@
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssecalc.codes import (
     BlockCode,
@@ -28,6 +31,8 @@ from ssecalc.shifts import VertexShift, higher_block
 GM = VertexShift(NonnegMatrix([[1, 1], [1, 0]]))
 FULL2 = VertexShift(NonnegMatrix([[1, 1], [1, 1]]))
 CYCLE2 = VertexShift(NonnegMatrix([[0, 1], [1, 0]]))
+CYCLE3 = VertexShift(NonnegMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+THREE = VertexShift(NonnegMatrix([[1, 1, 0], [0, 0, 1], [1, 1, 1]]))
 
 
 def test_table_must_be_total():
@@ -277,9 +282,87 @@ def test_code_from_json_requires_integers():
     ],
 )
 def test_table_size_is_checked_before_the_words_are_built(window, table, detail):
-    x = VertexShift(NonnegMatrix([[1, 1], [1, 0]]))
+    # the relabeled golden mean, which no other test keeps alive: equal
+    # matrices share one shift, and only a fresh one shows no word was built
+    gc.collect()
+    x = VertexShift(NonnegMatrix([[0, 1], [1, 1]]))
+    assert not x._words
     with pytest.raises(InvalidCodeError) as exc:
         BlockCode(x, x, *window, table)
     width = window[1] - window[0] + 1
     assert str(exc.value) == f"table must be total on allowed {width}-words ({detail})"
     assert max(x._words, default=0) < width
+
+
+def _validate_oracle(f: BlockCode) -> None:
+    """The table check of BlockCode as it was written first: set equality
+    for totality and one has_edge call per (width+1)-word."""
+    width, table, x = f.width, f.table, f.domain
+    total = f"table must be total on allowed {width}-words"
+    if any(len(w) != width for w in table):
+        raise InvalidCodeError(f"{total} (a key has another length)")
+    ends = [1] * x.alphabet_size
+    for _ in range(width - 1):
+        if sum(ends) > len(table):
+            break
+        ends = [sum(ends[i] for i in x.pred(j)) for j in range(x.alphabet_size)]
+    count = sum(ends)
+    if count != len(table):
+        allowed = "more words" if count > len(table) else f"{count} words"
+        raise InvalidCodeError(f"{total} (table of {len(table)}, {allowed})")
+    words = x.words(width)
+    if set(table) != set(words):
+        missing = set(words) - set(table)
+        extra = set(table) - set(words)
+        raise InvalidCodeError(f"{total} (missing {len(missing)}, extra {len(extra)})")
+    n_out = f.codomain.alphabet_size
+    for w, v in f.table.items():
+        if not (0 <= v < n_out):
+            raise InvalidCodeError(f"table value {v} outside codomain alphabet")
+    for w in f.domain.words(width + 1):
+        if not f.codomain.has_edge(f.table[w[:-1]], f.table[w[1:]]):
+            raise InvalidCodeError(f"image of word {w} leaves the codomain shift")
+
+
+def _refusal(build):
+    try:
+        build()
+    except InvalidCodeError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(data=st.data())
+def test_validate_refuses_exactly_as_the_oracle(data):
+    """Tables on small shifts, valid or mutated, are refused by the
+    constructor exactly when the oracle refuses them, with its message."""
+    shifts = [GM, FULL2, CYCLE2, CYCLE3, THREE]
+    x = data.draw(st.sampled_from(shifts))
+    width = data.draw(st.integers(1, 3))
+    left = data.draw(st.integers(-1, 1))
+    words = x.words(width)
+    if data.draw(st.booleans()):
+        y, k = x, data.draw(st.integers(0, width - 1))
+        table = {w: w[k] for w in words}
+    else:
+        y = data.draw(st.sampled_from(shifts))
+        table = {w: data.draw(st.integers(0, y.alphabet_size - 1)) for w in words}
+    symbols = st.integers(0, x.alphabet_size - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        change = data.draw(st.sampled_from(["delete", "extra", "length", "value", "image"]))
+        if change == "delete" and table:
+            del table[data.draw(st.sampled_from(sorted(table)))]
+        elif change in ("extra", "length"):
+            n = width if change == "extra" else data.draw(st.sampled_from([1, 2, 3, 4]))
+            key = tuple(data.draw(st.lists(symbols, min_size=n, max_size=n)))
+            table[key] = data.draw(st.integers(0, y.alphabet_size - 1))
+        elif table:
+            key = data.draw(st.sampled_from(sorted(table)))
+            bad = [-1, y.alphabet_size, y.alphabet_size + 3]
+            if change == "image":
+                bad = list(range(y.alphabet_size))
+            table[key] = data.draw(st.sampled_from(bad))
+    window = (left, left + width - 1)
+    expected = _refusal(lambda: _validate_oracle(BlockCode(x, y, *window, table, unchecked=True)))
+    assert _refusal(lambda: BlockCode(x, y, *window, table)) == expected

@@ -1,10 +1,15 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
 from ssecalc.codes import compose, equal_codes, identity_code, normalize, verify_inverse
 from ssecalc.errors import InvalidMatrixError
 from ssecalc.matrices import NonnegMatrix
+from ssecalc import shifts
 from ssecalc.shifts import (
     DeterministicPresentation,
     LabeledGraph,
@@ -32,6 +37,55 @@ def test_shift_validation():
         VertexShift(NonnegMatrix([[1, 0], [1, 0]]))
     with pytest.raises(InvalidMatrixError):
         VertexShift(NonnegMatrix([[2]]))
+
+
+def test_equal_matrices_share_one_live_shift():
+    x = VertexShift(NonnegMatrix([[1, 1], [1, 0]]))
+    assert VertexShift(NonnegMatrix([[1, 1], [1, 0]])) is x
+    assert VertexShift(GM) is x and shifts._LIVE[GM] is x
+
+
+def test_a_shift_leaves_the_table_when_nothing_references_it():
+    m = NonnegMatrix([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 1]])
+    x = VertexShift(m)
+    x.words(3)
+    ref = weakref.ref(x)
+    assert m in shifts._LIVE
+    del x
+    gc.collect()
+    assert ref() is None and m not in shifts._LIVE
+    assert not VertexShift(m)._words
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[1, 1]], [[1, 1], [2, 0]], [[1, 0], [1, 0]], [[0]]],
+    ids=["not square", "not boolean", "zero column", "zero"],
+)
+def test_a_refused_matrix_leaves_no_entry(entries):
+    m = NonnegMatrix(entries)
+    with pytest.raises(InvalidMatrixError):
+        VertexShift(m)
+    assert m not in shifts._LIVE
+
+
+def test_shifts_are_immutable():
+    x = VertexShift(GM)
+    for name in ("matrix", "_succ", "_words", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(x, name)
+    assert x.matrix == GM and x.succ(1) == (0,)
+
+
+def test_copies_and_pickles_are_the_shared_shift():
+    x = VertexShift(GM)
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(x, protocol)) is x
+        assert pickle.loads(pickle.dumps(GM, protocol)) == GM
+    assert copy.deepcopy(GM) == GM
 
 
 def test_allowed_words_full_shift():
