@@ -64,7 +64,10 @@ from .williams import decompose
 
 def _load(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("input nests deeper than the JSON decoder allows") from exc
 
 
 def _matrix_text(m: NonnegMatrix, pad: str) -> str:

@@ -27,42 +27,52 @@ from .shifts import VertexShift
 class BlockCode:
     """A sliding block map given by a total table on allowed window words.
 
-    Codes are immutable: the constructor sets every field, and ``table`` is
-    a read-only view of the constructor's own copy.  An invertible code is
+    Codes are immutable: the constructor checks a copy of the caller's
+    table, and ``table`` is a read-only view of it.  An invertible code is
     built together with its inverse: ``inverse`` takes the inverse's
-    ``(left, right, table)``, and the constructor builds that code from
-    codomain to domain, with the same ``unchecked`` setting, and links the
-    two, so ``f.inverse.inverse is f``.  Whether the two really are mutually
-    inverse is decided by ``verify_inverse``, not here.
+    ``(left, right, table)``, which is copied and checked the same way, and
+    the two are linked, so ``f.inverse.inverse is f``.  Whether they really
+    are mutually inverse is decided by ``verify_inverse``, not here.  The
+    library's own codes, on tables it has built, come from ``_trusted``.
     """
 
     __slots__ = ("domain", "codomain", "left", "right", "table", "_inverse", "_hash")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         domain: VertexShift,
         codomain: VertexShift,
         left: int,
         right: int,
         table: Mapping[tuple[int, ...], int],
         inverse: Optional[tuple[int, int, Mapping[tuple[int, ...], int]]] = None,
-        unchecked: bool = False,
     ):
-        if left > right:
-            raise InvalidCodeError("window left must be <= right")
-        _set_domain(self, domain)
-        _set_codomain(self, codomain)
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_table(self, MappingProxyType(dict(table)))
-        _set_hash(self, None)
-        if not unchecked:
-            self._validate()
+        if inverse is not None:
+            inverse = (*inverse[:2], dict(inverse[2]))
+        f = cls._trusted(domain, codomain, left, right, dict(table), inverse)
+        f._validate()
+        if inverse is not None:
+            f._inverse._validate()
+        return f
+
+    @classmethod
+    def _trusted(cls, domain, codomain, left, right, table, inverse=None) -> "BlockCode":
+        """The code, linked to its inverse if one is given, on the library's
+        own fresh tables: neither checked nor copied, and a read-only view
+        is kept as it is."""
+        f = object.__new__(cls)
+        _set_domain(f, domain)
+        _set_codomain(f, codomain)
+        _set_left(f, left)
+        _set_right(f, right)
+        _set_table(f, table if type(table) is MappingProxyType else MappingProxyType(table))
+        _set_hash(f, None)
         partner = None
         if inverse is not None:
-            partner = BlockCode(codomain, domain, *inverse, unchecked=unchecked)
-            _set_inverse(partner, self)
-        _set_inverse(self, partner)
+            partner = cls._trusted(codomain, domain, *inverse)
+            _set_inverse(partner, f)
+        _set_inverse(f, partner)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockCode is immutable")
@@ -71,6 +81,8 @@ class BlockCode:
         raise AttributeError("BlockCode is immutable")
 
     def _validate(self):
+        if self.left > self.right:
+            raise InvalidCodeError("window left must be <= right")
         width, table, x = self.width, self.table, self.domain
         # A wide window has exponentially many allowed words, so the table's
         # size is checked against their count before any word is built.
@@ -136,15 +148,11 @@ class BlockCode:
         width = self.width
         if len(w) < width:
             raise InvalidCodeError("word shorter than the window")
-        n = self.domain.alphabet_size
-        if not all(0 <= a < n for a in w) or not all(
-            self.domain.has_edge(w[i], w[i + 1]) for i in range(len(w) - 1)
-        ):
+        x = self.domain
+        if not all(0 <= a < x.alphabet_size for a in w) or not all(map(x.has_edge, w, w[1:])):
             raise InvalidCodeError(f"forbidden word {w}")
-        try:
-            return tuple(self.table[w[i : i + width]] for i in range(len(w) - width + 1))
-        except KeyError as exc:
-            raise InvalidCodeError(f"forbidden word {exc.args[0]}") from exc
+        # the table is total on allowed words, so every window of w is a key
+        return tuple(self.table[w[i : i + width]] for i in range(len(w) - width + 1))
 
     def table_at(self, left: int, right: int) -> dict[tuple[int, ...], int]:
         """The same local rule expressed on a larger window."""
@@ -169,19 +177,10 @@ class BlockCode:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(
-                (
-                    self.domain,
-                    self.codomain,
-                    self.left,
-                    self.right,
-                    tuple(sorted(self.table.items())),
-                )
-            )
-            _set_hash(self, h)
-        return h
+        if self._hash is None:
+            items = tuple(sorted(self.table.items()))
+            _set_hash(self, hash((self.domain, self.codomain, self.left, self.right, items)))
+        return self._hash
 
     def __repr__(self) -> str:
         return (
@@ -199,7 +198,7 @@ _set_domain, _set_codomain, _set_left, _set_right, _set_table, _set_inverse, _se
 
 def identity_code(x: VertexShift) -> BlockCode:
     table = {(a,): a for a in range(x.alphabet_size)}
-    return BlockCode(x, x, 0, 0, table, inverse=(0, 0, table), unchecked=True)
+    return BlockCode._trusted(x, x, 0, 0, table, (0, 0, table))
 
 
 def shift_code(x: VertexShift, g: int) -> BlockCode:
@@ -207,7 +206,7 @@ def shift_code(x: VertexShift, g: int) -> BlockCode:
     if g not in (1, -1):
         raise InvalidCodeError("shift exponent must be +1 or -1")
     table = {(a,): a for a in range(x.alphabet_size)}
-    return BlockCode(x, x, g, g, table, inverse=(-g, -g, table), unchecked=True)
+    return BlockCode._trusted(x, x, g, g, table, (-g, -g, table))
 
 
 def _compose_data(g: BlockCode, f: BlockCode) -> tuple[int, int, dict]:
@@ -227,18 +226,16 @@ def _compose_data(g: BlockCode, f: BlockCode) -> tuple[int, int, dict]:
 
 def _compose_raw(g: BlockCode, f: BlockCode) -> BlockCode:
     """g∘f without an inverse."""
-    return BlockCode(f.domain, g.codomain, *_compose_data(g, f), unchecked=True)
+    return BlockCode._trusted(f.domain, g.codomain, *_compose_data(g, f))
 
 
 def compose(g: BlockCode, f: BlockCode) -> BlockCode:
     """The sliding block code g∘f; windows add componentwise."""
-    left, right, table = _compose_data(g, f)
+    data = _compose_data(g, f)
     inverse = None
     if f._inverse is not None and g._inverse is not None:
         inverse = _compose_data(f._inverse, g._inverse)
-    return BlockCode(
-        f.domain, g.codomain, left, right, table, inverse=inverse, unchecked=True
-    )
+    return BlockCode._trusted(f.domain, g.codomain, *data, inverse)
 
 
 def _try_rewindow(x: VertexShift, width: int, tab: Mapping, slide: bool, right: bool):
@@ -306,7 +303,7 @@ def normalize(f: BlockCode) -> BlockCode:
     inverse = None if g is None else _normalize_data(g)
     if data[2] is f.table and (g is None or inverse[2] is g.table):
         return f
-    return BlockCode(f.domain, f.codomain, *data, inverse=inverse, unchecked=True)
+    return BlockCode._trusted(f.domain, f.codomain, *data, inverse)
 
 
 def is_identity(f: BlockCode) -> bool:
@@ -370,22 +367,17 @@ def relabel_codomain(f: BlockCode, perm: Sequence[int]) -> BlockCode:
     n = f.codomain.alphabet_size
     if sorted(perm) != list(range(n)):
         raise InvalidCodeError("perm is not a bijection of the codomain alphabet")
-    old = f.codomain.matrix
+    succ = f.codomain._succ
     masks = [0] * n
     for i in range(n):
-        m = 0
-        for j in range(n):
-            if old.entry(i, j):
-                m |= 1 << perm[j]
-        masks[perm[i]] = m
+        masks[perm[i]] = sum(1 << perm[j] for j in succ[i])
     target = VertexShift(NonnegMatrix.from_bool_rows(n, masks))
     inverse = None
     if f._inverse is not None:
         g = f._inverse
         inverse = (g.left, g.right, {tuple(perm[a] for a in w): v for w, v in g.table.items()})
-    return BlockCode(
-        f.domain, target, f.left, f.right,
-        {w: perm[v] for w, v in f.table.items()}, inverse=inverse, unchecked=True,
+    return BlockCode._trusted(
+        f.domain, target, f.left, f.right, {w: perm[v] for w, v in f.table.items()}, inverse
     )
 
 
@@ -411,7 +403,8 @@ def code_to_json(f: BlockCode, include_inverse: bool = True) -> dict:
     return out
 
 
-def code_from_json(obj: dict) -> BlockCode:
+def _code_fields(obj) -> tuple:
+    """The shifts, window and 0-based table of one block code object."""
     try:
         domain = VertexShift(matrix_from_json(obj["domain"]))
         codomain = VertexShift(matrix_from_json(obj["codomain"]))
@@ -423,11 +416,19 @@ def code_from_json(obj: dict) -> BlockCode:
     for n in (left, right, *(s for w, v in entries for s in (*w, v))):
         if type(n) is not int:
             raise InvalidCodeError(f"window and table symbols must be integers, not {n!r}")
-    f = BlockCode(domain, codomain, left, right, table)
+    return domain, codomain, left, right, table
+
+
+def code_from_json(obj: dict) -> BlockCode:
+    """The code and its inverse, each built once and checked, then linked."""
+    f = BlockCode(*_code_fields(obj))
     if "inverse" not in obj:
         return f
-    g = code_from_json(obj["inverse"])
-    if g.domain != codomain or g.codomain != domain:
+    g = BlockCode(*_code_fields(obj["inverse"]))
+    if "inverse" in obj["inverse"]:
+        raise InvalidCodeError("an inverse carries no inverse of its own")
+    if g.domain != f.codomain or g.codomain != f.domain:
         raise ShiftMismatchError("inverse endpoints do not match")
-    inverse = (g.left, g.right, g.table)
-    return BlockCode(domain, codomain, left, right, table, inverse=inverse, unchecked=True)
+    _set_inverse(f, g)
+    _set_inverse(g, f)
+    return f

@@ -123,34 +123,37 @@ class Triangle:
             raise InvalidEdgeError("e2 target != e3 target")
 
 
+def _two_block_rule(x: VertexShift, p: NonnegMatrix, q: NonnegMatrix, name: str) -> dict:
+    """The rule w -> the one c with P[w0, c] = Q[c, w1] = 1 on the 2-words of x."""
+    p_rows = p.support_rows()
+    q_cols = q.transpose().support_rows()
+    rule = {}
+    for w in x.words(2):
+        cands = p_rows[w[0]] & q_cols[w[1]]
+        if cands == 0 or cands & (cands - 1):
+            raise InvalidEdgeError(f"{name} not uniquely defined on {w}: candidate mask {cands:b}")
+        rule[w] = cands.bit_length() - 1
+    return rule
+
+
 def code_from_edge(e: SSEEdge, verify: bool = True) -> BlockCode:
     """The elementary conjugacy phi_{R,S}: X_A -> X_B with its inverse."""
     x = VertexShift(e.a)
     y = VertexShift(e.b)
-    r_rows = e.r.support_rows()
-    s_cols = e.s.transpose().support_rows()
-    fwd = {}
-    for w in x.words(2):
-        cands = r_rows[w[0]] & s_cols[w[1]]
-        if cands == 0 or cands & (cands - 1):
-            raise InvalidEdgeError(
-                f"local rule not uniquely defined on {w}: candidate mask {cands:b}"
-            )
-        fwd[w] = cands.bit_length() - 1
-    s_rows = e.s.support_rows()
-    r_cols = e.r.transpose().support_rows()
-    bwd = {}
-    for w in y.words(2):
-        cands = s_rows[w[0]] & r_cols[w[1]]
-        if cands == 0 or cands & (cands - 1):
-            raise InvalidEdgeError(
-                f"inverse local rule not uniquely defined on {w}: candidate mask {cands:b}"
-            )
-        bwd[w] = cands.bit_length() - 1
+    fwd = _two_block_rule(x, e.r, e.s, "local rule")
+    bwd = _two_block_rule(y, e.s, e.r, "inverse local rule")
     f = BlockCode(x, y, 0, 1, fwd, inverse=(-1, 0, bwd))
     if verify and not verify_inverse(f, f.inverse):
         raise VerificationError("phi_{R,S} compositions do not normalize to identity")
     return f
+
+
+def _rule_matrix(table: dict, rows: int, cols: int) -> NonnegMatrix:
+    """The {0,1} matrix with a 1 at (w0, v) for each 2-word w and value v of the table."""
+    masks = [0] * rows
+    for (a, _a1), v in table.items():
+        masks[a] |= 1 << v
+    return NonnegMatrix.from_bool_rows(cols, masks)
 
 
 def edge_from_code(f: BlockCode) -> SSEEdge:
@@ -161,18 +164,10 @@ def edge_from_code(f: BlockCode) -> SSEEdge:
         raise NotElementaryError(
             f"windows {fn.window} / inverse {gn.window} not inside (0,1) / (-1,0)"
         )
-    x, y = f.domain, f.codomain
-    ftab = fn.table_at(0, 1)
-    gtab = gn.table_at(-1, 0)
-    r_masks = [0] * x.alphabet_size
-    for (a, _a1), b in ftab.items():
-        r_masks[a] |= 1 << b
-    s_masks = [0] * y.alphabet_size
-    for (b, _b1), a in gtab.items():
-        s_masks[b] |= 1 << a
-    r = NonnegMatrix.from_bool_rows(y.alphabet_size, r_masks)
-    s = NonnegMatrix.from_bool_rows(x.alphabet_size, s_masks)
-    return SSEEdge(x.matrix, y.matrix, r, s)
+    m, n = f.domain.alphabet_size, f.codomain.alphabet_size
+    r = _rule_matrix(fn.table_at(0, 1), m, n)
+    s = _rule_matrix(gn.table_at(-1, 0), n, m)
+    return SSEEdge(f.domain.matrix, f.codomain.matrix, r, s)
 
 
 def check_triangle(t: Triangle) -> bool:

@@ -21,38 +21,49 @@ class FiniteGroup:
     __slots__ = ("names", "table", "_inv", "_hash")
 
     def __init__(self, names, table):
-        self.names = tuple(names)
-        n = len(self.names)
-        if any(type(name) is not str for name in self.names):
+        names = tuple(names)
+        n = len(names)
+        if any(type(name) is not str for name in names):
             raise InvalidGroupError("element names must be strings")
-        if len(set(self.names)) != n or n == 0:
+        if len(set(names)) != n or n == 0:
             raise InvalidGroupError("element names must be nonempty and distinct")
-        self.table = tuple(tuple(row) for row in table)
-        if len(self.table) != n or any(len(r) != n for r in self.table):
+        table = tuple(tuple(row) for row in table)
+        if len(table) != n or any(len(r) != n for r in table):
             raise InvalidGroupError("table must be n x n")
-        for r in self.table:
+        for r in table:
             for v in r:
                 if type(v) is not int:
                     raise InvalidGroupError(f"table entry {v!r} is not an integer")
                 if not (0 <= v < n):
                     raise InvalidGroupError("table entry out of range")
         for i in range(n):
-            if self.table[0][i] != i or self.table[i][0] != i:
+            if table[0][i] != i or table[i][0] != i:
                 raise InvalidGroupError("element 0 must be the identity")
         inv = [None] * n
         for i in range(n):
             for j in range(n):
-                if self.table[i][j] == 0:
+                if table[i][j] == 0:
                     inv[i] = j
         if any(v is None for v in inv):
             raise InvalidGroupError("missing inverses")
-        self._inv = tuple(inv)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
+                    if table[table[i][j]][k] != table[i][table[j][k]]:
                         raise InvalidGroupError("table is not associative")
-        self._hash = hash((self.names, self.table))
+        _set_names(self, names)
+        _set_table(self, table)
+        _set_inv(self, tuple(inv))
+        _set_hash(self, hash((names, table)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteGroup is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FiniteGroup is immutable")
+
+    def __reduce__(self):
+        return (FiniteGroup, (self.names, self.table))
 
     @property
     def order(self) -> int:
@@ -80,6 +91,13 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({list(self.names)})"
+
+
+# The slots are set through their member descriptors, past the refusing
+# __setattr__, as in matrices.NonnegMatrix.
+_set_names, _set_table, _set_inv, _set_hash = (
+    FiniteGroup.__dict__[name].__set__ for name in FiniteGroup.__slots__
+)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

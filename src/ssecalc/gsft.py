@@ -32,7 +32,6 @@ class GroupRingMatrix:
     __slots__ = ("group", "rows", "cols", "entries", "_hash")
 
     def __init__(self, group: FiniteGroup, entries: Iterable[Iterable[Iterable[int]]]):
-        self.group = group
         ent = tuple(tuple(frozenset(cell) for cell in row) for row in entries)
         if not ent or not ent[0]:
             raise InvalidMatrixError("matrix must have at least one row and column")
@@ -44,10 +43,20 @@ class GroupRingMatrix:
                 for g in cell:
                     if not (0 <= g < group.order):
                         raise InvalidMatrixError(f"element index {g} out of range")
-        self.entries = ent
-        self.rows = len(ent)
-        self.cols = cols
-        self._hash = hash((group, ent))
+        _set_group(self, group)
+        _set_rows(self, len(ent))
+        _set_cols(self, cols)
+        _set_entries(self, ent)
+        _set_hash(self, hash((group, ent)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupRingMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GroupRingMatrix is immutable")
+
+    def __reduce__(self):
+        return (GroupRingMatrix, (self.group, self.entries))
 
     @property
     def is_square(self) -> bool:
@@ -63,6 +72,13 @@ class GroupRingMatrix:
 
     def __repr__(self):
         return f"GroupRingMatrix({self.rows}x{self.cols} over {self.group!r})"
+
+
+# The slots are set through their member descriptors, past the refusing
+# __setattr__, as in matrices.NonnegMatrix.
+_set_group, _set_rows, _set_cols, _set_entries, _set_hash = (
+    GroupRingMatrix.__dict__[name].__set__ for name in GroupRingMatrix.__slots__
+)
 
 
 def mul_zg(a: GroupRingMatrix, b: GroupRingMatrix) -> list[list[Counter]]:

@@ -77,12 +77,20 @@ class VertexShift:
         cached = self._words.get(length)
         if cached is not None:
             return cached
-        # extend the longest cached shorter words, one symbol at a time
-        built = max((k for k in self._words if k < length), default=1)
-        out = self._words.get(built) or tuple((a,) for a in range(self.alphabet_size))
-        succ = self._succ
-        for _ in range(length - built):
-            out = tuple(w + (a,) for w in out for a in succ[w[-1]])
+        n, succ = self.alphabet_size, self._succ
+        if length == 1:
+            out = tuple((a,) for a in range(n))
+        elif length == 2:
+            out = tuple((a, b) for a in range(n) for b in succ[a])
+        else:
+            # a word is a head of half its length joined on the head's last
+            # symbol to a word of the other half, so each word is built by
+            # one concatenation and all of them in O(count * length)
+            head = (length + 1) // 2
+            tails = [[] for _ in range(n)]
+            for w in self.words(length - head + 1):
+                tails[w[0]].append(w[1:])
+            out = tuple(u + v for u in self.words(head) for v in tails[u[-1]])
         self._words[length] = out
         return out
 
@@ -139,9 +147,9 @@ def higher_block(x: VertexShift, window: int):
             m |= 1 << rank[w[1:] + (a,)]
         masks.append(m)
     target = VertexShift(NonnegMatrix.from_bool_rows(len(words), masks))
-    fwd = BlockCode(
+    fwd = BlockCode._trusted(
         x, target, 0, window - 1, {w: rank[w] for w in words},
-        inverse=(0, 0, {(i,): words[i][0] for i in range(len(words))}), unchecked=True,
+        (0, 0, {(i,): words[i][0] for i in range(len(words))}),
     )
     return target, fwd
 

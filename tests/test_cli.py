@@ -366,6 +366,9 @@ _BAD_SIGN_INPUTS = [
             {"group": {"type": "Z^d", "dim": 1}, "generators": [[0], [1]], "window": [[[1]]]},
         ),
         *_BAD_SIGN_INPUTS,
+        # a true inverse that carries an inverse of its own
+        ("extract", _code_obj(inverse=code_to_json(shift_code(VertexShift(GM), -1)))),
+        ("decompose", _code_obj(inverse=code_to_json(shift_code(VertexShift(GM), -1)))),
     ],
 )
 def test_malformed_json_is_an_input_error(tmp_path, command, obj):
@@ -564,6 +567,23 @@ def test_mutated_inputs_keep_the_exit_contract(sweep_dir, data):
         assert rep["kind"] == "input", rep
     if code == 1:
         assert rep[_VERDICTS[command]] is False, rep
+
+
+_INPUT_COMMANDS = [name for name in _COMMANDS if name != "freudenthal-check"]
+
+
+@pytest.mark.parametrize("command", _INPUT_COMMANDS)
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 5000 + "]" * 5000, '{"a": ' * 3000 + "1" + "}" * 3000],
+    ids=["5000-deep-list", "3000-deep-object"],
+)
+def test_deeply_nested_input_is_an_input_error(tmp_path, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, rep = run(tmp_path, command, "--input", str(path))
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == "input nests deeper than the JSON decoder allows"
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

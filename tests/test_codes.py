@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ssecalc.codes import (
     BlockCode,
+    _compose_raw,
     bijection_code,
     code_from_json,
     code_to_json,
@@ -194,9 +195,21 @@ def test_every_constructor_path_links_a_pair():
     }
     assert normalize(wide) is not wide
     for name, f in built.items():
-        assert f.inverse.inverse is f, name
-        assert f.inverse.domain == f.codomain and f.inverse.codomain == f.domain, name
-        assert verify_inverse(f, f.inverse), name
+        g = f.inverse
+        assert g.inverse is f, name
+        assert g.domain == f.codomain and g.codomain == f.domain, name
+        assert verify_inverse(f, g), name
+        # the trusted builder holds only tables the checked constructor accepts
+        checked = BlockCode(f.domain, f.codomain, *f.window, f.table, inverse=(*g.window, g.table))
+        assert checked == f and checked.inverse == g, name
+    raw = _compose_raw(sigma, wide)
+    assert BlockCode(raw.domain, raw.codomain, *raw.window, raw.table) == raw
+
+
+def test_the_constructor_has_no_unchecked_switch():
+    # the constant-1 table, which the check refuses, cannot be let through
+    with pytest.raises(TypeError):
+        BlockCode(GM, GM, 0, 0, {(0,): 1, (1,): 1}, unchecked=True)
 
 
 def test_codes_are_immutable():
@@ -254,6 +267,13 @@ def test_code_from_json_inverse_endpoints():
     bad_inverse = dict(obj, inverse=dict(obj["inverse"], table=obj["inverse"]["table"][:-1]))
     with pytest.raises(InvalidCodeError, match="table must be total"):
         code_from_json(bad_inverse)
+
+
+def test_code_from_json_refuses_a_nested_inverse():
+    obj = code_to_json(shift_code(GM, 1))
+    obj["inverse"]["inverse"] = code_to_json(shift_code(GM, 1), include_inverse=False)
+    with pytest.raises(InvalidCodeError, match="an inverse carries no inverse of its own"):
+        code_from_json(obj)
 
 
 def test_code_from_json_requires_integers():
@@ -364,5 +384,5 @@ def test_validate_refuses_exactly_as_the_oracle(data):
                 bad = list(range(y.alphabet_size))
             table[key] = data.draw(st.sampled_from(bad))
     window = (left, left + width - 1)
-    expected = _refusal(lambda: _validate_oracle(BlockCode(x, y, *window, table, unchecked=True)))
+    expected = _refusal(lambda: _validate_oracle(BlockCode._trusted(x, y, *window, table)))
     assert _refusal(lambda: BlockCode(x, y, *window, table)) == expected

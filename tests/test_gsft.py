@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -201,6 +203,39 @@ def test_gsft_edge_validation():
     ident = GroupRingMatrix(Z3, [[{0}]])
     with pytest.raises(InvalidEdgeError):
         GsftEdge(A_EXAMPLE, A_EXAMPLE, ident, ident)
+
+
+@pytest.mark.parametrize(
+    "value, slots",
+    [
+        (cyclic_group(3), FiniteGroup.__slots__),
+        (GroupRingMatrix(Z3, [[{0, 1}, {1}], [{2}, {2}]]), GroupRingMatrix.__slots__),
+    ],
+    ids=["group", "group-ring-matrix"],
+)
+def test_groups_and_group_ring_matrices_are_immutable(value, slots):
+    before = hash(value)
+    for name in slots:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError, match="is immutable"):
+        value.names = ("x", "y", "z")
+    assert hash(value) == before
+
+
+@pytest.mark.parametrize(
+    "value", [S3, A_EXAMPLE, GroupRingMatrix(S3, [[{0, 3}]])], ids=["S3", "example", "over-S3"]
+)
+def test_groups_and_group_ring_matrices_copy_and_pickle(value):
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is type(value) and c == value and hash(c) == hash(value)
+    assert copies[1].__reduce__() == value.__reduce__()
 
 
 def test_json_roundtrip():

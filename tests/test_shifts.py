@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import pickle
 import random
 import weakref
@@ -130,8 +131,40 @@ def test_words_do_not_depend_on_the_cache():
 
 def test_long_words_of_a_permutation():
     x = VertexShift(NonnegMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
-    words = x.words(2000)
-    assert len(words) == 3 and [w[:4] for w in words] == [(0, 1, 2, 0), (1, 2, 0, 1), (2, 0, 1, 2)]
+    for length in (2000, 4097, 20000):
+        words = x.words(length)
+        assert [w[0] for w in words] == [0, 1, 2]
+        assert all(w == tuple((w[0] + i) % 3 for i in range(length)) for w in words)
+
+
+def _brute_force_words(m: NonnegMatrix, length: int) -> list:
+    """Every allowed word of the given length, by filtering all words."""
+    n = m.rows
+    return [
+        w for w in itertools.product(range(n), repeat=length)
+        if all(m.entry(a, b) for a, b in zip(w, w[1:]))
+    ]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1, 1], [1, 0]],
+        [[0, 1], [1, 0]],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+    ],
+    ids=["golden-mean", "2-cycle", "3-cycle", "4-cycle"],
+)
+def test_words_match_brute_force(entries):
+    m = NonnegMatrix(entries)
+    for length in range(1, 9):
+        assert list(VertexShift(m).words(length)) == _brute_force_words(m, length)
+    # once more on one shift, longest first, so that shorter lengths are
+    # read from the words the longer ones cached
+    x = VertexShift(m)
+    for length in range(8, 0, -1):
+        assert list(x.words(length)) == _brute_force_words(m, length)
 
 
 def test_higher_block_window_one():
