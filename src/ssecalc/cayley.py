@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Union
 
 from .errors import SseError
+from .frozen import Frozen, slot_setters
 from .groups import FiniteGroup
 
 
@@ -74,15 +75,15 @@ class TableGroup:
 GroupOps = Union[ZdGroup, TableGroup]
 
 
-class FGGroupWindow:
+class FGGroupWindow(Frozen):
     """A finite subset T of a group with a generating set S containing e."""
 
     __slots__ = ("ops", "gens", "window", "sprime")
 
     def __init__(self, ops: GroupOps, gens: Iterable, window: Iterable):
-        self.ops = ops
-        self.gens = tuple(gens)
-        self.window = frozenset(window)
+        _set_ops(self, ops)
+        _set_gens(self, tuple(gens))
+        _set_window(self, frozenset(window))
         for g in self.gens:
             ops.check(g)
         for t in self.window:
@@ -93,11 +94,17 @@ class FGGroupWindow:
             raise InvalidWindowError("window must be nonempty")
         sp = set(self.gens) | {ops.inv(g) for g in self.gens}
         sp.discard(ops.identity)
-        self.sprime = frozenset(sp)
+        _set_sprime(self, frozenset(sp))
+
+    def __reduce__(self):
+        return (FGGroupWindow, (self.ops, self.gens, self.window))
 
     def neighbors(self, t) -> list:
         out = [self.ops.op(t, s) for s in self.sprime]
         return [u for u in out if u in self.window]
+
+
+_set_ops, _set_gens, _set_window, _set_sprime = slot_setters(FGGroupWindow)
 
 
 def is_connected(w: FGGroupWindow) -> bool:

@@ -20,11 +20,12 @@ from .errors import (
     MissingInverseError,
     ShiftMismatchError,
 )
+from .frozen import Frozen, slot_setters
 from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json
 from .shifts import VertexShift
 
 
-class BlockCode:
+class BlockCode(Frozen):
     """A sliding block map given by a total table on allowed window words.
 
     Codes are immutable: the constructor checks a copy of the caller's
@@ -34,6 +35,8 @@ class BlockCode:
     the two are linked, so ``f.inverse.inverse is f``.  Whether they really
     are mutually inverse is decided by ``verify_inverse``, not here.  The
     library's own codes, on tables it has built, come from ``_trusted``.
+    Copies and pickles rebuild the code and its inverse through this
+    constructor, linked again.
     """
 
     __slots__ = ("domain", "codomain", "left", "right", "table", "_inverse", "_hash")
@@ -74,13 +77,15 @@ class BlockCode:
         _set_inverse(f, partner)
         return f
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockCode is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("BlockCode is immutable")
+    def __reduce__(self):
+        g = self._inverse
+        inverse = None if g is None else (g.left, g.right, dict(g.table))
+        fields = (self.domain, self.codomain, self.left, self.right, dict(self.table))
+        return (BlockCode, (*fields, inverse))
 
     def _validate(self):
+        if type(self.left) is not int or type(self.right) is not int:
+            raise InvalidCodeError(f"window bounds must be integers, not {self.window!r}")
         if self.left > self.right:
             raise InvalidCodeError("window left must be <= right")
         width, table, x = self.width, self.table, self.domain
@@ -189,10 +194,8 @@ class BlockCode:
         )
 
 
-# The slots are set through their member descriptors, past the refusing
-# __setattr__, as in matrices.NonnegMatrix.
 _set_domain, _set_codomain, _set_left, _set_right, _set_table, _set_inverse, _set_hash = (
-    BlockCode.__dict__[name].__set__ for name in BlockCode.__slots__
+    slot_setters(BlockCode)
 )
 
 
@@ -203,8 +206,8 @@ def identity_code(x: VertexShift) -> BlockCode:
 
 def shift_code(x: VertexShift, g: int) -> BlockCode:
     """The shift map tau_g (value at i reads coordinate i+g) as a code."""
-    if g not in (1, -1):
-        raise InvalidCodeError("shift exponent must be +1 or -1")
+    if type(g) is not int or g not in (1, -1):
+        raise InvalidCodeError(f"shift exponent must be the integer 1 or -1, not {g!r}")
     table = {(a,): a for a in range(x.alphabet_size)}
     return BlockCode._trusted(x, x, g, g, table, (-g, -g, table))
 

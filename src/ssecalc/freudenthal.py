@@ -17,6 +17,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ResourceBoundError, SseError
+from .frozen import Frozen, slot_setters
 
 
 class OracleUndefinedError(SseError):
@@ -362,7 +363,7 @@ def check_subdivision(n: int, trials: int, seed: int) -> SubdivisionCheck:
 # -- ordered complexes ---------------------------------------------------
 
 
-class OrderedComplex:
+class OrderedComplex(Frozen):
     """Vertices with an acyclic arrow relation and a face-closed set of
     simplices, each strictly increasing along the relation."""
 
@@ -374,11 +375,11 @@ class OrderedComplex:
         arrows: Iterable[tuple[Hashable, Hashable]],
         top_simplices: Iterable[tuple],
     ):
-        self.vertices = tuple(vertices)
+        _set_vertices(self, tuple(vertices))
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise InvalidComplexError("duplicate vertices")
-        self.arrows = frozenset((a, b) for a, b in arrows)
+        _set_arrows(self, frozenset((a, b) for a, b in arrows))
         for a, b in self.arrows:
             if a not in vset or b not in vset:
                 raise InvalidComplexError("arrow endpoint not a vertex")
@@ -403,7 +404,13 @@ class OrderedComplex:
             for mask in range(1, 1 << len(top)):
                 face = tuple(top[i] for i in range(len(top)) if (mask >> i) & 1)
                 simplices.add(face)
-        self.simplices = frozenset(simplices)
+        _set_simplices(self, frozenset(simplices))
+
+    def __reduce__(self):
+        # rebuilt from its maximal simplices: those that are no facet of another
+        s = self.simplices
+        tops = s - {t[:i] + t[i + 1 :] for t in s for i in range(len(t))}
+        return (OrderedComplex, (self.vertices, self.arrows, tops))
 
     def _check_acyclic(self):
         succ: dict = {}
@@ -433,6 +440,9 @@ class OrderedComplex:
             if s not in self.simplices:
                 raise InvalidChainError(f"simplex {s!r} outside the complex")
         return c
+
+
+_set_vertices, _set_arrows, _set_simplices = slot_setters(OrderedComplex)
 
 
 # -- the subdivision operator on complexes of conjugacies ----------------

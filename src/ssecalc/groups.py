@@ -9,13 +9,14 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import SseError
+from .frozen import Frozen, slot_setters
 
 
 class InvalidGroupError(SseError):
     pass
 
 
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A finite group as a validated multiplication table."""
 
     __slots__ = ("names", "table", "_inv", "_hash")
@@ -56,12 +57,6 @@ class FiniteGroup:
         _set_inv(self, tuple(inv))
         _set_hash(self, hash((names, table)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FiniteGroup is immutable")
-
     def __reduce__(self):
         return (FiniteGroup, (self.names, self.table))
 
@@ -93,11 +88,7 @@ class FiniteGroup:
         return f"FiniteGroup({list(self.names)})"
 
 
-# The slots are set through their member descriptors, past the refusing
-# __setattr__, as in matrices.NonnegMatrix.
-_set_names, _set_table, _set_inv, _set_hash = (
-    FiniteGroup.__dict__[name].__set__ for name in FiniteGroup.__slots__
-)
+_set_names, _set_table, _set_inv, _set_hash = slot_setters(FiniteGroup)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -22,11 +22,12 @@ from .errors import (
     InvalidMatrixError,
     VerificationError,
 )
+from .frozen import Frozen, slot_setters
 from .groups import FiniteGroup, group_from_json, group_to_json
 from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json
 
 
-class GroupRingMatrix:
+class GroupRingMatrix(Frozen):
     """A matrix over ZG with all coefficients in {0,1} (entries as subsets of G)."""
 
     __slots__ = ("group", "rows", "cols", "entries", "_hash")
@@ -49,12 +50,6 @@ class GroupRingMatrix:
         _set_entries(self, ent)
         _set_hash(self, hash((group, ent)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRingMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GroupRingMatrix is immutable")
-
     def __reduce__(self):
         return (GroupRingMatrix, (self.group, self.entries))
 
@@ -74,11 +69,7 @@ class GroupRingMatrix:
         return f"GroupRingMatrix({self.rows}x{self.cols} over {self.group!r})"
 
 
-# The slots are set through their member descriptors, past the refusing
-# __setattr__, as in matrices.NonnegMatrix.
-_set_group, _set_rows, _set_cols, _set_entries, _set_hash = (
-    GroupRingMatrix.__dict__[name].__set__ for name in GroupRingMatrix.__slots__
-)
+_set_group, _set_rows, _set_cols, _set_entries, _set_hash = slot_setters(GroupRingMatrix)
 
 
 def mul_zg(a: GroupRingMatrix, b: GroupRingMatrix) -> list[list[Counter]]:

@@ -18,6 +18,7 @@ from .errors import (
     InvalidIndexSetError,
     InvalidMatrixError,
 )
+from .frozen import Frozen, slot_setters
 
 # Counting products above this many scalar multiplications are refused.
 # Boolean products never hit this path; see mul().
@@ -31,7 +32,7 @@ def _pack(values: Sequence[int], width: int) -> int:
     return acc
 
 
-class NonnegMatrix:
+class NonnegMatrix(Frozen):
     """Immutable rectangular matrix with nonnegative integer entries."""
 
     __slots__ = ("rows", "cols", "_width", "_rows", "_hash")
@@ -56,12 +57,6 @@ class NonnegMatrix:
         _set_width(self, width)
         _set_packed(self, tuple(_pack(row, width) for row in data))
         _set_hash(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NonnegMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("NonnegMatrix is immutable")
 
     def __reduce__(self):
         return (NonnegMatrix, (self.to_lists(),))
@@ -183,12 +178,7 @@ class NonnegMatrix:
         return acc
 
 
-# The slots are set through their member descriptors: the class's own
-# __setattr__ refuses every assignment, and object.__setattr__ costs a
-# lookup per call.
-_set_rows, _set_cols, _set_width, _set_packed, _set_hash = (
-    NonnegMatrix.__dict__[name].__set__ for name in NonnegMatrix.__slots__
-)
+_set_rows, _set_cols, _set_width, _set_packed, _set_hash = slot_setters(NonnegMatrix)
 
 
 def mul(a: NonnegMatrix, b: NonnegMatrix) -> NonnegMatrix:

@@ -296,10 +296,14 @@ def verify_refinement_axioms(
     rng = random.Random(seed)
     res = {name: AxiomResult(name) for name in AXIOM_NAMES}
 
+    def relabeled(x):
+        """beta∘x for a random bijection beta of x's codomain alphabet."""
+        return normalize(compose(random_bijection_code(rng, x.codomain), x))
+
     def refined_arrow_pair(psi):
         """An arrow d -> chi between genuinely different elementary codes:
         chi is a relabeling of psi and d = delta(psi, chi)."""
-        chi = normalize(compose(random_bijection_code(rng, psi.codomain), psi))
+        chi = relabeled(psi)
         v = delta([psi, chi])
         if not v.in_h_n:
             return None
@@ -312,14 +316,17 @@ def verify_refinement_axioms(
             res["exchangeability"].vacuous += 1
             continue
         phi1, phi3 = pair
-        phi2 = normalize(compose(random_bijection_code(rng, phi1.codomain), phi1))
-        phi4 = normalize(compose(random_bijection_code(rng, phi3.codomain), phi3))
+        phi2 = relabeled(phi1)
+        phi4 = relabeled(phi3)
         ok = arrow(phi1, phi3) and arrow(phi2, phi4)
         res["exchangeability"].record(ok, f"exchange failed on {phi1!r}")
 
+    # each verdict on the input tuple and on each single code is reused below
+    singles = [delta([c]) for c in codes]
+    base_v = delta(codes)
+
     # H_1 = H and delta(phi) ~ phi
-    for c in codes:
-        v = delta([c])
+    for c, v in zip(codes, singles):
         res["trivial-membership"].record(v.in_h_n, "singleton not in H_1")
         if v.in_h_n:
             res["trivial-delta"].record(
@@ -327,7 +334,6 @@ def verify_refinement_axioms(
             )
 
     # permutations
-    base_v = delta(codes)
     perms = _some_permutations(len(codes), trials, rng)
     for kappa in perms:
         permuted = [codes[k] for k in kappa]
@@ -345,16 +351,14 @@ def verify_refinement_axioms(
             res["permutation-delta"].vacuous += 1
 
     # grouping with k groups of size 1, and 2 groups of size 2 when possible
-    singles = [delta([c]) for c in codes]
     if all(v.in_h_n for v in singles):
         lhs = delta([v.delta for v in singles])
-        rhs = delta(codes)
         res["grouping"].record(
-            lhs.in_h_n == rhs.in_h_n, "grouping membership iff fails (k x 1)"
+            lhs.in_h_n == base_v.in_h_n, "grouping membership iff fails (k x 1)"
         )
-        if lhs.in_h_n and rhs.in_h_n:
+        if lhs.in_h_n and base_v.in_h_n:
             res["grouping"].record(
-                equivalent(lhs.delta, rhs.delta), "grouping delta fails (k x 1)"
+                equivalent(lhs.delta, base_v.delta), "grouping delta fails (k x 1)"
             )
     if len(codes) >= 2:
         doubled = [codes[0], codes[0], codes[1], codes[1]]
@@ -376,13 +380,12 @@ def verify_refinement_axioms(
     # dropping a redundant argument
     dup = [codes[0]] + codes
     v_dup = delta(dup)
-    v_plain = delta(codes)
     res["drop-redundant"].record(
-        v_dup.in_h_n == v_plain.in_h_n, "drop membership iff fails"
+        v_dup.in_h_n == base_v.in_h_n, "drop membership iff fails"
     )
-    if v_dup.in_h_n and v_plain.in_h_n:
+    if v_dup.in_h_n and base_v.in_h_n:
         res["drop-redundant"].record(
-            equivalent(v_dup.delta, v_plain.delta), "drop delta fails"
+            equivalent(v_dup.delta, base_v.delta), "drop delta fails"
         )
 
     # arrow axioms, on arrows d -> chi (a refinement mapping down to one
@@ -397,17 +400,17 @@ def verify_refinement_axioms(
             continue
         d, chi = pair
         # chi <- d -> beta∘d
-        phi3 = normalize(compose(random_bijection_code(rng, d.codomain), d))
+        phi3 = relabeled(d)
         v = delta([chi, d, phi3])
         res["arrow-left-pair"].record(v.in_h_n, "arrow-2 membership fails")
 
         # d -> chi <- beta∘chi
-        phi_r = normalize(compose(random_bijection_code(rng, chi.codomain), chi))
+        phi_r = relabeled(chi)
         v = delta([d, chi, phi_r])
         res["arrow-right-pair"].record(v.in_h_n, "arrow-3 membership fails")
 
         # arrow-delta: d -> chi and psi -> beta∘psi => delta pair arrow
-        phi_b = normalize(compose(random_bijection_code(rng, psi.codomain), psi))
+        phi_b = relabeled(psi)
         v_ac = delta([d, psi])
         v_bd = delta([chi, phi_b])
         if v_ac.in_h_n and v_bd.in_h_n:

@@ -11,10 +11,11 @@ import weakref
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidMatrixError
+from .frozen import Frozen, slot_setters
 from .matrices import NonnegMatrix, is_nondegenerate
 
 
-class VertexShift:
+class VertexShift(Frozen):
     """The shift of bi-infinite paths in the graph of a nondegenerate {0,1} matrix.
 
     Shifts are immutable, and equal matrices share one shift while it is
@@ -47,12 +48,6 @@ class VertexShift:
         # only a shift whose matrix passed every check is recorded; another
         # thread may have recorded one first, and then that one is shared
         return _LIVE.setdefault(matrix, self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexShift is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("VertexShift is immutable")
 
     def __reduce__(self):
         return (VertexShift, (self.matrix,))
@@ -106,11 +101,7 @@ class VertexShift:
         return f"VertexShift({self.alphabet_size} symbols)"
 
 
-# The slots are set through their member descriptors, past the refusing
-# __setattr__, as in matrices.NonnegMatrix.
-_set_matrix, _set_succ, _set_pred, _set_words, _set_hash = (
-    VertexShift.__dict__[name].__set__ for name in VertexShift.__slots__[:5]
-)
+_set_matrix, _set_succ, _set_pred, _set_words, _set_hash = slot_setters(VertexShift)
 
 # The live shift of each matrix.  A shift leaves the table when nothing else
 # references it, so the table holds no more shifts than the program uses.

@@ -290,6 +290,17 @@ def test_code_from_json_requires_integers():
     ):
         with pytest.raises(InvalidCodeError):
             code_from_json(bad)
+    # the checked constructor and shift_code refuse the same, so no code
+    # is written with a window that code_from_json would refuse
+    one = {(0,): 0, (1,): 1}
+    for left, right in ((True, True), (False, False), (0.0, 0), (0, 0.0)):
+        with pytest.raises(InvalidCodeError, match="window bounds must be integers"):
+            BlockCode(GM, GM, left, right, one)
+    with pytest.raises(InvalidCodeError, match="window bounds must be integers"):
+        BlockCode(GM, GM, 0, 0, one, inverse=(True, True, one))
+    for g in (True, 1.0, -1.0, 0, 2):
+        with pytest.raises(InvalidCodeError, match="shift exponent"):
+            shift_code(GM, g)
 
 
 @pytest.mark.parametrize(
