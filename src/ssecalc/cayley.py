@@ -14,7 +14,7 @@ from typing import Hashable, Iterable, Optional, Union
 
 from .errors import SseError
 from .frozen import Frozen, slot_setters
-from .groups import FiniteGroup
+from .groups import FiniteGroup, group_from_json, group_to_json
 
 
 class InvalidWindowError(SseError):
@@ -98,6 +98,14 @@ class FGGroupWindow(Frozen):
 
     def __reduce__(self):
         return (FGGroupWindow, (self.ops, self.gens, self.window))
+
+    def __eq__(self, other):
+        if not isinstance(other, FGGroupWindow):
+            return NotImplemented
+        return (self.ops, self.gens, self.window) == (other.ops, other.gens, other.window)
+
+    def __hash__(self):
+        return hash((self.ops, self.gens, self.window))
 
     def neighbors(self, t) -> list:
         out = [self.ops.op(t, s) for s in self.sprime]
@@ -204,8 +212,6 @@ def window_to_json(w: FGGroupWindow) -> dict:
             "generators": [list(g) for g in w.gens],
             "window": sorted(list(t) for t in w.window),
         }
-    from .groups import group_to_json
-
     names = w.ops.group.names
     return {
         "group": {"type": "table", **group_to_json(w.ops.group)},
@@ -224,8 +230,6 @@ def window_from_json(obj: dict) -> FGGroupWindow:
             gens = [tuple(g) for g in obj["generators"]]
             window = [tuple(t) for t in obj["window"]]
         else:
-            from .groups import group_from_json
-
             group = group_from_json(gspec)
             ops = TableGroup(group)
             gens = [group.index(name) for name in obj["generators"]]

@@ -39,7 +39,6 @@ from .degenerate import (
     to_strict_path,
 )
 from .elementary import (
-    Triangle,
     check_triangle,
     code_from_edge,
     edge_from_code,
@@ -92,13 +91,11 @@ def _fragment_text(f: ComplexFragment, pad: str) -> str:
     indent 2 with pad after every newline, without building the dict.
 
     The records have a fixed shape, so each is one %-template, and each
-    matrix is written once, directly.  Vertices are indexed by matrix and
-    triangle edges by identity, since explore's triangles hold the
-    fragment's own edge objects."""
+    matrix is written once, directly.  Vertices are indexed by matrix;
+    triangles already hold edge positions."""
     inner = pad + "  "
     item, field = inner + "  ", inner + "    "  # indents of a record and of its fields
     vindex = {v: i for i, v in enumerate(f.vertices)}
-    eindex = {id(e): i for i, e in enumerate(f.edges)}
     field_text: dict[NonnegMatrix, str] = {}  # R and S text, once per matrix
 
     def edge_matrix_text(m: NonnegMatrix) -> str:
@@ -116,10 +113,7 @@ def _fragment_text(f: ComplexFragment, pad: str) -> str:
         for e in f.edges
     ]
     triangle_record = f'{{\n{field}"e1": %d,\n{field}"e2": %d,\n{field}"e3": %d\n{item}}}'
-    triangles = [
-        triangle_record % (eindex[id(t.e1)], eindex[id(t.e2)], eindex[id(t.e3)])
-        for t in f.triangles
-    ]
+    triangles = [triangle_record % t for t in f.triangles]
     vertices = [_matrix_text(v, item) for v in f.vertices]
 
     def listing(records: list[str]) -> str:
@@ -426,13 +420,17 @@ def main(argv=None) -> int:
     try:
         status, report = _COMMANDS[args.command](args)
     except (ResourceBoundError, IterationBoundError) as exc:
-        _emit(args, {"command": args.command, "error": str(exc), "kind": "bound"})
-        return 3
+        status, report = 3, {"command": args.command, "error": str(exc), "kind": "bound"}
     except (SseError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _emit(args, {"command": args.command, "error": str(exc), "kind": "input"})
+        status, report = 2, {"command": args.command, "error": str(exc), "kind": "input"}
+    else:
+        report["elapsed_seconds"] = round(time.monotonic() - start, 6)
+    try:
+        _emit(args, report)
+    except OSError as exc:
+        # an unwritable --output is an input error, reported on stdout
+        print(_encode({"command": args.command, "error": str(exc), "kind": "input"}))
         return 2
-    report["elapsed_seconds"] = round(time.monotonic() - start, 6)
-    _emit(args, report)
     return status
 
 

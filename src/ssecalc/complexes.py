@@ -16,7 +16,6 @@ from .codes import BlockCode, compose, identity_code, normalize
 from .elementary import (
     DegSSEEdge,
     SSEEdge,
-    Triangle,
     code_from_edge,
     edge_from_json,
     edge_to_json,
@@ -129,11 +128,12 @@ class _Products(dict):
 
 @dataclass
 class ComplexFragment:
-    """A finite piece of the SSE complex around a base matrix."""
+    """A finite piece of the SSE complex around a base matrix; a triangle
+    t is the positions (e1, e2, e3) of its edges in edges."""
 
     vertices: list[NonnegMatrix]
     edges: list[DegSSEEdge]
-    triangles: list[Triangle]
+    triangles: list[tuple[int, int, int]]
     depth: int
     max_inner: int
 
@@ -158,10 +158,9 @@ def explore(
     so each distinct product is computed once.  Every matrix of the call
     is interned, so the tables are keyed by the matrices themselves and
     the scan compares them by identity.  The edges out of a nondegenerate
-    vertex and every triangle are built without their checks, which the
-    exact covers and the lookup already guarantee; a degenerate base gets
-    checked edges.  Caps raise ResourceBoundError, they never silently
-    truncate.
+    vertex are built without their checks, which the exact covers already
+    guarantee; a degenerate base gets checked edges.  Caps raise
+    ResourceBoundError, they never silently truncate.
 
     experimental_counts switches to the much slower search over all
     nonnegative integer entries (matrices over Z>=0 instead of {0,1});
@@ -235,12 +234,11 @@ def explore(
     # the three triangle equations of check_triangle; the first,
     # R1·R2 = R3, is the lookup of e3 by its R
     triangles = []
-    triangle = Triangle._trusted
-    for e1 in edge_list:
+    for pos1, e1 in enumerate(edge_list):
         from_a, out_of_b = index[e1.a], index[e1.b]
         r1, s1 = e1.r, e1.s
         # the e2 out of B into the targets A has edges to, in edge_list order
-        for _pos, e2 in sorted(
+        for pos2, e2 in sorted(
             pair
             for c in out_of_b.keys() & from_a.keys()
             for by_r in out_of_b[c].values()
@@ -250,10 +248,10 @@ def explore(
             r3 = products[r1, r2]
             if r3 is None:
                 continue
-            for _pos, e3 in from_a[e2.b].get(r3, ()):
+            for pos3, e3 in from_a[e2.b].get(r3, ()):
                 s3 = e3.s
                 if products[r2, s3] is s1 and products[s3, r1] is e2.s:
-                    triangles.append(triangle(e1, e2, e3))
+                    triangles.append((pos1, pos2, pos3))
     return ComplexFragment(list(vertices), edge_list, triangles, depth, max_inner)
 
 

@@ -104,16 +104,6 @@ class Triangle:
     e2: DegSSEEdge
     e3: DegSSEEdge
 
-    @classmethod
-    def _trusted(cls, e1, e2, e3) -> "Triangle":
-        """A triangle built without the endpoint checks, for callers whose
-        lookup already chains the edges; fields set as in _trusted edges."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "e1", e1)
-        object.__setattr__(t, "e2", e2)
-        object.__setattr__(t, "e3", e3)
-        return t
-
     def __post_init__(self):
         if self.e1.b != self.e2.a:
             raise InvalidEdgeError("e1 target != e2 source")

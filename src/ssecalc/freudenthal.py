@@ -412,24 +412,34 @@ class OrderedComplex(Frozen):
         tops = s - {t[:i] + t[i + 1 :] for t in s for i in range(len(t))}
         return (OrderedComplex, (self.vertices, self.arrows, tops))
 
+    def __eq__(self, other):
+        if not isinstance(other, OrderedComplex):
+            return NotImplemented
+        return (self.vertices, self.arrows, self.simplices) == (
+            other.vertices, other.arrows, other.simplices
+        )
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows, self.simplices))
+
     def _check_acyclic(self):
+        # Kahn's algorithm: a vertex is dropped once every arrow into it
+        # comes from a dropped vertex; a cycle keeps its vertices
         succ: dict = {}
+        into = dict.fromkeys(self.vertices, 0)
         for a, b in self.arrows:
             succ.setdefault(a, []).append(b)
-        state: dict = {}
-
-        def visit(v):
-            state[v] = 1
-            for u in succ.get(v, ()):
-                if state.get(u) == 1:
-                    raise InvalidComplexError("arrow relation has a cycle")
-                if u not in state:
-                    visit(u)
-            state[v] = 2
-
-        for v in self.vertices:
-            if v not in state:
-                visit(v)
+            into[b] += 1
+        ready = [v for v, n in into.items() if n == 0]
+        dropped = 0
+        while ready:
+            dropped += 1
+            for u in succ.get(ready.pop(), ()):
+                into[u] -= 1
+                if into[u] == 0:
+                    ready.append(u)
+        if dropped < len(into):
+            raise InvalidComplexError("arrow relation has a cycle")
 
     def has_simplex(self, simplex: tuple) -> bool:
         return tuple(simplex) in self.simplices

@@ -30,6 +30,7 @@ from .codes import (
     is_alphabet_bijection,
     is_elementary,
     normalize,
+    relabel_codomain,
     verify_inverse,
 )
 from .errors import (
@@ -438,8 +439,6 @@ def canonical_representative(f: BlockCode) -> BlockCode:
             perm[v] = len(perm)
     if len(perm) != fn.codomain.alphabet_size:
         raise VerificationError("code is not surjective on codomain symbols")
-    from .codes import relabel_codomain
-
     return normalize(relabel_codomain(fn, [perm[v] for v in range(len(perm))]))
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 import random
 from typing import Iterator, Optional
 
-from .codes import BlockCode, bijection_code, compose, normalize
+from .codes import BlockCode, bijection_code, compose, identity_code, normalize
 from .elementary import SSEEdge, code_from_edge
 from .errors import ResourceBoundError
 from .factorize import FactorizationSpace, factorizations
-from .matrices import NonnegMatrix, is_nondegenerate
+from .matrices import NonnegMatrix, is_nondegenerate, mul
 from .shifts import VertexShift
 
 _FACTOR_CAP = 3000
@@ -122,8 +122,6 @@ def random_conjugacy(
         cur = c if cur is None else normalize(compose(c, cur))
         a = cur.codomain.matrix
     if cur is None:
-        from .codes import identity_code
-
         cur = identity_code(VertexShift(base))
     return normalize(cur)
 
@@ -142,8 +140,6 @@ def random_deg_pair(
     rng: random.Random, n: int, m: int, max_entry: int = 2, density: float = 0.4
 ):
     """Random (R, S) over {0..max_entry} with nonzero A = RS and B = SR."""
-    from .matrices import mul
-
     while True:
         r = NonnegMatrix(
             [

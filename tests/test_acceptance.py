@@ -238,7 +238,8 @@ def test_criterion_05_homotopy_decision():
         for base, inner in ((GM, 3), (FULL2, 3)):
             frag = explore(base, inner)
             assert frag.triangles
-            for t in frag.triangles:
+            for pos in frag.triangles:
+                t = Triangle(*(frag.edges[i] for i in pos))
                 loop = SSEPath(t.e1.a, ((t.e1, 1), (t.e2, 1), (t.e3, -1)))
                 assert is_identity(compose_path(loop))
                 assert homotopic(loop, SSEPath(t.e1.a, ()))

@@ -121,6 +121,20 @@ def test_explore_ordered_bound_message(tmp_path):
     assert rep["error"] == "more than 0 ordered factorizations"
 
 
+@pytest.mark.parametrize(
+    "input_name, extra",
+    [("m.json", ["--max-inner", "2"]), ("missing.json", []), ("m.json", ["--bound", "0"])],
+    ids=["report", "input-error", "bound-error"],
+)
+def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, input_name, extra):
+    write(tmp_path, "m.json", matrix_to_json(GM))
+    out = tmp_path / "missing-dir" / "x.json"
+    code = main(["explore", "--input", str(tmp_path / input_name), *extra, "--output", str(out)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2 and rep["command"] == "explore" and rep["kind"] == "input"
+    assert str(out) in rep["error"] and not out.parent.exists()
+
+
 def test_explore_report_is_canonical_json(tmp_path):
     path = write(tmp_path, "m.json", matrix_to_json(GM))
     out = tmp_path / "out.json"

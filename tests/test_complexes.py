@@ -42,10 +42,15 @@ def test_chaining_validated():
         SSEPath(FULL2, ((e, 1),))
 
 
+def _triangles(frag):
+    """The fragment's triangles as Triangles of its edges."""
+    return [Triangle(*(frag.edges[i] for i in t)) for t in frag.triangles]
+
+
 def test_triangle_boundary_composes_to_identity():
     # e1; e2; then e3 backwards is a loop homotopic to a point
     frag = explore(GM, 3)
-    tris = [t for t in frag.triangles if check_triangle(t)]
+    tris = [t for t in _triangles(frag) if check_triangle(t)]
     assert tris
     for t in tris[:10]:
         p = SSEPath(t.e1.a, ((t.e1, 1), (t.e2, 1), (t.e3, -1)))
@@ -69,7 +74,7 @@ def test_homotopic_needs_matching_endpoints():
 
 def test_homotopic_reroute_across_triangle():
     frag = explore(GM, 3)
-    t = next(t for t in frag.triangles if check_triangle(t))
+    t = next(t for t in _triangles(frag) if check_triangle(t))
     direct = SSEPath(t.e1.a, ((t.e3, 1),))
     around = SSEPath(t.e1.a, ((t.e1, 1), (t.e2, 1)))
     assert homotopic(direct, around)
@@ -145,11 +150,6 @@ def fragment_to_json(f):
     """The explore report's "fragment" object, built as a dict: the oracle
     of the CLI's direct writer."""
     vindex = {v: i for i, v in enumerate(f.vertices)}
-    eindex = {(e.a, e.b, e.r, e.s): i for i, e in enumerate(f.edges)}
-
-    def edge_index(e):
-        return eindex[(e.a, e.b, e.r, e.s)]
-
     return {
         "vertices": [matrix_to_json(v) for v in f.vertices],
         "edges": [
@@ -161,10 +161,7 @@ def fragment_to_json(f):
             }
             for e in f.edges
         ],
-        "triangles": [
-            {"e1": edge_index(t.e1), "e2": edge_index(t.e2), "e3": edge_index(t.e3)}
-            for t in f.triangles
-        ],
+        "triangles": [{"e1": i1, "e2": i2, "e3": i3} for i1, i2, i3 in f.triangles],
         "depth": f.depth,
         "max_inner": f.max_inner,
     }
@@ -253,26 +250,19 @@ def test_explore_depth_two_reaches_second_shell():
     assert any(v != GM for v in sources)
 
 
-def _reference_triangles(frag, make_triangle, check):
-    """The plain O(E·deg²) scan: every e3 leaving e1's source is tried."""
+def _reference_triangles(frag):
+    """The plain O(E·deg²) scan: every e3 leaving e1's source is tried.
+    Triangles are the edge positions (e1, e2, e3)."""
     by_source = {}
-    for e in frag.edges:
-        by_source.setdefault(e.a, []).append(e)
+    for pos, e in enumerate(frag.edges):
+        by_source.setdefault(e.a, []).append((pos, e))
     out = []
-    for e1 in frag.edges:
-        for e2 in by_source.get(e1.b, ()):
-            for e3 in by_source.get(e1.a, ()):
-                if e3.b != e2.b:
-                    continue
-                t = make_triangle(e1, e2, e3)
-                if check(t):
-                    out.append(t)
+    for pos1, e1 in enumerate(frag.edges):
+        for pos2, e2 in by_source.get(e1.b, ()):
+            for pos3, e3 in by_source.get(e1.a, ()):
+                if e3.b == e2.b and check_triangle(Triangle(e1, e2, e3)):
+                    out.append((pos1, pos2, pos3))
     return out
-
-
-def _edge_indices(frag, triangles):
-    index = {id(e): i for i, e in enumerate(frag.edges)}
-    return [(index[id(t.e1)], index[id(t.e2)], index[id(t.e3)]) for t in triangles]
 
 
 def _random_base(rng, n):
@@ -290,9 +280,9 @@ def _random_base(rng, n):
 )
 def test_explore_triangles_match_reference_scan(a, max_inner, depth):
     frag = explore(a, max_inner, depth=depth)
-    want = _reference_triangles(frag, Triangle, check_triangle)
+    want = _reference_triangles(frag)
     assert want
-    assert _edge_indices(frag, frag.triangles) == _edge_indices(frag, want)
+    assert frag.triangles == want
 
 
 @pytest.mark.parametrize(
@@ -302,9 +292,9 @@ def test_explore_triangles_match_reference_scan(a, max_inner, depth):
 )
 def test_explore_experimental_counts_triangles_match_reference_scan(a, max_inner):
     frag = explore(a, max_inner, experimental_counts=True)
-    want = _reference_triangles(frag, Triangle, check_triangle)
+    want = _reference_triangles(frag)
     assert want
-    assert _edge_indices(frag, frag.triangles) == _edge_indices(frag, want)
+    assert frag.triangles == want
 
 
 # (base, max_inner, depth, experimental_counts) of the encoded fragments
@@ -346,9 +336,13 @@ def test_fragment_text_is_json_dumps(fragment):
 
 def test_explore_triangles_pass_check_triangle(fragment):
     _, _, frag = fragment
-    assert all(check_triangle(t) for t in frag.triangles)
-    edges = set(map(id, frag.edges))
-    assert all({id(t.e1), id(t.e2), id(t.e3)} <= edges for t in frag.triangles)
+    for t in frag.triangles:
+        assert type(t) is tuple and len(t) == 3
+        assert all(type(i) is int and 0 <= i < len(frag.edges) for i in t)
+        e1, e2, e3 = (frag.edges[i] for i in t)
+        # e1: A -> B, e2: B -> C, e3: A -> C
+        assert e1.b == e2.a and e1.a == e3.a and e2.b == e3.b
+        assert check_triangle(Triangle(e1, e2, e3))
 
 
 # the benchmark's four deep explore inputs: (base, max_inner, depth) and

@@ -353,6 +353,15 @@ def test_ordered_complex_validation():
     assert boundary(c).coeffs == {("b", "c"): 2, ("a", "c"): -2, ("a", "b"): 2}
 
 
+@pytest.mark.parametrize("back_to", [0, 1000], ids=["cycle", "cycle-after-a-tail"])
+def test_ordered_complex_acyclicity_deeper_than_the_recursion_limit(back_to):
+    chain = [(i, i + 1) for i in range(2999)]
+    k = OrderedComplex(range(3000), chain, chain)
+    assert k.has_simplex((2998, 2999)) and len(k.simplices) == 3000 + 2999
+    with pytest.raises(InvalidComplexError, match="^arrow relation has a cycle$"):
+        OrderedComplex(range(3000), chain + [(2999, back_to)], [])
+
+
 def _code_complex():
     x = VertexShift(NonnegMatrix([[1, 1], [1, 0]]))
     phi0 = normalize(identity_code(x))

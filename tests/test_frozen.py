@@ -81,7 +81,7 @@ def _copies(value):
 def test_every_frozen_type_refuses_assignment_and_copies_and_pickles(cls):
     samples = SAMPLES.get(cls)
     assert samples, f"no sample value of {cls.__name__}"
-    has_eq = cls.__eq__ is not object.__eq__
+    assert len(set(samples)) == len(samples)  # distinct samples are unequal
     for value in samples:
         assert type(value) is cls and not hasattr(value, "__dict__")
         for name in _slots(cls):
@@ -92,9 +92,7 @@ def test_every_frozen_type_refuses_assignment_and_copies_and_pickles(cls):
         with pytest.raises(AttributeError, match="is immutable"):
             value.extra = 1
         for c in _copies(value):
-            # equal values: rebuilt from equal constructor arguments
-            assert type(c) is cls and c.__reduce__() == value.__reduce__()
-            assert c == value or not has_eq
+            assert type(c) is cls and c == value and hash(c) == hash(value)
             if cls is VertexShift:
                 assert c is value
             if cls is BlockCode:

@@ -202,10 +202,7 @@ def test_trusted_explore_output_equals_checked(a, max_inner, depth):
         assert type(e) is SSEEdge and e == checked
         assert list(vars(e)) == list(vars(checked))
     for t in frag.triangles:
-        checked = Triangle(t.e1, t.e2, t.e3)
-        assert type(t) is Triangle and t == checked
-        assert list(vars(t)) == list(vars(checked))
-        assert check_triangle(t)
+        assert check_triangle(Triangle(*(frag.edges[i] for i in t)))
     # equal matrices of a fragment are one object
     matrices = {}
     for e in frag.edges:
