@@ -22,7 +22,7 @@ from .cayley import (
     window_from_json,
     window_to_json,
 )
-from .codes import code_from_json, code_to_json, equal_codes, normalize
+from .codes import code_from_json, code_to_json, equal_codes, normalize, verify_inverse
 from .complexes import (
     ComplexFragment,
     SSEPath,
@@ -47,7 +47,7 @@ from .elementary import (
     triangle_from_json,
     triangle_to_json,
 )
-from .errors import IterationBoundError, ResourceBoundError, SseError
+from .errors import InvalidCodeError, IterationBoundError, ResourceBoundError, SseError
 from .freudenthal import check_subdivision
 from .gsft import (
     bar,
@@ -180,15 +180,6 @@ def _encode(report: dict) -> str:
     return _text(report, "")
 
 
-def _emit(args, report: dict) -> None:
-    text = _encode(report)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _run_verify_edge(args) -> tuple[int, dict]:
     obj = _load(args.input)
     edge = edge_from_json(obj)
@@ -224,6 +215,8 @@ def _run_code(args) -> tuple[int, dict]:
 
 def _run_extract(args) -> tuple[int, dict]:
     f = code_from_json(_load(args.input))
+    if f._inverse is not None and not verify_inverse(f, f._inverse):
+        raise InvalidCodeError("stored inverse failed verification")
     edge = edge_from_code(f)
     return 0, {
         "command": "extract",
@@ -414,19 +407,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> tuple[int, dict]:
     start = time.monotonic()
     try:
         status, report = _COMMANDS[args.command](args)
     except (ResourceBoundError, IterationBoundError) as exc:
-        status, report = 3, {"command": args.command, "error": str(exc), "kind": "bound"}
+        return 3, {"command": args.command, "error": str(exc), "kind": "bound"}
     except (SseError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        status, report = 2, {"command": args.command, "error": str(exc), "kind": "input"}
-    else:
-        report["elapsed_seconds"] = round(time.monotonic() - start, 6)
+        return 2, {"command": args.command, "error": str(exc), "kind": "input"}
+    report["elapsed_seconds"] = round(time.monotonic() - start, 6)
+    return status, report
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if not args.output:
+        status, report = _run(args)
+        print(_encode(report))
+        return status
     try:
-        _emit(args, report)
+        # opened before the command runs, so an unwritable --output costs
+        # no work, and without truncating, so an --output that names the
+        # --input file is still read intact
+        with open(args.output, "a") as out:
+            status, report = _run(args)
+            out.truncate(0)
+            out.write(_encode(report) + "\n")
     except OSError as exc:
         # an unwritable --output is an input error, reported on stdout
         print(_encode({"command": args.command, "error": str(exc), "kind": "input"}))

@@ -322,10 +322,12 @@ class FactorizationSpace:
 
     Inner dimension m holds factorizations(a, m, max_results=max_results)
     or, when that overflows, factorizations(a, m, ordered=False,
-    max_results=max_results), whose own overflow raises.  Only the covers
-    are kept: index i decodes to (m, cover, ordering rank), and the rank
-    unranks to the permutation itertools.permutations emits there, so the
-    sequence equals the concatenation of those lists.
+    max_results=max_results), whose own overflow raises.  The ordered list
+    overflows exactly when its covers times m! exceed max_results, so each
+    dimension is searched once, unordered.  Only the covers are kept:
+    index i decodes to (m, cover, ordering rank), and the rank unranks to
+    the permutation itertools.permutations emits there, so the sequence
+    equals the concatenation of those lists.
     """
 
     __slots__ = ("n", "_starts", "_blocks", "_len")
@@ -336,10 +338,8 @@ class FactorizationSpace:
         self._blocks: list[tuple[int, list, bool]] = []  # (m, covers, ordered)
         total = 0
         for m in range(1, max_inner + 1):
-            try:
-                covers, ordered = _search(a, m, True, max_results), True
-            except ResourceBoundError:
-                covers, ordered = _search(a, m, False, max_results), False
+            covers = _search(a, m, False, max_results)
+            ordered = len(covers) * factorial(m) <= max_results
             if covers:
                 self._starts.append(total)
                 self._blocks.append((m, covers, ordered))

@@ -53,39 +53,24 @@ def theta_inverse(point: Sequence[int]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FreudenthalSimplex:
-    """One top cell: base corner, coordinate insertion order, and sign."""
+    """One top cell: base corner, coordinate insertion order, and sign;
+    pairs holds the (i, j) with theta(i, j) = each vertex, and slots the
+    position of each (i, j) in the list of the pairs i <= j of 0..n,
+    row by row."""
 
     dimension: int
     base: tuple[int, ...]
     perm: tuple[int, ...]  # 1-based coordinate indices
     vertices: tuple[tuple[int, ...], ...]
     sign: int
+    pairs: tuple[tuple[int, int], ...]
+    slots: tuple[int, ...]
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-# Cells and index tables are kept per dimension; the bound keeps both
-# tables at no more than MAX_SUBDIVISION_DIMENSION + 1 entries.
+# Cells are kept per dimension; the bound keeps the table at no more than
+# MAX_SUBDIVISION_DIMENSION + 1 entries.
 MAX_SUBDIVISION_DIMENSION = 10
 _CELLS: dict[int, tuple[FreudenthalSimplex, ...]] = {}
-_INDEX_PAIRS: dict[
-    int, tuple[tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]], ...]
-] = {}
 
 
 def _subdivision_cells(n: int) -> tuple[FreudenthalSimplex, ...]:
@@ -98,6 +83,11 @@ def _subdivision_cells(n: int) -> tuple[FreudenthalSimplex, ...]:
     C(n, j) interleavings of the two runs.  Bases come in increasing j and
     the interleavings in lexicographic order of their "1->2" positions,
     which is already (base, perm) order.
+
+    After i "1->2" steps out of k, a cell is at theta(i, j + k - i), whose
+    slot is i(2n + 3 - i)/2 + j + k - 2i, row i starting at i(2n + 3 - i)/2.
+    A "0->1" step before a "1->2" step is an inversion of perm, so the
+    sign is (-1) to the sum of the 0-based "1->2" positions less j(j - 1)/2.
     """
     cells = _CELLS.get(n)
     if cells is not None:
@@ -113,36 +103,22 @@ def _subdivision_cells(n: int) -> tuple[FreudenthalSimplex, ...]:
     for j in range(n + 1):
         base = theta(0, j, n)
         for two_steps in combinations(range(n), j):
-            to_two = iter(range(1, j + 1))
-            to_one = iter(range(j + 1, n + 1))
-            perm = tuple(next(to_two) if k in two_steps else next(to_one) for k in range(n))
-            verts = [base]
-            for p in perm:
-                nxt = list(verts[-1])
-                nxt[p - 1] += 1
-                verts.append(tuple(nxt))
-            found.append(FreudenthalSimplex(n, base, perm, tuple(verts), _perm_sign(perm)))
+            perm, pairs, i = [], [(0, j)], 0
+            for k in range(1, n + 1):
+                if k - 1 in two_steps:
+                    i += 1
+                    perm.append(i)
+                else:
+                    perm.append(j + k - i)
+                pairs.append((i, j + k - i))
+            verts = tuple(theta(a, b, n) for a, b in pairs)
+            slots = tuple(a * (2 * n + 3 - a) // 2 + b - a for a, b in pairs)
+            sign = -1 if (sum(two_steps) - j * (j - 1) // 2) % 2 else 1
+            found.append(
+                FreudenthalSimplex(n, base, tuple(perm), verts, sign, tuple(pairs), slots)
+            )
     cells = _CELLS[n] = tuple(found)
     return cells
-
-
-def _signed_index_pairs(
-    n: int,
-) -> tuple[tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
-    """For each cell of _subdivision_cells(n), in order: its sign, the
-    (i, j) of theta_inverse at each of its vertices, and the position of
-    each (i, j) in the list of the pairs i <= j of 0..n, row by row."""
-    table = _INDEX_PAIRS.get(n)
-    if table is None:
-        cells = _subdivision_cells(n)
-        upper = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
-        slot = {ij: k for k, ij in enumerate(upper)}
-        rows = []
-        for cell in cells:
-            ij = tuple(theta_inverse(p) for p in cell.vertices)
-            rows.append((cell.sign, ij, tuple(slot[p] for p in ij)))
-        table = _INDEX_PAIRS[n] = tuple(rows)
-    return table
 
 
 def enumerate_subdivision(n: int) -> list[FreudenthalSimplex]:
@@ -193,21 +169,19 @@ class Chain:
             else:
                 del coeffs[simplex]
 
-    def __add__(self, other: "Chain") -> "Chain":
+    def _plus(self, other: "Chain", sign: int) -> "Chain":
         out = Chain()
         out.coeffs.update(self.coeffs)
-        add = out.add
+        add = out._add  # no key of a chain repeats a vertex
         for s, c in other.coeffs.items():
-            add(s, c)
+            add(s, sign * c)
         return out
 
+    def __add__(self, other: "Chain") -> "Chain":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "Chain") -> "Chain":
-        out = Chain()
-        out.coeffs.update(self.coeffs)
-        add = out.add
-        for s, c in other.coeffs.items():
-            add(s, -c)
-        return out
+        return self._plus(other, -1)
 
     def __eq__(self, other):
         if not isinstance(other, Chain):
@@ -283,12 +257,11 @@ def chain_f(c: Chain) -> Chain:
     # repeats one either
     add = out._add
     for simplex, coeff in c.coeffs.items():
-        table = _signed_index_pairs(len(simplex) - 1)
         # each pair vertex is made once per simplex, not once per cell
         pairs = [make_pair(v, w) for i, v in enumerate(simplex) for w in simplex[i:]]
         take = pairs.__getitem__
-        for sign, _ij, slots in table:
-            add(tuple(map(take, slots)), coeff * sign)
+        for cell in _subdivision_cells(len(simplex) - 1):
+            add(tuple(map(take, cell.slots)), coeff * cell.sign)
     return out
 
 
@@ -340,10 +313,7 @@ def check_subdivision(n: int, trials: int, seed: int) -> SubdivisionCheck:
     cells = enumerate_subdivision(n)
     vertices = {v for c in cells for v in c.vertices}
     counts_ok = len(cells) == 2**n and len(vertices) == (n + 1) * (n + 2) // 2
-    lhs = Chain()
-    for cell in cells:
-        for k in range(n + 1):
-            lhs.add(cell.vertices[:k] + cell.vertices[k + 1 :], cell.sign * (-1) ** k)
+    lhs = boundary(Chain({cell.vertices: cell.sign for cell in cells}))
     rhs = Chain()
     for k in range(n + 1):
         for cell in _subdivision_cells(n - 1):
@@ -492,7 +462,8 @@ def subdivision_operator(
         return cache[key]
 
     for simplex, coeff in c.coeffs.items():
-        for sign, ij, _slots in _signed_index_pairs(len(simplex) - 1):
+        for cell in _subdivision_cells(len(simplex) - 1):
+            ij = cell.pairs
             image = tuple(refined(simplex[i], simplex[j]) for (i, j) in ij)
             if len(set(image)) != len(image):
                 report.dropped_degenerate += 1
@@ -507,5 +478,5 @@ def subdivision_operator(
                 if ell == 0:
                     report.flagged_zero_ell += 1
                 report.type_two += 1
-            out.add(image, coeff * sign)
+            out.add(image, coeff * cell.sign)
     return out, report

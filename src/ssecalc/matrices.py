@@ -370,6 +370,14 @@ def matrix_from_json(obj: dict) -> NonnegMatrix:
         m = NonnegMatrix(entries)
     except (TypeError, KeyError) as exc:
         raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
+    _check_declared_shape(m, rows, cols)
+    return m
+
+
+def _check_declared_shape(m, rows, cols) -> None:
+    """Refuse a declared shape of a JSON matrix that is not exactly the
+    ints m.rows and m.cols; True and 1.0 equal 1 but are refused."""
+    if type(rows) is not int or type(cols) is not int:
+        raise InvalidMatrixError(f"declared shape must be integers, not {rows!r} x {cols!r}")
     if m.rows != rows or m.cols != cols:
         raise InvalidMatrixError("declared shape does not match entries")
-    return m

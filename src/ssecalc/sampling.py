@@ -5,10 +5,10 @@ from a seed.  Edge pools are cached per (matrix, max_inner), since the
 suites repeatedly sample edges from a handful of base matrices.  A pool
 keeps only the covers of its factorization search and builds an edge
 when it is drawn.  The cache keeps the last _FACTOR_CACHE_SIZE pools
-built.  The whole tier-1 suite in one process builds 3236 pools, 2805 of
+built.  The whole tier-1 suite in one process builds 3246 pools, 2805 of
 them (8.6 MB of covers) in the triangle-equivalence acceptance
-criterion, and the benchmark's inputs 189, so the bound is not reached
-there and only caps memory in longer runs.
+criterion, and the benchmark's inputs 189 (codes) and 47 (search), so
+the bound is not reached there and only caps memory in longer runs.
 """
 
 from __future__ import annotations

@@ -135,6 +135,27 @@ def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, input_name, ex
     assert str(out) in rep["error"] and not out.parent.exists()
 
 
+def test_an_unwritable_output_runs_no_command(tmp_path, capsys, monkeypatch):
+    def refuse(args):
+        pytest.fail("the command ran although its output cannot be written")
+
+    monkeypatch.setitem(_COMMANDS, "explore", refuse)
+    out = tmp_path / "missing-dir" / "x.json"
+    code = main(["explore", "--input", write(tmp_path, "m.json", matrix_to_json(GM)),
+                 "--output", str(out)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2 and rep["kind"] == "input" and str(out) in rep["error"]
+
+
+def test_an_output_that_names_the_input_is_read_first(tmp_path):
+    path = write(tmp_path, "e.json", edge_to_json(SSEEdge(GM, GM, GM, I2)))
+    code = main(["verify-edge", "--input", path, "--output", path])
+    text = (tmp_path / "e.json").read_text()
+    rep = json.loads(text)
+    assert code == 0 and rep["verified"] and rep["input"]["A"] == matrix_to_json(GM)
+    assert text == _encode(rep) + "\n"
+
+
 def test_explore_report_is_canonical_json(tmp_path):
     path = write(tmp_path, "m.json", matrix_to_json(GM))
     out = tmp_path / "out.json"
@@ -383,6 +404,11 @@ _BAD_SIGN_INPUTS = [
         # a true inverse that carries an inverse of its own
         ("extract", _code_obj(inverse=code_to_json(shift_code(VertexShift(GM), -1)))),
         ("decompose", _code_obj(inverse=code_to_json(shift_code(VertexShift(GM), -1)))),
+        # declared shapes that equal the shape but are not ints
+        ("explore", {"rows": True, "cols": True, "entries": [[1]]}),
+        ("explore", {"rows": 1.0, "cols": 1, "entries": [[1]]}),
+        ("gsft-bar", dict(Z3_MATRIX, rows=2.0)),
+        ("gsft-bar", dict(Z3_MATRIX, cols=True, rows=True, entries=[[["e"]]])),
     ],
 )
 def test_malformed_json_is_an_input_error(tmp_path, command, obj):
@@ -453,6 +479,22 @@ TWO_BLOCK_WITH_CONSTANT = _code_json(
 def test_refine_axioms_refuses_a_false_stored_inverse(tmp_path, code_obj):
     path = write(tmp_path, "ax.json", {"codes": [code_obj]})
     code, rep = run(tmp_path, "refine-axioms", "--input", path)
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == "stored inverse failed verification"
+
+
+# phi of the edge (R, S) = (F, P) at the full 2-shift F, P the swap, with
+# the shift back stored as its inverse; read as a true inverse it gives
+# the edge (F, I), whose conjugacy is the plain shift
+SWAP_EDGE_WITH_SHIFT_BACK = _code_json(
+    FULL2, FULL2, (0, 1), [((1, 1), 2), ((1, 2), 1), ((2, 1), 2), ((2, 2), 1)],
+    _code_json(FULL2, FULL2, (-1, 0), [((1, 1), 1), ((1, 2), 1), ((2, 1), 2), ((2, 2), 2)]),
+)
+
+
+def test_extract_refuses_a_false_stored_inverse(tmp_path):
+    path = write(tmp_path, "code.json", SWAP_EDGE_WITH_SHIFT_BACK)
+    code, rep = run(tmp_path, "extract", "--input", path)
     assert code == 2 and rep["kind"] == "input", rep
     assert rep["error"] == "stored inverse failed verification"
 

@@ -18,7 +18,6 @@ from ssecalc.freudenthal import (
     OracleUndefinedError,
     OrderedComplex,
     PairVertex,
-    _perm_sign,
     _subdivision_cells,
     boundary,
     chain_f,
@@ -95,12 +94,45 @@ def test_subdivision_counts_and_oracle():
         assert {c.vertices for c in cells} == brute_force_cells(n)
 
 
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j] - 1
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def test_generated_cells_match_brute_force():
     for n in range(1, 7):
         cells = _subdivision_cells(n)
         assert {c.vertices for c in cells} == brute_force_cells(n)
         assert list(cells) == sorted(cells, key=lambda c: (c.base, c.perm))
         assert all(c.sign == _perm_sign(c.perm) for c in cells)
+
+
+def test_cell_pairs_slots_and_signs_match_their_vertices():
+    for n in range(7):
+        upper = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+        for cell in _subdivision_cells(n):
+            assert cell.pairs == tuple(theta_inverse(v) for v in cell.vertices)
+            assert cell.slots == tuple(upper.index(ij) for ij in cell.pairs)
+            assert cell.sign == _perm_sign(cell.perm)
+
+
+def test_cells_come_in_base_perm_order_up_to_the_bound():
+    for n in range(MAX_SUBDIVISION_DIMENSION + 1):
+        cells = _subdivision_cells(n)
+        assert len(cells) == 2**n
+        assert [(c.base, c.perm) for c in cells] == sorted((c.base, c.perm) for c in cells)
 
 
 def test_enumerate_subdivision_returns_a_fresh_list():

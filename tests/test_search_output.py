@@ -11,7 +11,8 @@ import pytest
 from ssecalc.complexes import explore
 from ssecalc.elementary import SSEEdge, Triangle, check_triangle
 from ssecalc.errors import InvalidEdgeError, ResourceBoundError
-from ssecalc.factorize import _covers, factorizations, factorizations_general
+from ssecalc import factorize
+from ssecalc.factorize import FactorizationSpace, _covers, factorizations, factorizations_general
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate
 from ssecalc import sampling
 from ssecalc.sampling import edge_pool, random_edge, random_nondeg_matrix
@@ -165,6 +166,27 @@ def test_evicted_pool_is_rebuilt_with_the_same_edges(monkeypatch):
     rebuilt = edge_pool(GM, 3)
     assert rebuilt is not first and list(rebuilt) == edges
     assert list(sampling._FACTOR_CACHE) == [(FULL2, 3), (GM, 3)]
+
+
+def test_each_inner_dimension_is_searched_once(monkeypatch):
+    # the ordered search of the all-ones 3x3 overflows at inner 5 and 6
+    inners = []
+
+    def counted(rows, n, inner, cap, message):
+        inners.append(inner)
+        return _covers(rows, n, inner, cap, message)
+
+    monkeypatch.setattr(factorize, "_covers", counted)
+    monkeypatch.setattr(sampling, "_FACTOR_CACHE", {})
+    full3 = NonnegMatrix([[1] * 3] * 3)
+    assert len(edge_pool(full3, 6)) == len(_reference_edge_pool(full3, 6))
+    assert inners == [1, 2, 3, 4, 5, 6]
+    # an unordered overflow still raises the unordered search's message
+    with pytest.raises(ResourceBoundError) as want:
+        factorizations(full3, 4, ordered=False, max_results=10)
+    with pytest.raises(ResourceBoundError) as got:
+        FactorizationSpace(full3, 4, 10)
+    assert str(got.value) == str(want.value)
 
 
 def test_edge_pool_edges_are_plain_checked_edges():
