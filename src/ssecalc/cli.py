@@ -22,7 +22,7 @@ from .cayley import (
     window_from_json,
     window_to_json,
 )
-from .codes import code_from_json, code_to_json, equal_codes, normalize, verify_inverse
+from .codes import code_from_json, code_to_json, equal_codes, normalize
 from .complexes import (
     ComplexFragment,
     SSEPath,
@@ -47,7 +47,7 @@ from .elementary import (
     triangle_from_json,
     triangle_to_json,
 )
-from .errors import InvalidCodeError, IterationBoundError, ResourceBoundError, SseError
+from .errors import IterationBoundError, ResourceBoundError, SseError
 from .freudenthal import check_subdivision
 from .gsft import (
     bar,
@@ -215,8 +215,6 @@ def _run_code(args) -> tuple[int, dict]:
 
 def _run_extract(args) -> tuple[int, dict]:
     f = code_from_json(_load(args.input))
-    if f._inverse is not None and not verify_inverse(f, f._inverse):
-        raise InvalidCodeError("stored inverse failed verification")
     edge = edge_from_code(f)
     return 0, {
         "command": "extract",
@@ -421,24 +419,23 @@ def _run(args) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.output:
-        status, report = _run(args)
-        print(_encode(report))
-        return status
     try:
-        # opened before the command runs, so an unwritable --output costs
-        # no work, and without truncating, so an --output that names the
-        # --input file is still read intact
-        with open(args.output, "a") as out:
-            status, report = _run(args)
-            out.truncate(0)
-            out.write(_encode(report) + "\n")
+        if args.output:
+            # only tried here, so an unwritable --output runs no command;
+            # append mode leaves an --output that names the --input intact
+            open(args.output, "a").close()
+        status, report = _run(args)
+        text = _encode(report)
+        if args.output:
+            with open(args.output, "w") as out:
+                out.write(text + "\n")
+        else:
+            print(text)
     except OSError as exc:
         # an unwritable --output is an input error, reported on stdout
         print(_encode({"command": args.command, "error": str(exc), "kind": "input"}))
         return 2
     return status
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -423,7 +423,8 @@ def _code_fields(obj) -> tuple:
 
 
 def code_from_json(obj: dict) -> BlockCode:
-    """The code and its inverse, each built once and checked, then linked."""
+    """The code and its inverse, each built once and checked, then linked;
+    a stored inverse that fails verify_inverse is refused."""
     f = BlockCode(*_code_fields(obj))
     if "inverse" not in obj:
         return f
@@ -432,6 +433,8 @@ def code_from_json(obj: dict) -> BlockCode:
         raise InvalidCodeError("an inverse carries no inverse of its own")
     if g.domain != f.codomain or g.codomain != f.domain:
         raise ShiftMismatchError("inverse endpoints do not match")
+    if not verify_inverse(f, g):
+        raise InvalidCodeError("stored inverse failed verification")
     _set_inverse(f, g)
     _set_inverse(g, f)
     return f

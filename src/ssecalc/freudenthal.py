@@ -463,16 +463,15 @@ def subdivision_operator(
 
     for simplex, coeff in c.coeffs.items():
         for cell in _subdivision_cells(len(simplex) - 1):
-            ij = cell.pairs
-            image = tuple(refined(simplex[i], simplex[j]) for (i, j) in ij)
+            image = tuple(refined(simplex[i], simplex[j]) for (i, j) in cell.pairs)
             if len(set(image)) != len(image):
                 report.dropped_degenerate += 1
                 continue
-            diag = [k for k, (i, j) in enumerate(ij) if i == j]
+            diag = [i for (i, j) in cell.pairs if i == j]
             if not diag:
                 report.type_one += 1
             else:
-                ell = ij[diag[0]][0]
+                ell = diag[0]
                 if len(diag) != 1:
                     raise InvalidChainError("more than one diagonal vertex in a cell")
                 if ell == 0:

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .frozen import Frozen, slot_setters
 from .groups import FiniteGroup, group_from_json, group_to_json
-from .matrices import NonnegMatrix, _check_declared_shape, matrix_from_json, matrix_to_json
+from .matrices import NonnegMatrix, check_declared_shape, matrix_from_json, matrix_to_json
 
 
 class GroupRingMatrix(Frozen):
@@ -289,7 +289,7 @@ def gsft_matrix_from_json(obj: dict) -> GroupRingMatrix:
     except (TypeError, KeyError) as exc:
         raise InvalidMatrixError(f"malformed group-ring matrix: {exc}") from exc
     m = GroupRingMatrix(group, entries)
-    _check_declared_shape(m, obj.get("rows", m.rows), obj.get("cols", m.cols))
+    check_declared_shape(m, obj.get("rows", m.rows), obj.get("cols", m.cols))
     return m
 
 

@@ -370,11 +370,11 @@ def matrix_from_json(obj: dict) -> NonnegMatrix:
         m = NonnegMatrix(entries)
     except (TypeError, KeyError) as exc:
         raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
-    _check_declared_shape(m, rows, cols)
+    check_declared_shape(m, rows, cols)
     return m
 
 
-def _check_declared_shape(m, rows, cols) -> None:
+def check_declared_shape(m, rows, cols) -> None:
     """Refuse a declared shape of a JSON matrix that is not exactly the
     ints m.rows and m.cols; True and 1.0 equal 1 but are refused."""
     if type(rows) is not int or type(cols) is not int:

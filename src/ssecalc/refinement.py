@@ -498,9 +498,6 @@ def axiom_input_from_json(obj: dict, seed: int) -> tuple[list[BlockCode], dict]:
         if not isinstance(listed, list) or not listed:
             raise InvalidCodeError("codes must be a nonempty list of block codes")
         codes = [code_from_json(c) for c in listed]
-        for c in codes:
-            if c._inverse is not None and not verify_inverse(c, c._inverse):
-                raise InvalidCodeError("stored inverse failed verification")
         return codes, {"codes": len(codes)}
     base = matrix_from_json(obj["base"])
     n = obj.get("tuple_size", 2)

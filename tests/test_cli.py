@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import operator
+import os
 import time
 
 import pytest
@@ -154,6 +155,24 @@ def test_an_output_that_names_the_input_is_read_first(tmp_path):
     rep = json.loads(text)
     assert code == 0 and rep["verified"] and rep["input"]["A"] == matrix_to_json(GM)
     assert text == _encode(rep) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["explore", "--max-inner", "3"], 0),
+        (["explore", "--bound", "0"], 3),
+        (["verify-triangle"], 1),
+    ],
+    ids=["report", "bound-error", "verified-false"],
+)
+def test_an_output_that_is_not_a_regular_file_keeps_the_status(tmp_path, capsys, argv, status):
+    e = SSEEdge(GM, GM, I2, GM)
+    obj = (triangle_to_json(Triangle(e, e, SSEEdge(GM, GM, GM, I2)))
+           if argv[0] == "verify-triangle" else matrix_to_json(GM))
+    path = write(tmp_path, "in.json", obj)
+    code = main([argv[0], "--input", path, *argv[1:], "--output", os.devnull])
+    assert code == status and capsys.readouterr().out == ""
 
 
 def test_explore_report_is_canonical_json(tmp_path):
