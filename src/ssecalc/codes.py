@@ -8,6 +8,12 @@ normal forms: shrink the window from both ends as far as possible, then
 slide it toward the origin where the shift's structure permits (this is
 what makes e.g. powers of the shift map on a cycle compare equal to the
 alphabet permutation they are).
+
+A code keeps its table keyed by packed words (``VertexShift.packed_words``:
+a fixed number of bits per symbol, the first symbol most significant), so
+composing, normalizing and checking a code read sub-windows by shifts and
+masks.  Words are tuples only at the edges: the read-only ``table``, built
+on first read, ``table_at``, ``apply_word`` and the JSON format.
 """
 
 from __future__ import annotations
@@ -34,12 +40,14 @@ class BlockCode(Frozen):
     ``(left, right, table)``, which is copied and checked the same way, and
     the two are linked, so ``f.inverse.inverse is f``.  Whether they really
     are mutually inverse is decided by ``verify_inverse``, not here.  The
-    library's own codes, on tables it has built, come from ``_trusted``.
-    Copies and pickles rebuild the code and its inverse through this
-    constructor, linked again.
+    library's own codes, on packed tables it has built, come from
+    ``_trusted``.  Copies and pickles rebuild the code and its inverse
+    through this constructor, linked again.
     """
 
-    __slots__ = ("domain", "codomain", "left", "right", "table", "_inverse", "_hash")
+    __slots__ = (
+        "domain", "codomain", "left", "right", "_table", "_view", "_inverse", "_hash"
+    )
 
     def __new__(
         cls,
@@ -52,23 +60,22 @@ class BlockCode(Frozen):
     ):
         if inverse is not None:
             inverse = (*inverse[:2], dict(inverse[2]))
-        f = cls._trusted(domain, codomain, left, right, dict(table), inverse)
-        f._validate()
+        packed = _checked_table(domain, codomain, left, right, dict(table))
         if inverse is not None:
-            f._inverse._validate()
-        return f
+            inverse = (*inverse[:2], _checked_table(codomain, domain, *inverse))
+        return cls._trusted(domain, codomain, left, right, packed, inverse)
 
     @classmethod
     def _trusted(cls, domain, codomain, left, right, table, inverse=None) -> "BlockCode":
         """The code, linked to its inverse if one is given, on the library's
-        own fresh tables: neither checked nor copied, and a read-only view
-        is kept as it is."""
+        own fresh tables keyed by packed words: neither checked nor copied."""
         f = object.__new__(cls)
         _set_domain(f, domain)
         _set_codomain(f, codomain)
         _set_left(f, left)
         _set_right(f, right)
-        _set_table(f, table if type(table) is MappingProxyType else MappingProxyType(table))
+        _set_table(f, table)
+        _set_view(f, None)
         _set_hash(f, None)
         partner = None
         if inverse is not None:
@@ -83,53 +90,16 @@ class BlockCode(Frozen):
         fields = (self.domain, self.codomain, self.left, self.right, dict(self.table))
         return (BlockCode, (*fields, inverse))
 
-    def _validate(self):
-        if type(self.left) is not int or type(self.right) is not int:
-            raise InvalidCodeError(f"window bounds must be integers, not {self.window!r}")
-        if self.left > self.right:
-            raise InvalidCodeError("window left must be <= right")
-        width, table, x = self.width, self.table, self.domain
-        # A wide window has exponentially many allowed words, so the table's
-        # size is checked against their count before any word is built.
-        # Every symbol has a successor, so the count never falls as words
-        # grow and can stop once it exceeds the table; keys of the window's
-        # length bound the number of steps by the input's size.
-        total = f"table must be total on allowed {width}-words"
-        if any(len(w) != width for w in table):
-            raise InvalidCodeError(f"{total} (a key has another length)")
-        ends = [1] * x.alphabet_size  # allowed words of the current length, by last symbol
-        for _ in range(width - 1):
-            if sum(ends) > len(table):
-                break
-            ends = [sum(ends[i] for i in x.pred(j)) for j in range(x.alphabet_size)]
-        count = sum(ends)
-        if count != len(table):
-            allowed = "more words" if count > len(table) else f"{count} words"
-            raise InvalidCodeError(f"{total} (table of {len(table)}, {allowed})")
-        words = x.words(width)
-        # the table has as many keys as there are words, so holding every
-        # word makes it total; the sets are built only for the message
-        if not all(map(table.__contains__, words)):
-            missing = set(words) - set(table)
-            extra = set(table) - set(words)
-            raise InvalidCodeError(f"{total} (missing {len(missing)}, extra {len(extra)})")
-        n_out = self.codomain.alphabet_size
-        values = table.values()
-        if min(values) < 0 or max(values) >= n_out:
-            for v in values:
-                if not (0 <= v < n_out):
-                    raise InvalidCodeError(f"table value {v} outside codomain alphabet")
-        # adjacent image symbols must be codomain-allowed; by induction this
-        # makes image words of every length allowed.  The (width+1)-words
-        # w + (a,) are visited in the order of x.words(width + 1).
-        masks = self.codomain.matrix.support_rows()
-        succ = x._succ
-        for w in words:
-            row = masks[table[w]]
-            u = w[1:]
-            for a in succ[w[-1]]:
-                if not row >> table[u + (a,)] & 1:
-                    raise InvalidCodeError(f"image of word {w + (a,)} leaves the codomain shift")
+    @property
+    def table(self) -> Mapping[tuple[int, ...], int]:
+        """The table keyed by tuple words, read-only; built on first read."""
+        view = self._view
+        if view is None:
+            x, width = self.domain, self.width
+            values = map(self._table.__getitem__, x.packed_words(width))
+            view = MappingProxyType(dict(zip(x.words(width), values)))
+            _set_view(self, view)
+        return view
 
     # -- basic queries --------------------------------------------------
 
@@ -163,11 +133,12 @@ class BlockCode(Frozen):
         """The same local rule expressed on a larger window."""
         if left > self.left or right < self.right:
             raise InvalidCodeError("can only widen the window")
-        off = self.left - left
-        width = self.width
+        x, length, tab = self.domain, right - left + 1, self._table
+        b = x.symbol_bits
+        drop, mask = b * (right - self.right), (1 << b * self.width) - 1
         return {
-            w: self.table[w[off : off + width]]
-            for w in self.domain.words(right - left + 1)
+            w: tab[p >> drop & mask]
+            for w, p in zip(x.words(length), x.packed_words(length))
         }
 
     def __eq__(self, other) -> bool:
@@ -178,12 +149,12 @@ class BlockCode(Frozen):
             and self.codomain == other.codomain
             and self.left == other.left
             and self.right == other.right
-            and self.table == other.table
+            and self._table == other._table
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            items = tuple(sorted(self.table.items()))
+            items = tuple(sorted(self._table.items()))
             _set_hash(self, hash((self.domain, self.codomain, self.left, self.right, items)))
         return self._hash
 
@@ -194,13 +165,74 @@ class BlockCode(Frozen):
         )
 
 
-_set_domain, _set_codomain, _set_left, _set_right, _set_table, _set_inverse, _set_hash = (
-    slot_setters(BlockCode)
-)
+(
+    _set_domain, _set_codomain, _set_left, _set_right,
+    _set_table, _set_view, _set_inverse, _set_hash,
+) = slot_setters(BlockCode)
+
+
+def _checked_table(x: VertexShift, y: VertexShift, left, right, table: dict) -> dict:
+    """The table of a code from x to y on the window [left, right], keyed by
+    packed words, after checking the tuple-keyed table it is read from."""
+    if type(left) is not int or type(right) is not int:
+        raise InvalidCodeError(f"window bounds must be integers, not {(left, right)!r}")
+    if left > right:
+        raise InvalidCodeError("window left must be <= right")
+    width = right - left + 1
+    # A wide window has exponentially many allowed words, so the table's
+    # size is checked against their count before any word is built.
+    # Every symbol has a successor, so the count never falls as words
+    # grow and can stop once it exceeds the table; keys of the window's
+    # length bound the number of steps by the input's size.
+    total = f"table must be total on allowed {width}-words"
+    if not set(map(len, table)) <= {width}:
+        raise InvalidCodeError(f"{total} (a key has another length)")
+    ends = [1] * x.alphabet_size  # allowed words of the current length, by last symbol
+    for _ in range(width - 1):
+        if sum(ends) > len(table):
+            break
+        ends = [sum(ends[i] for i in x.pred(j)) for j in range(x.alphabet_size)]
+    count = sum(ends)
+    if count != len(table):
+        allowed = "more words" if count > len(table) else f"{count} words"
+        raise InvalidCodeError(f"{total} (table of {len(table)}, {allowed})")
+    words = x.words(width)
+    # the table has as many keys as there are words, so holding every
+    # word makes it total; the sets are built only for the message
+    if not all(map(table.__contains__, words)):
+        missing = set(words) - set(table)
+        extra = set(table) - set(words)
+        raise InvalidCodeError(f"{total} (missing {len(missing)}, extra {len(extra)})")
+    n_out = y.alphabet_size
+    values = table.values()
+    # packed words hold symbols as bit fields, so a symbol is an int
+    if not set(map(type, values)) <= {int}:
+        v = next(v for v in values if type(v) is not int)
+        raise InvalidCodeError(f"table values must be integers, not {v!r}")
+    if min(values) < 0 or max(values) >= n_out:
+        for v in values:
+            if not (0 <= v < n_out):
+                raise InvalidCodeError(f"table value {v} outside codomain alphabet")
+    packed = x.packed_words(width)
+    ordered = list(map(table.__getitem__, words))
+    out = dict(zip(packed, ordered))
+    # adjacent image symbols must be codomain-allowed; by induction this
+    # makes image words of every length allowed.  The (width+1)-words
+    # w + (a,) are visited in the order of x.words(width + 1).
+    masks = y.matrix.support_rows()
+    succ, b = x._succ, x.symbol_bits
+    last, tail = (1 << b) - 1, (1 << b * (width - 1)) - 1
+    for w, p, v in zip(words, packed, ordered):
+        row = masks[v]
+        core = (p & tail) << b
+        for a in succ[p & last]:
+            if not row >> out[core | a] & 1:
+                raise InvalidCodeError(f"image of word {w + (a,)} leaves the codomain shift")
+    return out
 
 
 def identity_code(x: VertexShift) -> BlockCode:
-    table = {(a,): a for a in range(x.alphabet_size)}
+    table = {a: a for a in range(x.alphabet_size)}
     return BlockCode._trusted(x, x, 0, 0, table, (0, 0, table))
 
 
@@ -208,22 +240,40 @@ def shift_code(x: VertexShift, g: int) -> BlockCode:
     """The shift map tau_g (value at i reads coordinate i+g) as a code."""
     if type(g) is not int or g not in (1, -1):
         raise InvalidCodeError(f"shift exponent must be the integer 1 or -1, not {g!r}")
-    table = {(a,): a for a in range(x.alphabet_size)}
+    table = {a: a for a in range(x.alphabet_size)}
     return BlockCode._trusted(x, x, g, g, table, (-g, -g, table))
+
+
+def _images(f: BlockCode, width: int) -> tuple[tuple[int, ...], list[int]]:
+    """The packed allowed words of f.width + width - 1 symbols, and the
+    f-image of each: a packed codomain word of the given width.
+
+    Built level by level: the image of a word one symbol longer is its
+    prefix's image, shifted by one codomain symbol, OR'd with f's value on
+    the word's last f.width symbols."""
+    x, tab, length = f.domain, f._table, f.width
+    words = x.packed_words(length)
+    images = list(map(tab.__getitem__, words))
+    if width > 1:
+        b, by, succ = x.symbol_bits, f.codomain.symbol_bits, x._succ
+        last, window = (1 << b) - 1, (1 << b * length) - 1
+        for _ in range(width - 1):
+            images = [
+                i << by | tab[(w << b | a) & window]
+                for w, i in zip(words, images)
+                for a in succ[w & last]
+            ]
+            length += 1
+            words = x.packed_words(length)
+    return words, images
 
 
 def _compose_data(g: BlockCode, f: BlockCode) -> tuple[int, int, dict]:
     """The window and table of g∘f."""
     if f.codomain != g.domain:
         raise ShiftMismatchError("compose: f.codomain != g.domain")
-    width = f.width + g.width - 1
-    ftab = f.table.__getitem__
-    gtab = g.table
-    windows = [slice(i, i + f.width) for i in range(g.width)]
-    table = {
-        w: gtab[tuple(map(ftab, map(w.__getitem__, windows)))]
-        for w in f.domain.words(width)
-    }
+    words, images = _images(f, g.width)
+    table = dict(zip(words, map(g._table.__getitem__, images)))
     return f.left + g.left, f.right + g.right, table
 
 
@@ -246,35 +296,40 @@ def _try_rewindow(x: VertexShift, width: int, tab: Mapping, slide: bool, right: 
     rightmost (right) or its leftmost coordinate: one shorter, or (slide)
     as wide and moved one step away from that end.  None when the rule
     depends on the dropped coordinate."""
-    words = x.words(width if slide else width - 1)
+    length = width if slide else width - 1
+    b = x.symbol_bits
     new = {}
     if right:
-        succ = x._succ
-        for u in words:
-            core = u[1:] if slide else u
-            it = iter(succ[u[-1]])
-            v0 = tab[core + (next(it),)]
+        succ, last = x._succ, (1 << b) - 1
+        # a slide drops the word's first symbol; the mask -1 keeps them all
+        tail = (1 << b * (width - 1)) - 1 if slide else -1
+        for u in x.packed_words(length):
+            core = (u & tail) << b
+            it = iter(succ[u & last])
+            v0 = tab[core | next(it)]
             for a in it:
-                if tab[core + (a,)] != v0:
+                if tab[core | a] != v0:
                     return None
             new[u] = v0
     else:
         pred = x._pred
-        for u in words:
-            core = u[:-1] if slide else u
-            it = iter(pred[u[0]])
-            v0 = tab[(next(it),) + core]
+        # a slide drops the word's last symbol
+        first, top, drop = b * (length - 1), b * (width - 1), b if slide else 0
+        for u in x.packed_words(length):
+            core = u >> drop
+            it = iter(pred[u >> first])
+            v0 = tab[next(it) << top | core]
             for a in it:
-                if tab[(a,) + core] != v0:
+                if tab[a << top | core] != v0:
                     return None
             new[u] = v0
     return new
 
 
 def _normalize_data(f: BlockCode) -> tuple[int, int, Mapping]:
-    """The window and table of f's normal form; the table is f.table
-    itself when f is already normal."""
-    x, left, right, tab = f.domain, f.left, f.right, f.table
+    """The window and table of f's normal form; the table is f's own
+    when f is already normal."""
+    x, left, right, tab = f.domain, f.left, f.right, f._table
     while right > left:
         new = _try_rewindow(x, right - left + 1, tab, slide=False, right=True)
         if new is None:
@@ -304,7 +359,7 @@ def normalize(f: BlockCode) -> BlockCode:
     data = _normalize_data(f)
     g = f._inverse
     inverse = None if g is None else _normalize_data(g)
-    if data[2] is f.table and (g is None or inverse[2] is g.table):
+    if data[2] is f._table and (g is None or inverse[2] is g._table):
         return f
     return BlockCode._trusted(f.domain, f.codomain, *data, inverse)
 
@@ -314,15 +369,29 @@ def is_identity(f: BlockCode) -> bool:
     return (
         g.domain == g.codomain
         and g.window == (0, 0)
-        and all(g.table[(a,)] == a for a in range(g.domain.alphabet_size))
+        and all(g._table[a] == a for a in range(g.domain.alphabet_size))
     )
 
 
+def _composes_to_identity(g: BlockCode, f: BlockCode) -> bool:
+    """Whether g∘f is the identity of f.domain.  When its window contains
+    0, no table is built: every allowed word extends to a point of the
+    nondegenerate shift, so g∘f is the identity iff each word's image is
+    the word's own symbol at coordinate 0."""
+    right = f.right + g.right
+    if not f.left + g.left <= 0 <= right:
+        return is_identity(_compose_raw(g, f))
+    words, images = _images(f, g.width)
+    tab, b = g._table, f.domain.symbol_bits
+    at_zero, last = b * right, (1 << b) - 1
+    return all(tab[i] == w >> at_zero & last for w, i in zip(words, images))
+
+
 def verify_inverse(f: BlockCode, g: BlockCode) -> bool:
-    """True iff both compositions normalize to identity codes."""
+    """True iff both compositions are identity codes."""
     if f.domain != g.codomain or f.codomain != g.domain:
         return False
-    return is_identity(_compose_raw(g, f)) and is_identity(_compose_raw(f, g))
+    return _composes_to_identity(g, f) and _composes_to_identity(f, g)
 
 
 def equal_codes(f: BlockCode, g: BlockCode) -> bool:
@@ -333,7 +402,7 @@ def is_alphabet_bijection(f: BlockCode) -> bool:
     g = normalize(f)
     if g.window != (0, 0):
         return False
-    vals = set(g.table.values())
+    vals = set(g._table.values())
     return len(vals) == g.domain.alphabet_size == g.codomain.alphabet_size
 
 
@@ -368,19 +437,28 @@ def relabel_codomain(f: BlockCode, perm: Sequence[int]) -> BlockCode:
     Returns beta∘f onto the relabeled codomain shift.
     """
     n = f.codomain.alphabet_size
-    if sorted(perm) != list(range(n)):
+    if any(type(p) is not int for p in perm) or sorted(perm) != list(range(n)):
         raise InvalidCodeError("perm is not a bijection of the codomain alphabet")
-    succ = f.codomain._succ
+    y = f.codomain
+    succ = y._succ
     masks = [0] * n
     for i in range(n):
         masks[perm[i]] = sum(1 << perm[j] for j in succ[i])
     target = VertexShift(NonnegMatrix.from_bool_rows(n, masks))
     inverse = None
     if f._inverse is not None:
-        g = f._inverse
-        inverse = (g.left, g.right, {tuple(perm[a] for a in w): v for w, v in g.table.items()})
+        # the relabeled shift has y's alphabet size, so its words pack alike
+        g, b = f._inverse, y.symbol_bits
+        width, tab = g.width, g._table
+        relabeled = {}
+        for w, p in zip(y.words(width), y.packed_words(width)):
+            q = 0
+            for a in w:
+                q = q << b | perm[a]
+            relabeled[q] = tab[p]
+        inverse = (g.left, g.right, relabeled)
     return BlockCode._trusted(
-        f.domain, target, f.left, f.right, {w: perm[v] for w, v in f.table.items()}, inverse
+        f.domain, target, f.left, f.right, {w: perm[v] for w, v in f._table.items()}, inverse
     )
 
 

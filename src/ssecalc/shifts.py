@@ -22,9 +22,15 @@ class VertexShift(Frozen):
     alive: ``VertexShift(m)`` returns the live shift of a matrix equal to
     ``m`` if there is one, so its successor and predecessor tuples and its
     word tables are built once per matrix.
+
+    A word packs into an int of ``symbol_bits`` bits per symbol, the first
+    symbol most significant, so packed words of one length sort like the
+    tuples and a sub-window is a shift and a mask.
     """
 
-    __slots__ = ("matrix", "_succ", "_pred", "_words", "_hash", "__weakref__")
+    __slots__ = (
+        "matrix", "symbol_bits", "_succ", "_pred", "_words", "_packed", "_hash", "__weakref__"
+    )
 
     def __new__(cls, matrix: NonnegMatrix):
         live = _LIVE.get(matrix)
@@ -39,11 +45,13 @@ class VertexShift(Frozen):
         self = object.__new__(cls)
         _set_matrix(self, matrix)
         n = matrix.rows
+        _set_symbol_bits(self, max(1, (n - 1).bit_length()))
         rows = matrix.support_rows()
         _set_succ(self, tuple(_bits(rows[i]) for i in range(n)))
         cols = matrix.transpose().support_rows()
         _set_pred(self, tuple(_bits(cols[j]) for j in range(n)))
         _set_words(self, {})
+        _set_packed(self, {})
         _set_hash(self, hash(matrix))
         # only a shift whose matrix passed every check is recorded; another
         # thread may have recorded one first, and then that one is shared
@@ -66,7 +74,9 @@ class VertexShift(Frozen):
         return self._pred[j]
 
     def words(self, length: int) -> tuple[tuple[int, ...], ...]:
-        """All allowed words of the given length, lexicographically sorted."""
+        """All allowed words of the given length, lexicographically sorted;
+        ``packed_words(length)`` holds the same words packed, in the same
+        order."""
         if length < 1:
             raise ValueError("length must be >= 1")
         cached = self._words.get(length)
@@ -89,6 +99,29 @@ class VertexShift(Frozen):
         self._words[length] = out
         return out
 
+    def packed_words(self, length: int) -> tuple[int, ...]:
+        """The words of ``words(length)`` packed into ints, in the same order.
+
+        Words of each length up to this one are built once, each from one
+        of the length before by a shift and an OR, and kept."""
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        cache = self._packed
+        out = cache.get(length)
+        if out is not None:
+            return out
+        known = max((k for k in cache if k < length), default=0)
+        if known == 0:
+            known = 1
+            cache[1] = tuple(range(self.alphabet_size))
+        b, succ = self.symbol_bits, self._succ
+        last = (1 << b) - 1
+        out = cache[known]
+        for k in range(known + 1, length + 1):
+            out = tuple(w << b | a for w in out for a in succ[w & last])
+            cache[k] = out
+        return out
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, VertexShift):
             return NotImplemented
@@ -101,7 +134,9 @@ class VertexShift(Frozen):
         return f"VertexShift({self.alphabet_size} symbols)"
 
 
-_set_matrix, _set_succ, _set_pred, _set_words, _set_hash = slot_setters(VertexShift)
+_set_matrix, _set_symbol_bits, _set_succ, _set_pred, _set_words, _set_packed, _set_hash = (
+    slot_setters(VertexShift)
+)
 
 # The live shift of each matrix.  A shift leaves the table when nothing else
 # references it, so the table holds no more shifts than the program uses.
@@ -129,18 +164,21 @@ def higher_block(x: VertexShift, window: int):
     if window == 1:
         f = identity_code(x)
         return x, f
-    words = x.words(window)
+    words = x.packed_words(window)
     rank = {w: i for i, w in enumerate(words)}
+    b, succ = x.symbol_bits, x._succ
+    last, tail, first = (1 << b) - 1, (1 << b * (window - 1)) - 1, b * (window - 1)
     masks = []
     for w in words:
+        core = (w & tail) << b
         m = 0
-        for a in x.succ(w[-1]):
-            m |= 1 << rank[w[1:] + (a,)]
+        for a in succ[w & last]:
+            m |= 1 << rank[core | a]
         masks.append(m)
     target = VertexShift(NonnegMatrix.from_bool_rows(len(words), masks))
+    # the forward table is the rank itself; the inverse reads a word's first symbol
     fwd = BlockCode._trusted(
-        x, target, 0, window - 1, {w: rank[w] for w in words},
-        (0, 0, {(i,): words[i][0] for i in range(len(words))}),
+        x, target, 0, window - 1, rank, (0, 0, {i: w >> first for i, w in enumerate(words)})
     )
     return target, fwd
 

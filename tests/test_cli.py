@@ -429,11 +429,33 @@ _BAD_SIGN_INPUTS = [
         ("gsft-bar", dict(Z3_MATRIX, rows=2.0)),
         ("gsft-bar", dict(Z3_MATRIX, cols=True, rows=True, entries=[[["e"]]])),
     ],
+    # fixed ids, so a case inserted anywhere renames no other test; they
+    # keep the positional names pytest first gave these cases
+    ids=[
+        "extract-obj0", "extract-obj1", "decompose-obj2",
+        "refine-axioms-obj3", "explore-obj4", "refine-axioms-obj5",
+        "cayley-schedule-obj6", "compose-path-obj7", "homotopic-obj8",
+        "normalize-degenerate-obj9", "compose-path-obj10", "homotopic-obj11",
+        "normalize-degenerate-obj12", "compose-path-obj13", "homotopic-obj14",
+        "normalize-degenerate-obj15", "compose-path-obj16", "homotopic-obj17",
+        "normalize-degenerate-obj18", "compose-path-obj19", "homotopic-obj20",
+        "normalize-degenerate-obj21", "extract-obj22", "decompose-obj23",
+        "explore-obj24", "explore-obj25", "gsft-bar-obj26",
+        "gsft-bar-obj27",
+    ],
 )
 def test_malformed_json_is_an_input_error(tmp_path, command, obj):
     path = write(tmp_path, "in.json", obj)
     code, rep = run(tmp_path, command, "--input", path)
     assert code == 2 and rep["kind"] == "input", rep
+
+
+def test_malformed_input_cases_have_fixed_ids():
+    # positional ids of dict cases renumber every later test on an insertion
+    (mark,) = test_malformed_json_is_an_input_error.pytestmark
+    ids = mark.kwargs.get("ids")
+    assert ids is not None and len(ids) == len(set(ids)) == len(mark.args[1])
+    assert all(name.startswith(command + "-") for name, (command, _) in zip(ids, mark.args[1]))
 
 
 def _zd_window(dim, generators, window):

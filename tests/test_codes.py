@@ -1,5 +1,6 @@
 import gc
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +324,7 @@ def test_table_size_is_checked_before_the_words_are_built(window, table, detail)
     width = window[1] - window[0] + 1
     assert str(exc.value) == f"table must be total on allowed {width}-words ({detail})"
     assert max(x._words, default=0) < width
+    assert max(x._packed, default=0) < width
 
 
 def _validate_oracle(f: BlockCode) -> None:
@@ -353,6 +355,15 @@ def _validate_oracle(f: BlockCode) -> None:
     for w in f.domain.words(width + 1):
         if not f.codomain.has_edge(f.table[w[:-1]], f.table[w[1:]]):
             raise InvalidCodeError(f"image of word {w} leaves the codomain shift")
+
+
+def _unchecked(x, y, window, table):
+    """The fields the oracle reads, around a tuple-keyed table that no
+    check has seen."""
+    left, right = window
+    return SimpleNamespace(
+        domain=x, codomain=y, left=left, right=right, width=right - left + 1, table=table
+    )
 
 
 def _refusal(build):
@@ -395,5 +406,5 @@ def test_validate_refuses_exactly_as_the_oracle(data):
                 bad = list(range(y.alphabet_size))
             table[key] = data.draw(st.sampled_from(bad))
     window = (left, left + width - 1)
-    expected = _refusal(lambda: _validate_oracle(BlockCode._trusted(x, y, *window, table)))
+    expected = _refusal(lambda: _validate_oracle(_unchecked(x, y, window, table)))
     assert _refusal(lambda: BlockCode(x, y, *window, table)) == expected
