@@ -12,8 +12,12 @@ alphabet permutation they are).
 A code keeps its table keyed by packed words (``VertexShift.packed_words``:
 a fixed number of bits per symbol, the first symbol most significant), so
 composing, normalizing and checking a code read sub-windows by shifts and
-masks.  Words are tuples only at the edges: the read-only ``table``, built
-on first read, ``table_at``, ``apply_word`` and the JSON format.
+masks, and a rule is read on a wider window by ``_packed_at``.  Words are
+tuples only at the edges: the read-only ``table``, built on first read,
+``table_at``, ``apply_word`` and the JSON format.  ``BlockCode(...)``
+copies and checks tables from outside, which only ``code_from_json``
+reads; every code the library makes, phi_{R,S} and the delta pair of
+``refinement`` included, is built on packed tables by ``_trusted``.
 """
 
 from __future__ import annotations
@@ -131,15 +135,8 @@ class BlockCode(Frozen):
 
     def table_at(self, left: int, right: int) -> dict[tuple[int, ...], int]:
         """The same local rule expressed on a larger window."""
-        if left > self.left or right < self.right:
-            raise InvalidCodeError("can only widen the window")
-        x, length, tab = self.domain, right - left + 1, self._table
-        b = x.symbol_bits
-        drop, mask = b * (right - self.right), (1 << b * self.width) - 1
-        return {
-            w: tab[p >> drop & mask]
-            for w, p in zip(x.words(length), x.packed_words(length))
-        }
+        values = _packed_at(self, left, right).values()
+        return dict(zip(self.domain.words(right - left + 1), values))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockCode):
@@ -169,6 +166,17 @@ class BlockCode(Frozen):
     _set_domain, _set_codomain, _set_left, _set_right,
     _set_table, _set_view, _set_inverse, _set_hash,
 ) = slot_setters(BlockCode)
+
+
+def _packed_at(f: BlockCode, left: int, right: int) -> dict[int, int]:
+    """f's rule on the larger window [left, right], keyed by packed words
+    in the order of ``packed_words``."""
+    if left > f.left or right < f.right:
+        raise InvalidCodeError("can only widen the window")
+    x, tab = f.domain, f._table
+    b = x.symbol_bits
+    drop, mask = b * (right - f.right), (1 << b * f.width) - 1
+    return {p: tab[p >> drop & mask] for p in x.packed_words(right - left + 1)}
 
 
 def _checked_table(x: VertexShift, y: VertexShift, left, right, table: dict) -> dict:
@@ -436,35 +444,21 @@ def relabel_codomain(f: BlockCode, perm: Sequence[int]) -> BlockCode:
 
     Returns beta∘f onto the relabeled codomain shift.
     """
-    n = f.codomain.alphabet_size
-    if any(type(p) is not int for p in perm) or sorted(perm) != list(range(n)):
-        raise InvalidCodeError("perm is not a bijection of the codomain alphabet")
-    y = f.codomain
-    succ = y._succ
-    masks = [0] * n
-    for i in range(n):
-        masks[perm[i]] = sum(1 << perm[j] for j in succ[i])
-    target = VertexShift(NonnegMatrix.from_bool_rows(n, masks))
-    inverse = None
-    if f._inverse is not None:
-        # the relabeled shift has y's alphabet size, so its words pack alike
-        g, b = f._inverse, y.symbol_bits
-        width, tab = g.width, g._table
-        relabeled = {}
-        for w, p in zip(y.words(width), y.packed_words(width)):
-            q = 0
-            for a in w:
-                q = q << b | perm[a]
-            relabeled[q] = tab[p]
-        inverse = (g.left, g.right, relabeled)
-    return BlockCode._trusted(
-        f.domain, target, f.left, f.right, {w: perm[v] for w, v in f._table.items()}, inverse
-    )
+    return compose(bijection_code(f.codomain, perm), f)
 
 
 def bijection_code(x: VertexShift, perm: Sequence[int]) -> BlockCode:
     """The alphabet bijection a -> perm[a] from x onto the relabeled shift."""
-    return relabel_codomain(identity_code(x), perm)
+    n = x.alphabet_size
+    if any(type(p) is not int for p in perm) or sorted(perm) != list(range(n)):
+        raise InvalidCodeError("perm is not a bijection of the codomain alphabet")
+    masks, back = [0] * n, [0] * n
+    for i, succ in enumerate(x._succ):
+        masks[perm[i]] = sum(1 << perm[j] for j in succ)
+        back[perm[i]] = i
+    target = VertexShift(NonnegMatrix.from_bool_rows(n, masks))
+    fwd, bwd = dict(enumerate(perm)), dict(enumerate(back))
+    return BlockCode._trusted(x, target, 0, 0, fwd, (0, 0, bwd))
 
 
 # -- JSON format ------------------------------------------------------

@@ -287,4 +287,8 @@ def path_pair_from_json(obj: dict) -> tuple[SSEPath, SSEPath]:
     """The paths p and q of a {"p": path, "q": path} object."""
     if not isinstance(obj, dict):
         raise InvalidEdgeError("a path pair must be a JSON object")
-    return path_from_json(obj["p"]), path_from_json(obj["q"])
+    try:
+        p, q = obj["p"], obj["q"]
+    except KeyError as exc:
+        raise InvalidEdgeError(f"malformed path pair object: {exc}") from exc
+    return path_from_json(p), path_from_json(q)

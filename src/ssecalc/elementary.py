@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import BlockCode, _fits, normalize, verify_inverse
+from .codes import BlockCode, _fits, _packed_at, normalize, verify_inverse
 from .errors import InvalidEdgeError, NotElementaryError, VerificationError
 from .matrices import (
     NonnegMatrix,
@@ -114,14 +114,20 @@ class Triangle:
 
 
 def _two_block_rule(x: VertexShift, p: NonnegMatrix, q: NonnegMatrix, name: str) -> dict:
-    """The rule w -> the one c with P[w0, c] = Q[c, w1] = 1 on the 2-words of x."""
+    """The rule w -> the one c with P[w0, c] = Q[c, w1] = 1 on the packed
+    2-words of x."""
     p_rows = p.support_rows()
     q_cols = q.transpose().support_rows()
+    b = x.symbol_bits
+    last = (1 << b) - 1
     rule = {}
-    for w in x.words(2):
-        cands = p_rows[w[0]] & q_cols[w[1]]
+    for w in x.packed_words(2):
+        w0, w1 = w >> b, w & last
+        cands = p_rows[w0] & q_cols[w1]
         if cands == 0 or cands & (cands - 1):
-            raise InvalidEdgeError(f"{name} not uniquely defined on {w}: candidate mask {cands:b}")
+            raise InvalidEdgeError(
+                f"{name} not uniquely defined on {(w0, w1)}: candidate mask {cands:b}"
+            )
         rule[w] = cands.bit_length() - 1
     return rule
 
@@ -132,18 +138,24 @@ def code_from_edge(e: SSEEdge, verify: bool = True) -> BlockCode:
     y = VertexShift(e.b)
     fwd = _two_block_rule(x, e.r, e.s, "local rule")
     bwd = _two_block_rule(y, e.s, e.r, "inverse local rule")
-    f = BlockCode(x, y, 0, 1, fwd, inverse=(-1, 0, bwd))
+    # Both rules are total on the 2-words and no check can fail: the images
+    # c, d of the 2-words (u, v), (v, w) of X_A follow each other in X_B, as
+    # B[c, d] >= S[c, v] R[v, d] = 1 for B = SR, and the inverse's images
+    # follow each other in X_A alike, for A = RS.
+    f = BlockCode._trusted(x, y, 0, 1, fwd, (-1, 0, bwd))
     if verify and not verify_inverse(f, f.inverse):
         raise VerificationError("phi_{R,S} compositions do not normalize to identity")
     return f
 
 
-def _rule_matrix(table: dict, rows: int, cols: int) -> NonnegMatrix:
-    """The {0,1} matrix with a 1 at (w0, v) for each 2-word w and value v of the table."""
-    masks = [0] * rows
-    for (a, _a1), v in table.items():
-        masks[a] |= 1 << v
-    return NonnegMatrix.from_bool_rows(cols, masks)
+def _rule_matrix(f: BlockCode, left: int) -> NonnegMatrix:
+    """The {0,1} matrix with a 1 at (w0, v) for each 2-word w of the window
+    [left, left + 1] and f's value v on it."""
+    b = f.domain.symbol_bits
+    masks = [0] * f.domain.alphabet_size
+    for w, v in _packed_at(f, left, left + 1).items():
+        masks[w >> b] |= 1 << v
+    return NonnegMatrix.from_bool_rows(f.codomain.alphabet_size, masks)
 
 
 def edge_from_code(f: BlockCode) -> SSEEdge:
@@ -154,10 +166,7 @@ def edge_from_code(f: BlockCode) -> SSEEdge:
         raise NotElementaryError(
             f"windows {fn.window} / inverse {gn.window} not inside (0,1) / (-1,0)"
         )
-    m, n = f.domain.alphabet_size, f.codomain.alphabet_size
-    r = _rule_matrix(fn.table_at(0, 1), m, n)
-    s = _rule_matrix(gn.table_at(-1, 0), n, m)
-    return SSEEdge(f.domain.matrix, f.codomain.matrix, r, s)
+    return SSEEdge(f.domain.matrix, f.codomain.matrix, _rule_matrix(fn, 0), _rule_matrix(gn, -1))
 
 
 def check_triangle(t: Triangle) -> bool:

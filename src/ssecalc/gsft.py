@@ -297,9 +297,11 @@ def hat_input_from_json(obj: dict) -> tuple[FiniteGroup, NonnegMatrix, tuple[int
     """The group, the boolean matrix and the block shape [m, n] that hat takes."""
     if not isinstance(obj, dict):
         raise InvalidMatrixError("hat input must be a JSON object")
-    group = group_from_json(obj["group"])
-    e = matrix_from_json(obj["matrix"])
-    shape = obj["shape"]
+    try:
+        group, e, shape = obj["group"], obj["matrix"], obj["shape"]
+    except KeyError as exc:
+        raise InvalidMatrixError(f"malformed hat input object: {exc}") from exc
+    group, e = group_from_json(group), matrix_from_json(e)
     if not (
         isinstance(shape, list)
         and len(shape) == 2

@@ -24,6 +24,7 @@ from .codes import (
     BlockCode,
     _compose_raw,
     _fits,
+    _packed_at,
     code_from_json,
     compose,
     identity_code,
@@ -56,9 +57,8 @@ class StarImage:
     sources: tuple[BlockCode, ...]  # the components, in normal form
     side: int  # +1: windows in {0,1}; -1: windows in {-1,0}
     image_alphabet: tuple[tuple[int, ...], ...]  # lex-sorted symbol tuples
-    ranks: dict[tuple[int, ...], int]
-    tuple_of_word: dict[tuple[int, int], tuple[int, ...]]
-    transitions: frozenset[tuple[int, int]]
+    labels: dict[int, int]  # packed 2-word of the domain -> its image symbol
+    closure: tuple[int, ...]  # row masks of the image's 1-step closure
 
 
 @dataclass
@@ -80,18 +80,6 @@ def _detect_side(normal: Sequence[BlockCode]) -> int:
     raise NotElementaryError("tuple is neither inside H nor inside H^{-1}")
 
 
-def _window_tables(normal: Sequence[BlockCode], side: int) -> list[dict]:
-    lo, hi = (0, 1) if side == 1 else (-1, 0)
-    tabs = []
-    for cn in normal:
-        if not _fits(cn, lo, hi, inverse=False):
-            raise NotElementaryError(
-                f"window {cn.window} does not fit inside ({lo},{hi})"
-            )
-        tabs.append(cn.table_at(lo, hi))
-    return tabs
-
-
 def star_image(codes: Sequence[BlockCode], side: int) -> StarImage:
     """Image data of the star map; no elementarity assumption beyond the
     forward windows fitting the side's two-coordinate window."""
@@ -106,15 +94,24 @@ def _star_image(normal: tuple[BlockCode, ...], side: int) -> StarImage:
     for c in normal:
         if c.domain != x:
             raise ShiftMismatchError("star components must share their domain")
-    tabs = _window_tables(normal, side)
-    tuple_of_word = {w: tuple(tab[w] for tab in tabs) for w in x.words(2)}
-    alphabet = tuple(sorted(set(tuple_of_word.values())))
+    lo, hi = (0, 1) if side == 1 else (-1, 0)
+    columns = []
+    for cn in normal:
+        if not _fits(cn, lo, hi, inverse=False):
+            raise NotElementaryError(f"window {cn.window} does not fit inside ({lo},{hi})")
+        columns.append(_packed_at(cn, lo, hi).values())
+    symbols = list(zip(*columns))  # the symbol tuple of each packed 2-word
+    alphabet = tuple(sorted(set(symbols)))
     ranks = {t: i for i, t in enumerate(alphabet)}
-    transitions = frozenset(
-        (ranks[tuple_of_word[w[:2]]], ranks[tuple_of_word[w[1:]]])
-        for w in x.words(3)
-    )
-    return StarImage(normal, side, alphabet, ranks, tuple_of_word, transitions)
+    labels = dict(zip(x.packed_words(2), map(ranks.__getitem__, symbols)))
+    b, succ = x.symbol_bits, x._succ
+    last = (1 << b) - 1
+    closure = [0] * len(alphabet)
+    for w, u in labels.items():
+        core = (w & last) << b
+        for a in succ[w & last]:
+            closure[u] |= 1 << labels[core | a]
+    return StarImage(normal, side, alphabet, labels, tuple(closure))
 
 
 def star(codes: Sequence[BlockCode]) -> StarImage:
@@ -130,16 +127,12 @@ def _markov_witness(si: StarImage):
     """None when the image is 1-step Markov, else a closure word missing
     from the image language."""
     x = si.sources[0].domain
-    img_edges = [
-        (w[0], si.ranks[si.tuple_of_word[w]], w[1]) for w in x.words(2)
-    ]
-    img = DeterministicPresentation.from_graph(
-        LabeledGraph(x.alphabet_size, img_edges)
-    )
-    clo_edges = [(u, u, v) for (u, v) in si.transitions]
-    clo = DeterministicPresentation.from_graph(
-        LabeledGraph(len(si.image_alphabet), clo_edges)
-    )
+    b = x.symbol_bits
+    img_edges = [(w >> b, u, w & (1 << b) - 1) for w, u in si.labels.items()]
+    img = DeterministicPresentation.from_graph(LabeledGraph(x.alphabet_size, img_edges))
+    n = len(si.closure)
+    clo_edges = [(u, u, v) for u, row in enumerate(si.closure) for v in range(n) if row >> v & 1]
+    clo = DeterministicPresentation.from_graph(LabeledGraph(n, clo_edges))
     return language_difference_witness(clo, img)
 
 
@@ -148,30 +141,26 @@ def _delta_code(si: StarImage) -> Optional[BlockCode]:
     None unless the pair is certified mutually inverse (a certified map is
     onto the closure, so the image is Markov)."""
     x = si.sources[0].domain
-    n_img = len(si.image_alphabet)
-    masks = [0] * n_img
-    for (u, v) in si.transitions:
-        masks[u] |= 1 << v
-    target = VertexShift(NonnegMatrix.from_bool_rows(n_img, masks))
-    fwd = {w: si.ranks[t] for w, t in si.tuple_of_word.items()}
+    target = VertexShift(NonnegMatrix.from_bool_rows(len(si.closure), si.closure))
     # the inverse reads any single component whose inverse window fits the
     # mirrored side; for tuples in H (resp. H^{-1}) every component works
     lo, hi = (-1, 0) if si.side == 1 else (0, 1)
     for comp, c in enumerate(si.sources):
         if _fits(c.inverse, lo, hi, inverse=False):
-            comp_tab = c.inverse.table_at(lo, hi)
+            comp_tab = _packed_at(c.inverse, lo, hi)
             break
     else:
         raise NotElementaryError("no component inverse fits the mirrored window")
-    alphabet = si.image_alphabet
-    bwd = {
-        (u, v): comp_tab[(alphabet[u][comp], alphabet[v][comp])]
-        for (u, v) in si.transitions
-    }
-    try:
-        f = BlockCode(x, target, -hi, -lo, fwd, inverse=(lo, hi, bwd))
-    except InvalidCodeError:
-        return None
+    ks = [t[comp] for t in si.image_alphabet]  # each image symbol's component
+    b, bc = target.symbol_bits, c.codomain.symbol_bits
+    last = (1 << b) - 1
+    bwd = {v: comp_tab[ks[v >> b] << bc | ks[v & last]] for v in target.packed_words(2)}
+    # Both tables are total and no check can fail.  Adjacent forward images
+    # are closure transitions by construction.  The inverse sends a closure
+    # 3-word (u, v, w) to the component inverse's image of (u_k, v_k, w_k),
+    # k = comp, which is allowed in that component's vertex shift because
+    # (u_k, v_k) and (v_k, w_k) are, so the image is an allowed 2-word of x.
+    f = BlockCode._trusted(x, target, -hi, -lo, si.labels, (lo, hi, bwd))
     return f if verify_inverse(f, f.inverse) else None
 
 
@@ -433,10 +422,8 @@ def canonical_representative(f: BlockCode) -> BlockCode:
     """
     fn = normalize(f)
     perm = {}
-    for w in sorted(fn.table):
-        v = fn.table[w]
-        if v not in perm:
-            perm[v] = len(perm)
+    for w in fn.domain.packed_words(fn.width):
+        perm.setdefault(fn._table[w], len(perm))
     if len(perm) != fn.codomain.alphabet_size:
         raise VerificationError("code is not surjective on codomain symbols")
     return normalize(relabel_codomain(fn, [perm[v] for v in range(len(perm))]))
@@ -499,6 +486,8 @@ def axiom_input_from_json(obj: dict, seed: int) -> tuple[list[BlockCode], dict]:
             raise InvalidCodeError("codes must be a nonempty list of block codes")
         codes = [code_from_json(c) for c in listed]
         return codes, {"codes": len(codes)}
+    if "base" not in obj:
+        raise InvalidCodeError("malformed axiom input object: 'base'")
     base = matrix_from_json(obj["base"])
     n = obj.get("tuple_size", 2)
     if type(n) is not int or n < 1:

@@ -592,6 +592,53 @@ def test_group_table_entries_must_be_integers(tmp_path):
     assert rep["error"] == "table entry True is not an integer"
 
 
+_HAT = _group_input("gsft-hat", ["e", "a"])
+
+
+@pytest.mark.parametrize(
+    "command, obj, error",
+    [
+        ("homotopic", {}, "malformed path pair object: 'p'"),
+        ("homotopic", {"p": _signed_path(1)}, "malformed path pair object: 'q'"),
+        ("refine-axioms", {}, "malformed axiom input object: 'base'"),
+        ("gsft-hat", {}, "malformed hat input object: 'group'"),
+        ("gsft-hat", {"group": _HAT["group"]}, "malformed hat input object: 'matrix'"),
+        (
+            "gsft-hat",
+            {"group": _HAT["group"], "matrix": _HAT["matrix"]},
+            "malformed hat input object: 'shape'",
+        ),
+    ],
+    ids=["homotopic-empty", "homotopic-q", "refine-axioms-empty", "gsft-hat-empty",
+         "gsft-hat-matrix", "gsft-hat-shape"],
+)
+def test_a_missing_key_is_named_by_its_decoder(tmp_path, command, obj, error):
+    code, rep = run(tmp_path, command, "--input", write(tmp_path, "in.json", obj))
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == error
+
+
+def test_normalize_degenerate_with_an_entry_above_one(tmp_path):
+    # the edge R = [1], S = [2] from [2] to itself has no {0,1} composite,
+    # so the report carries no core comparison
+    two = matrix_to_json(NonnegMatrix([[2]]))
+    edge = {"A": two, "B": two, "R": matrix_to_json(NonnegMatrix([[1]])), "S": two}
+    obj = {"base": two, "steps": [{"edge": edge, "sign": 1}]}
+    code, rep = run(tmp_path, "normalize-degenerate", "--input", write(tmp_path, "p.json", obj))
+    assert code == 0, rep
+    assert "composite_agrees_on_cores" not in rep
+    assert rep["input"]["degenerate"] is True
+
+
+def test_explore_edge_cap(tmp_path):
+    # the factorization searches stay under the cap; the fragment's edges pass it
+    path = write(tmp_path, "m.json", matrix_to_json(GM))
+    argv = ("--max-inner", "3", "--depth", "2", "--bound", "100")
+    code, rep = run(tmp_path, "explore", "--input", path, *argv)
+    assert code == 3 and rep["kind"] == "bound", rep
+    assert rep["error"] == "more than 100 edges; tighten the bounds"
+
+
 # one valid input per subcommand that reads one, with its extra arguments
 _SWEEP_INPUTS = [
     ("verify-edge", edge_to_json(SSEEdge(GM, GM, GM, I2)), ()),
@@ -706,7 +753,23 @@ def test_freudenthal_check_flags_keep_the_exit_contract(sweep_dir, dimension, tr
 @pytest.mark.parametrize(
     "command, obj, extra",
     [*_SWEEP_INPUTS, ("freudenthal-check", None, ("--dimension", "3", "--trials", "1"))],
-    ids=[c for c, _, _ in _SWEEP_INPUTS] + ["freudenthal-check"],
+    ids=[
+        "verify-edge",
+        "verify-triangle",
+        "code",
+        "extract",
+        "decompose",
+        "compose-path",
+        "homotopic",
+        "explore",
+        "normalize-degenerate",
+        "gsft-bar",
+        "gsft-hat",
+        "refine-axioms",
+        "cayley-schedule0",
+        "cayley-schedule1",
+        "freudenthal-check",
+    ],
 )
 def test_reports_are_canonical_json(tmp_path, command, obj, extra):
     argv = [command, *extra]

@@ -270,6 +270,15 @@ def test_code_from_json_inverse_endpoints():
         code_from_json(bad_inverse)
 
 
+def test_code_from_json_without_an_inverse():
+    obj = code_to_json(shift_code(GM, 1), include_inverse=False)
+    f = code_from_json(obj)
+    assert f == shift_code(GM, 1) and f._inverse is None
+    with pytest.raises(MissingInverseError):
+        f.inverse
+    assert code_to_json(f) == obj
+
+
 def test_code_from_json_refuses_a_nested_inverse():
     obj = code_to_json(shift_code(GM, 1))
     obj["inverse"]["inverse"] = code_to_json(shift_code(GM, 1), include_inverse=False)
@@ -311,6 +320,12 @@ def test_code_from_json_requires_integers():
         ((0, 39), {(0,) * 40: 0, (1,) + (0,) * 39: 1}, "table of 2, more words"),
         ((0, 2), {(0, 0, 0): 0}, "table of 1, more words"),
         ((0, 1), {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1}, "table of 4, 3 words"),
+    ],
+    ids=[
+        "window0-table0-a key has another length",
+        "window1-table1-table of 2, more words",
+        "window2-table2-table of 1, more words",
+        "window3-table3-table of 4, 3 words",
     ],
 )
 def test_table_size_is_checked_before_the_words_are_built(window, table, detail):

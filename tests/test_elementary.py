@@ -214,6 +214,7 @@ BASE4 = NonnegMatrix([[1, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 0], [0, 0, 1, 0]])
 @pytest.mark.parametrize(
     "a, inner",
     [(GM, 2), (GM, 3), (FULL2, 2), (FULL2, 3), (BASE3, 3), (BASE3, 4), (BASE4, 3), (BASE4, 4)],
+    ids=["a0-2", "a1-3", "a2-2", "a3-3", "a4-3", "a5-4", "a6-3", "a7-4"],
 )
 def test_ordered_factorization_overflow_boundary(a, inner):
     covers = len(factorizations(a, inner, ordered=False))

@@ -168,6 +168,17 @@ def test_refine_representative_matches_delta():
     assert equivalent(r, v.delta)
 
 
+def test_refine_representative_without_an_arrow_falls_back_to_delta():
+    # two golden-mean codes whose difference phi2∘phi1^{-1} is not
+    # elementary: the pair is still in H_2, and its delta gives the result
+    rng = random.Random(8)
+    pairs = (random_tuple(rng, GM, 2) for _ in range(50))
+    phi1, phi2 = next(p for p in pairs if not is_elementary(compose(p[1], p[0].inverse)))
+    v = delta([phi1, phi2])
+    assert v.in_h_n
+    assert refine_representative(phi1, phi2) == canonical_representative(v.delta)
+
+
 def test_markov_witness_on_synthetic_non_markov_image():
     # a labeling of the golden-mean 2-blocks with an even-shift flavour:
     # single 'z' labels are impossible but the 1-step closure allows them,
@@ -176,30 +187,27 @@ def test_markov_witness_on_synthetic_non_markov_image():
     from ssecalc.refinement import StarImage, _markov_witness
     from ssecalc.shifts import DeterministicPresentation, LabeledGraph
 
-    labels = {(0, 0): ("y",), (0, 1): ("z",), (1, 0): ("z",)}
-    alphabet = tuple(sorted(set(labels.values())))
-    ranks = {t: i for i, t in enumerate(alphabet)}
-    transitions = frozenset(
-        (ranks[labels[w[:2]]], ranks[labels[w[1:]]]) for w in X.words(3)
-    )
+    # the golden-mean 2-words 00, 01, 10 pack (one bit a symbol) to 0, 1, 2
+    # and are labeled y = 0, z = 1, z = 1; a packed 3-word w covers the
+    # 2-words w >> 1 and w & 3
+    labels = {0: 0, 1: 1, 2: 1}
+    transitions = {(labels[w >> 1], labels[w & 3]) for w in X.packed_words(3)}
+    closure = tuple(sum(1 << v for u2, v in transitions if u2 == u) for u in range(2))
     si = StarImage(
         sources=(identity_code(X),),
         side=1,
-        image_alphabet=alphabet,
-        ranks=ranks,
-        tuple_of_word=labels,
-        transitions=transitions,
+        image_alphabet=(("y",), ("z",)),
+        labels=labels,
+        closure=closure,
     )
     witness = _markov_witness(si)
     assert witness is not None
     # the witness is in the closure language
     clo = DeterministicPresentation.from_graph(
-        LabeledGraph(len(alphabet), [(u, u, v) for u, v in transitions])
+        LabeledGraph(2, [(u, u, v) for u, v in transitions])
     )
     img = DeterministicPresentation.from_graph(
-        LabeledGraph(
-            2, [(w[0], ranks[labels[w]], w[1]) for w in X.words(2)]
-        )
+        LabeledGraph(2, [(w >> 1, labels[w], w & 1) for w in X.packed_words(2)])
     )
     assert clo.accepts(witness) and not img.accepts(witness)
 
