@@ -10,7 +10,7 @@ with h' kept and g a generator or inverse generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Union
+from typing import Hashable, Iterable, Union
 
 from .errors import SseError
 from .frozen import Frozen, slot_setters

@@ -56,7 +56,7 @@ from .gsft import (
     hat,
     hat_input_from_json,
 )
-from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json
+from .matrices import NonnegMatrix, matrix_from_json
 from .refinement import axiom_input_from_json, report_to_json, verify_refinement_axioms
 from .williams import decompose
 
@@ -131,11 +131,18 @@ def _fragment_text(f: ComplexFragment, pad: str) -> str:
 _string_text = json.encoder.encode_basestring_ascii
 
 
+def _as_is(m: NonnegMatrix) -> NonnegMatrix:
+    """The matrix encoder of every report builder: _text writes the
+    matrix itself, from its rows."""
+    return m
+
+
 def _text(v, pad: str) -> str:
     """json.dumps(v, indent=2, sort_keys=True) with pad after every newline.
 
     Plain strings, ints, lists, tuples and dicts with string keys are
-    written here, a list of plain ints in one join; a ComplexFragment by
+    written here, a list of plain ints in one join; a NonnegMatrix as
+    matrix_to_json writes it, by _matrix_text; a ComplexFragment by
     _fragment_text.  Everything else (subclasses, non-string keys, NaN
     and infinities) is json.dumps of its subtree."""
     t = type(v)
@@ -168,6 +175,8 @@ def _text(v, pad: str) -> str:
         return "null"
     if t is float and math.isfinite(v):
         return float.__repr__(v)
+    if t is NonnegMatrix:
+        return _matrix_text(v, pad)
     if t is ComplexFragment:
         return _fragment_text(v, pad)
     return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
@@ -187,9 +196,9 @@ def _run_verify_edge(args) -> tuple[int, dict]:
     ok = edge_from_code(f) == edge
     return (0 if ok else 1), {
         "command": "verify-edge",
-        "input": edge_to_json(edge),
+        "input": edge_to_json(edge, encode=_as_is),
         "verified": ok,
-        "code": code_to_json(normalize(f)),
+        "code": code_to_json(normalize(f), encode=_as_is),
     }
 
 
@@ -198,7 +207,7 @@ def _run_verify_triangle(args) -> tuple[int, dict]:
     ok = check_triangle(t)
     return (0 if ok else 1), {
         "command": "verify-triangle",
-        "input": triangle_to_json(t),
+        "input": triangle_to_json(t, encode=_as_is),
         "verified": ok,
     }
 
@@ -208,8 +217,8 @@ def _run_code(args) -> tuple[int, dict]:
     f = code_from_edge(edge, verify=True)
     return 0, {
         "command": "code",
-        "input": edge_to_json(edge),
-        "code": code_to_json(f),
+        "input": edge_to_json(edge, encode=_as_is),
+        "code": code_to_json(f, encode=_as_is),
     }
 
 
@@ -218,8 +227,8 @@ def _run_extract(args) -> tuple[int, dict]:
     edge = edge_from_code(f)
     return 0, {
         "command": "extract",
-        "input": code_to_json(f),
-        "edge": edge_to_json(edge),
+        "input": code_to_json(f, encode=_as_is),
+        "edge": edge_to_json(edge, encode=_as_is),
     }
 
 
@@ -230,8 +239,8 @@ def _run_decompose(args) -> tuple[int, dict]:
     ok = equal_codes(compose_path(path), f)
     return (0 if ok else 1), {
         "command": "decompose",
-        "input": code_to_json(f),
-        "path": path_to_json(path),
+        "input": code_to_json(f, encode=_as_is),
+        "path": path_to_json(path, encode=_as_is),
         "sides": [s.side for s in steps],
         "recomposes": ok,
     }
@@ -242,8 +251,8 @@ def _run_compose_path(args) -> tuple[int, dict]:
     f = compose_path(p)
     return 0, {
         "command": "compose-path",
-        "input": path_to_json(p),
-        "code": code_to_json(f),
+        "input": path_to_json(p, encode=_as_is),
+        "code": code_to_json(f, encode=_as_is),
     }
 
 
@@ -252,7 +261,7 @@ def _run_homotopic(args) -> tuple[int, dict]:
     ok = homotopic(p, q)
     return (0 if ok else 1), {
         "command": "homotopic",
-        "input": {"p": path_to_json(p), "q": path_to_json(q)},
+        "input": {"p": path_to_json(p, encode=_as_is), "q": path_to_json(q, encode=_as_is)},
         "homotopic": ok,
     }
 
@@ -269,7 +278,7 @@ def _run_explore(args) -> tuple[int, dict]:
     )
     return 0, {
         "command": "explore",
-        "input": matrix_to_json(a),
+        "input": a,
         "fragment": frag,
     }
 
@@ -279,8 +288,8 @@ def _run_normalize_degenerate(args) -> tuple[int, dict]:
     q = normalize_path(p, max_rounds=args.bound)
     report = {
         "command": "normalize-degenerate",
-        "input": path_to_json(p, degenerate=True),
-        "normalized": path_to_json(q, degenerate=True),
+        "input": path_to_json(p, degenerate=True, encode=_as_is),
+        "normalized": path_to_json(q, degenerate=True, encode=_as_is),
     }
     if all(e.is_boolean for e, _ in p.steps):
         same = equal_codes(
@@ -297,7 +306,7 @@ def _run_gsft_bar(args) -> tuple[int, dict]:
     return 0, {
         "command": "gsft-bar",
         "input": gsft_matrix_to_json(a),
-        "bar": matrix_to_json(bar(a)),
+        "bar": bar(a),
     }
 
 
@@ -306,7 +315,7 @@ def _run_gsft_hat(args) -> tuple[int, dict]:
     a = hat(e, group, (m, n))
     return 0, {
         "command": "gsft-hat",
-        "input": {"matrix": matrix_to_json(e), "shape": [m, n]},
+        "input": {"matrix": e, "shape": [m, n]},
         "hat": gsft_matrix_to_json(a),
     }
 
@@ -327,7 +336,7 @@ def _run_freudenthal_check(args) -> tuple[int, dict]:
 
 
 def _run_refine_axioms(args) -> tuple[int, dict]:
-    codes, echo = axiom_input_from_json(_load(args.input), args.seed)
+    codes, echo = axiom_input_from_json(_load(args.input), args.seed, encode=_as_is)
     report = verify_refinement_axioms(codes, trials=args.trials, seed=args.seed)
     payload = report_to_json(report)
     ok = payload["all_passed"]

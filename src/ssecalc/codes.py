@@ -464,17 +464,19 @@ def bijection_code(x: VertexShift, perm: Sequence[int]) -> BlockCode:
 # -- JSON format ------------------------------------------------------
 
 
-def code_to_json(f: BlockCode, include_inverse: bool = True) -> dict:
+def code_to_json(f: BlockCode, include_inverse: bool = True, *, encode=matrix_to_json) -> dict:
+    """The code object, with its inverse when it has one and include_inverse.
+    The two shift matrices are encode(matrix), JSON objects by default."""
     out = {
-        "domain": matrix_to_json(f.domain.matrix),
-        "codomain": matrix_to_json(f.codomain.matrix),
+        "domain": encode(f.domain.matrix),
+        "codomain": encode(f.codomain.matrix),
         "window": [f.left, f.right],
         "table": [
             [[a + 1 for a in w], v + 1] for w, v in sorted(f.table.items())
         ],
     }
     if include_inverse and f._inverse is not None:
-        out["inverse"] = code_to_json(f._inverse, include_inverse=False)
+        out["inverse"] = code_to_json(f._inverse, include_inverse=False, encode=encode)
     return out
 
 

@@ -258,12 +258,15 @@ def explore(
 # -- JSON formats ------------------------------------------------------
 
 
-def path_to_json(p: SSEPath, degenerate: bool = False) -> dict:
+def path_to_json(p: SSEPath, degenerate: bool = False, *, encode=matrix_to_json) -> dict:
     """The path object; a degenerate path, even one without steps, carries
-    "degenerate": true, and so does each of its edges."""
+    "degenerate": true, and so does each of its edges.  Each matrix is
+    encode(matrix), a JSON object by default."""
     out = {
-        "base": matrix_to_json(p.base),
-        "steps": [{"edge": edge_to_json(e, degenerate), "sign": s} for e, s in p.steps],
+        "base": encode(p.base),
+        "steps": [
+            {"edge": edge_to_json(e, degenerate, encode=encode), "sign": s} for e, s in p.steps
+        ],
     }
     if degenerate:
         out["degenerate"] = True

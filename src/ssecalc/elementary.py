@@ -181,14 +181,10 @@ def check_triangle(t: Triangle) -> bool:
 # -- JSON format ------------------------------------------------------
 
 
-def edge_to_json(e: DegSSEEdge, degenerate: bool = False) -> dict:
-    """The edge object; a degenerate edge carries "degenerate": true."""
-    out = {
-        "A": matrix_to_json(e.a),
-        "B": matrix_to_json(e.b),
-        "R": matrix_to_json(e.r),
-        "S": matrix_to_json(e.s),
-    }
+def edge_to_json(e: DegSSEEdge, degenerate: bool = False, *, encode=matrix_to_json) -> dict:
+    """The edge object; a degenerate edge carries "degenerate": true.
+    Each matrix is encode(matrix), a JSON object by default."""
+    out = {"A": encode(e.a), "B": encode(e.b), "R": encode(e.r), "S": encode(e.s)}
     if degenerate:
         out["degenerate"] = True
     return out
@@ -208,8 +204,12 @@ def edge_from_json(obj: dict, degenerate: bool = False) -> DegSSEEdge:
         raise InvalidEdgeError(f"malformed edge object: {exc}") from exc
 
 
-def triangle_to_json(t: Triangle) -> dict:
-    return {"e1": edge_to_json(t.e1), "e2": edge_to_json(t.e2), "e3": edge_to_json(t.e3)}
+def triangle_to_json(t: Triangle, *, encode=matrix_to_json) -> dict:
+    return {
+        "e1": edge_to_json(t.e1, encode=encode),
+        "e2": edge_to_json(t.e2, encode=encode),
+        "e3": edge_to_json(t.e3, encode=encode),
+    }
 
 
 def triangle_from_json(obj: dict) -> Triangle:

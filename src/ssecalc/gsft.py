@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .elementary import DegSSEEdge, Triangle, check_triangle
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .frozen import Frozen, slot_setters
 from .groups import FiniteGroup, group_from_json, group_to_json
-from .matrices import NonnegMatrix, check_declared_shape, matrix_from_json, matrix_to_json
+from .matrices import NonnegMatrix, check_declared_shape, matrix_from_json
 
 
 class GroupRingMatrix(Frozen):

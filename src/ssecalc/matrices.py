@@ -128,6 +128,8 @@ class NonnegMatrix(Frozen):
         return out
 
     def support_rows(self) -> list[int]:
+        if self._width == 1:
+            return list(self._rows)
         return [self.row_mask(i) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
@@ -365,6 +367,10 @@ def matrix_to_json(a: NonnegMatrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> NonnegMatrix:
+    if not isinstance(obj, dict):
+        raise InvalidMatrixError(
+            'a matrix must be a JSON object with "rows", "cols" and "entries"'
+        )
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         m = NonnegMatrix(entries)

@@ -82,7 +82,10 @@ def _detect_side(normal: Sequence[BlockCode]) -> int:
 
 def star_image(codes: Sequence[BlockCode], side: int) -> StarImage:
     """Image data of the star map; no elementarity assumption beyond the
-    forward windows fitting the side's two-coordinate window."""
+    forward windows fitting the side's two-coordinate window.  side is
+    the int 1 or -1; anything else is a ValueError."""
+    if type(side) is not int or side not in (1, -1):
+        raise ValueError(f"side must be the int 1 or -1, not {side!r}")
     return _star_image(tuple(normalize(c) for c in codes), side)
 
 
@@ -463,12 +466,14 @@ def _some_permutations(n: int, trials: int, rng: random.Random):
     return out
 
 
-def axiom_input_from_json(obj: dict, seed: int) -> tuple[list[BlockCode], dict]:
+def axiom_input_from_json(
+    obj: dict, seed: int, *, encode=matrix_to_json
+) -> tuple[list[BlockCode], dict]:
     """The code tuple of an axiom-suite input and the echo a report gives
-    of it.  {"codes": [code, ...]} lists the codes; {"base": matrix,
-    "tuple_size": n} draws n elementary codes out of base with
-    random.Random(seed), n defaulting to 2.  Any other key, or keys of
-    both forms, is an InvalidCodeError."""
+    of it, whose base is encode(base).  {"codes": [code, ...]} lists the
+    codes; {"base": matrix, "tuple_size": n} draws n elementary codes out
+    of base with random.Random(seed), n defaulting to 2.  Any other key,
+    or keys of both forms, is an InvalidCodeError."""
     from .sampling import random_tuple
 
     if not isinstance(obj, dict):
@@ -493,7 +498,7 @@ def axiom_input_from_json(obj: dict, seed: int) -> tuple[list[BlockCode], dict]:
     if type(n) is not int or n < 1:
         raise InvalidCodeError(f"tuple_size must be a positive integer, not {n!r}")
     codes = random_tuple(random.Random(seed), base, n, max_inner=base.rows + 1)
-    return codes, {"base": matrix_to_json(base), "tuple_size": n}
+    return codes, {"base": encode(base), "tuple_size": n}
 
 
 def report_to_json(report: dict[str, AxiomResult]) -> dict:

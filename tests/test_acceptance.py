@@ -19,7 +19,6 @@ from ssecalc.cayley import (
 from ssecalc.codes import (
     compose,
     equal_codes,
-    identity_code,
     is_elementary,
     is_identity,
     normalize,
@@ -62,7 +61,6 @@ from ssecalc.sampling import (
     random_nondeg_matrix,
     random_tuple,
 )
-from ssecalc.shifts import VertexShift
 from ssecalc.williams import decompose
 
 GM = NonnegMatrix([[1, 1], [1, 0]])

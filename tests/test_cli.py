@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssecalc.cli import _COMMANDS, _encode, build_parser, main
+from ssecalc.cli import _COMMANDS, _encode, _text, build_parser, main
 from ssecalc.codes import code_to_json, shift_code
-from ssecalc.complexes import SSEPath, path_to_json
+from ssecalc.complexes import SSEPath, path_from_json, path_to_json
 from ssecalc.elementary import SSEEdge, Triangle, edge_to_json, triangle_to_json
 from ssecalc.matrices import NonnegMatrix, matrix_to_json, mul
-from ssecalc.shifts import VertexShift
+from ssecalc.refinement import axiom_input_from_json
+from ssecalc.shifts import VertexShift, higher_block
 
 GM = NonnegMatrix([[1, 1], [1, 0]])
 I2 = NonnegMatrix.identity(2)
@@ -318,6 +319,20 @@ def test_reports_are_reproducible(tmp_path):
     assert rep1 == rep2
 
 
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("refine-axioms", {"base": [[1, 1, 0], [0, 1, 1], [1, 0, 1]], "tuple_size": 3}),
+        ("verify-edge", dict(edge_to_json(SSEEdge(GM, GM, GM, I2)), A=[[1]])),
+    ],
+    ids=["refine-axioms-base-rows", "verify-edge-a-rows"],
+)
+def test_a_matrix_that_is_not_an_object_is_an_input_error(tmp_path, command, obj):
+    code, rep = run(tmp_path, command, "--input", write(tmp_path, "in.json", obj))
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == 'a matrix must be a JSON object with "rows", "cols" and "entries"'
+
+
 def test_homotopic_non_object_input(tmp_path):
     path = write(tmp_path, "pair.json", [1, 2])
     code, rep = run(tmp_path, "homotopic", "--input", path)
@@ -618,13 +633,18 @@ def test_a_missing_key_is_named_by_its_decoder(tmp_path, command, obj, error):
     assert rep["error"] == error
 
 
-def test_normalize_degenerate_with_an_entry_above_one(tmp_path):
-    # the edge R = [1], S = [2] from [2] to itself has no {0,1} composite,
-    # so the report carries no core comparison
+def _path_with_a_two():
+    """The edge R = [1], S = [2] from [2] to itself, which has no {0,1}
+    composite."""
     two = matrix_to_json(NonnegMatrix([[2]]))
     edge = {"A": two, "B": two, "R": matrix_to_json(NonnegMatrix([[1]])), "S": two}
-    obj = {"base": two, "steps": [{"edge": edge, "sign": 1}]}
-    code, rep = run(tmp_path, "normalize-degenerate", "--input", write(tmp_path, "p.json", obj))
+    return {"base": two, "steps": [{"edge": edge, "sign": 1}]}
+
+
+def test_normalize_degenerate_with_an_entry_above_one(tmp_path):
+    # no {0,1} composite, so the report carries no core comparison
+    path = write(tmp_path, "p.json", _path_with_a_two())
+    code, rep = run(tmp_path, "normalize-degenerate", "--input", path)
     assert code == 0, rep
     assert "composite_agrees_on_cores" not in rep
     assert rep["input"]["degenerate"] is True
@@ -655,6 +675,9 @@ _SWEEP_INPUTS = [
     ("refine-axioms", {"base": matrix_to_json(GM), "tuple_size": 2}, ("--trials", "1")),
     ("cayley-schedule", _zd_window(2, [[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [1, 1]]), ()),
     ("cayley-schedule", _group_input("cayley-schedule", ["e", "a"]), ()),
+    # the 3-block presentation of the golden mean: step matrices up to 5x5
+    ("decompose", code_to_json(higher_block(VertexShift(GM), 3)[1]), ()),
+    ("normalize-degenerate", _path_with_a_two(), ()),
 ]
 # the report key of each subcommand that can exit 1, false when it does
 _VERDICTS = {
@@ -768,6 +791,8 @@ def test_freudenthal_check_flags_keep_the_exit_contract(sweep_dir, dimension, tr
         "refine-axioms",
         "cayley-schedule0",
         "cayley-schedule1",
+        "decompose-three-block",
+        "normalize-degenerate-entry-2",
         "freudenthal-check",
     ],
 )
@@ -818,3 +843,43 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 def test_report_writer_is_json_dumps(value):
     assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@st.composite
+def _matrices(draw):
+    """1 to 70 rows and columns, entries 0 to 3, some rows all zero."""
+    rows, cols = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    top = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    zero_rows = {i for i in range(rows) if rng.random() < 0.2}
+    return NonnegMatrix(
+        [[0 if i in zero_rows else rng.randint(0, top) for _ in range(cols)] for i in range(rows)]
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_matrices(), st.sampled_from(["", "  ", "      "]))
+def test_a_matrix_is_written_as_json_dumps_writes_its_object(m, pad):
+    expected = json.dumps(matrix_to_json(m), indent=2, sort_keys=True)
+    assert _text(m, pad) == expected.replace("\n", "\n" + pad)
+
+
+def test_report_builders_give_plain_json_by_default():
+    """Library callers and input files get dicts of lists of ints; only the
+    CLI passes its matrices through the builders unencoded."""
+    e, loop = SSEEdge(GM, GM, GM, I2), SSEEdge(GM, GM, I2, GM)
+    deg = path_from_json(_degenerate_path(), degenerate=True)
+    built = [
+        matrix_to_json(NonnegMatrix([[0, 3], [2, 0]])),
+        edge_to_json(e),
+        edge_to_json(e, degenerate=True),
+        triangle_to_json(Triangle(loop, loop, loop)),
+        path_to_json(SSEPath(GM, ((e, 1), (e, -1)))),
+        path_to_json(deg, degenerate=True),
+        code_to_json(higher_block(VertexShift(GM), 3)[1]),
+        axiom_input_from_json({"base": matrix_to_json(GM), "tuple_size": 2}, 0)[1],
+    ]
+    for obj in built:
+        assert obj == json.loads(json.dumps(obj))
+    assert built[1]["A"] == {"rows": 2, "cols": 2, "entries": [[1, 1], [1, 0]]}
+    assert built[5]["steps"][0]["edge"]["B"]["entries"][2] == [0, 0, 0]  # a zero row

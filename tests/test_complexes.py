@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ssecalc.cli import _encode
-from ssecalc.codes import equal_codes, identity_code, is_identity, shift_code
+from ssecalc.codes import equal_codes, is_identity, shift_code
 from ssecalc.complexes import (
     SSEPath,
     automorphism_from_loop,

@@ -15,7 +15,7 @@ from ssecalc.degenerate import (
     to_strict_path,
 )
 from ssecalc.elementary import SSEEdge, Triangle, check_triangle, edge_from_json, edge_to_json
-from ssecalc.errors import EmptyCoreError, InvalidEdgeError, IterationBoundError, VerificationError
+from ssecalc.errors import EmptyCoreError, InvalidEdgeError, IterationBoundError
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate, mul
 from ssecalc.sampling import random_deg_bool_edge, random_deg_pair, random_nondeg_matrix
 

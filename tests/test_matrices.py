@@ -195,6 +195,13 @@ def test_json_roundtrip():
         matrix_from_json({"rows": 1, "cols": 2, "entries": [[1]]})
 
 
+@pytest.mark.parametrize("obj", [[[1, 1], [1, 0]], "m", 3, None], ids=["rows", "str", "int", "null"])
+def test_a_matrix_that_is_not_an_object_is_named_as_one(obj):
+    with pytest.raises(InvalidMatrixError) as info:
+        matrix_from_json(obj)
+    assert str(info.value) == 'a matrix must be a JSON object with "rows", "cols" and "entries"'
+
+
 def test_matrices_are_immutable():
     a = NonnegMatrix([[1]])
     b = NonnegMatrix.identity(2)  # built from packed rows

@@ -6,7 +6,6 @@ import pytest
 from ssecalc import codes
 from ssecalc.codes import (
     compose,
-    equal_codes,
     identity_code,
     is_elementary,
     normalize,
@@ -26,6 +25,8 @@ from ssecalc.refinement import (
     group_refine,
     refine_representative,
     star,
+    star_image,
+    star_map_general,
     verify_refinement_axioms,
 )
 from ssecalc.sampling import (
@@ -70,6 +71,22 @@ def test_star_rejects_wide():
     wide = compose(shift_code(X, 1), shift_code(X, 1))
     with pytest.raises(NotElementaryError):
         star([wide])
+
+
+@pytest.mark.parametrize("side", [5, 0, True, 1.0, -1.0], ids=["5", "0", "True", "1.0", "-1.0"])
+def test_a_side_other_than_one_or_minus_one_is_refused(side):
+    with pytest.raises(ValueError, match="side must be the int 1 or -1"):
+        star_image([shift_code(X, -1)], side)
+    with pytest.raises(ValueError, match="side must be the int 1 or -1"):
+        star_map_general([identity_code(X), shift_code(X, -1)], side)
+
+
+def test_star_image_and_star_map_general_take_either_side():
+    assert star_image([shift_code(X, -1)], -1).side == -1
+    assert star_image([shift_code(X, 1)], 1).side == 1
+    for g in (1, -1):
+        f = star_map_general([identity_code(X), shift_code(X, g)], g)
+        assert f.domain == X
 
 
 def test_delta_single_is_equivalent_to_code():
