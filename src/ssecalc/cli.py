@@ -336,7 +336,7 @@ def _run_freudenthal_check(args) -> tuple[int, dict]:
 
 
 def _run_refine_axioms(args) -> tuple[int, dict]:
-    codes, echo = axiom_input_from_json(_load(args.input), args.seed, encode=_as_is)
+    codes, echo = axiom_input_from_json(_load(args.input), args.seed)
     report = verify_refinement_axioms(codes, trials=args.trials, seed=args.seed)
     payload = report_to_json(report)
     ok = payload["all_passed"]

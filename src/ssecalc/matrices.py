@@ -247,7 +247,7 @@ def _boolean_mul(a: NonnegMatrix, b: NonnegMatrix) -> Optional[NonnegMatrix]:
 def is_nondegenerate(a: NonnegMatrix) -> bool:
     """True iff every row and every column has a positive entry."""
     colacc = 0
-    for m in a._rows if a._width == 1 else a.support_rows():
+    for m in a.support_rows():
         if m == 0:
             return False
         colacc |= m

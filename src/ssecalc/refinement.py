@@ -41,7 +41,7 @@ from .errors import (
     ShiftMismatchError,
     VerificationError,
 )
-from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json
+from .matrices import NonnegMatrix, matrix_from_json
 from .shifts import (
     DeterministicPresentation,
     LabeledGraph,
@@ -466,14 +466,13 @@ def _some_permutations(n: int, trials: int, rng: random.Random):
     return out
 
 
-def axiom_input_from_json(
-    obj: dict, seed: int, *, encode=matrix_to_json
-) -> tuple[list[BlockCode], dict]:
+def axiom_input_from_json(obj: dict, seed: int) -> tuple[list[BlockCode], dict]:
     """The code tuple of an axiom-suite input and the echo a report gives
-    of it, whose base is encode(base).  {"codes": [code, ...]} lists the
-    codes; {"base": matrix, "tuple_size": n} draws n elementary codes out
-    of base with random.Random(seed), n defaulting to 2.  Any other key,
-    or keys of both forms, is an InvalidCodeError."""
+    of it, whose base is the matrix itself (the report writer writes it).
+    {"codes": [code, ...]} lists the codes; {"base": matrix, "tuple_size":
+    n} draws n elementary codes out of base with random.Random(seed), n
+    defaulting to 2.  Any other key, or keys of both forms, is an
+    InvalidCodeError."""
     from .sampling import random_tuple
 
     if not isinstance(obj, dict):
@@ -498,7 +497,7 @@ def axiom_input_from_json(
     if type(n) is not int or n < 1:
         raise InvalidCodeError(f"tuple_size must be a positive integer, not {n!r}")
     codes = random_tuple(random.Random(seed), base, n, max_inner=base.rows + 1)
-    return codes, {"base": encode(base), "tuple_size": n}
+    return codes, {"base": base, "tuple_size": n}
 
 
 def report_to_json(report: dict[str, AxiomResult]) -> dict:

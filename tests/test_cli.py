@@ -14,7 +14,6 @@ from ssecalc.codes import code_to_json, shift_code
 from ssecalc.complexes import SSEPath, path_from_json, path_to_json
 from ssecalc.elementary import SSEEdge, Triangle, edge_to_json, triangle_to_json
 from ssecalc.matrices import NonnegMatrix, matrix_to_json, mul
-from ssecalc.refinement import axiom_input_from_json
 from ssecalc.shifts import VertexShift, higher_block
 
 GM = NonnegMatrix([[1, 1], [1, 0]])
@@ -877,7 +876,6 @@ def test_report_builders_give_plain_json_by_default():
         path_to_json(SSEPath(GM, ((e, 1), (e, -1)))),
         path_to_json(deg, degenerate=True),
         code_to_json(higher_block(VertexShift(GM), 3)[1]),
-        axiom_input_from_json({"base": matrix_to_json(GM), "tuple_size": 2}, 0)[1],
     ]
     for obj in built:
         assert obj == json.loads(json.dumps(obj))
