@@ -221,6 +221,10 @@ def window_to_json(w: FGGroupWindow) -> dict:
 
 
 def window_from_json(obj: dict) -> FGGroupWindow:
+    if not isinstance(obj, dict):
+        raise InvalidWindowError(
+            'a window must be a JSON object with "group", "generators" and "window"'
+        )
     try:
         gspec = obj["group"]
         if not isinstance(gspec, dict):

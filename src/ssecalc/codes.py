@@ -128,7 +128,8 @@ class BlockCode(Frozen):
         if len(w) < width:
             raise InvalidCodeError("word shorter than the window")
         x = self.domain
-        if not all(0 <= a < x.alphabet_size for a in w) or not all(map(x.has_edge, w, w[1:])):
+        inside = all(0 <= a < x.alphabet_size for a in w)
+        if not inside or any(c not in x.succ[a] for a, c in zip(w, w[1:])):
             raise InvalidCodeError(f"forbidden word {w}")
         # the table is total on allowed words, so every window of w is a key
         return tuple(self.table[w[i : i + width]] for i in range(len(w) - width + 1))
@@ -199,7 +200,7 @@ def _checked_table(x: VertexShift, y: VertexShift, left, right, table: dict) -> 
     for _ in range(width - 1):
         if sum(ends) > len(table):
             break
-        ends = [sum(ends[i] for i in x.pred(j)) for j in range(x.alphabet_size)]
+        ends = [sum(ends[i] for i in x.pred[j]) for j in range(x.alphabet_size)]
     count = sum(ends)
     if count != len(table):
         allowed = "more words" if count > len(table) else f"{count} words"
@@ -228,7 +229,7 @@ def _checked_table(x: VertexShift, y: VertexShift, left, right, table: dict) -> 
     # makes image words of every length allowed.  The (width+1)-words
     # w + (a,) are visited in the order of x.words(width + 1).
     masks = y.matrix.support_rows()
-    succ, b = x._succ, x.symbol_bits
+    succ, b = x.succ, x.symbol_bits
     last, tail = (1 << b) - 1, (1 << b * (width - 1)) - 1
     for w, p, v in zip(words, packed, ordered):
         row = masks[v]
@@ -263,7 +264,7 @@ def _images(f: BlockCode, width: int) -> tuple[tuple[int, ...], list[int]]:
     words = x.packed_words(length)
     images = list(map(tab.__getitem__, words))
     if width > 1:
-        b, by, succ = x.symbol_bits, f.codomain.symbol_bits, x._succ
+        b, by, succ = x.symbol_bits, f.codomain.symbol_bits, x.succ
         last, window = (1 << b) - 1, (1 << b * length) - 1
         for _ in range(width - 1):
             images = [
@@ -308,7 +309,7 @@ def _try_rewindow(x: VertexShift, width: int, tab: Mapping, slide: bool, right: 
     b = x.symbol_bits
     new = {}
     if right:
-        succ, last = x._succ, (1 << b) - 1
+        succ, last = x.succ, (1 << b) - 1
         # a slide drops the word's first symbol; the mask -1 keeps them all
         tail = (1 << b * (width - 1)) - 1 if slide else -1
         for u in x.packed_words(length):
@@ -320,7 +321,7 @@ def _try_rewindow(x: VertexShift, width: int, tab: Mapping, slide: bool, right: 
                     return None
             new[u] = v0
     else:
-        pred = x._pred
+        pred = x.pred
         # a slide drops the word's last symbol
         first, top, drop = b * (length - 1), b * (width - 1), b if slide else 0
         for u in x.packed_words(length):
@@ -453,7 +454,7 @@ def bijection_code(x: VertexShift, perm: Sequence[int]) -> BlockCode:
     if any(type(p) is not int for p in perm) or sorted(perm) != list(range(n)):
         raise InvalidCodeError("perm is not a bijection of the codomain alphabet")
     masks, back = [0] * n, [0] * n
-    for i, succ in enumerate(x._succ):
+    for i, succ in enumerate(x.succ):
         masks[perm[i]] = sum(1 << perm[j] for j in succ)
         back[perm[i]] = i
     target = VertexShift(NonnegMatrix.from_bool_rows(n, masks))
@@ -471,9 +472,7 @@ def code_to_json(f: BlockCode, include_inverse: bool = True, *, encode=matrix_to
         "domain": encode(f.domain.matrix),
         "codomain": encode(f.codomain.matrix),
         "window": [f.left, f.right],
-        "table": [
-            [[a + 1 for a in w], v + 1] for w, v in sorted(f.table.items())
-        ],
+        "table": [[[a + 1 for a in w], v + 1] for w, v in f.table.items()],
     }
     if include_inverse and f._inverse is not None:
         out["inverse"] = code_to_json(f._inverse, include_inverse=False, encode=encode)
@@ -482,6 +481,10 @@ def code_to_json(f: BlockCode, include_inverse: bool = True, *, encode=matrix_to
 
 def _code_fields(obj) -> tuple:
     """The shifts, window and 0-based table of one block code object."""
+    if not isinstance(obj, dict):
+        raise InvalidCodeError(
+            'a block code must be a JSON object with "domain", "codomain", "window" and "table"'
+        )
     try:
         domain = VertexShift(matrix_from_json(obj["domain"]))
         codomain = VertexShift(matrix_from_json(obj["codomain"]))

@@ -276,8 +276,12 @@ def path_to_json(p: SSEPath, degenerate: bool = False, *, encode=matrix_to_json)
 def path_from_json(obj: dict, degenerate: bool = False) -> SSEPath:
     """A path of SSEEdges, or of DegSSEEdges when degenerate.  A sign is
     taken as it is, so SSEPath refuses any but the integers 1 and -1."""
+    if not isinstance(obj, dict):
+        raise InvalidEdgeError('a path must be a JSON object with "base" and "steps"')
     try:
         base = matrix_from_json(obj["base"])
+        if not all(isinstance(st, dict) for st in obj["steps"]):
+            raise InvalidEdgeError('a path step must be a JSON object with "edge" and "sign"')
         steps = tuple(
             (edge_from_json(st["edge"], degenerate), st["sign"]) for st in obj["steps"]
         )

@@ -193,6 +193,8 @@ def edge_to_json(e: DegSSEEdge, degenerate: bool = False, *, encode=matrix_to_js
 def edge_from_json(obj: dict, degenerate: bool = False) -> DegSSEEdge:
     """An SSEEdge, or a DegSSEEdge when degenerate; the "degenerate" key of
     the object is not read."""
+    if not isinstance(obj, dict):
+        raise InvalidEdgeError('an edge must be a JSON object with "A", "B", "R" and "S"')
     try:
         return (DegSSEEdge if degenerate else SSEEdge)(
             matrix_from_json(obj["A"]),
@@ -213,6 +215,8 @@ def triangle_to_json(t: Triangle, *, encode=matrix_to_json) -> dict:
 
 
 def triangle_from_json(obj: dict) -> Triangle:
+    if not isinstance(obj, dict):
+        raise InvalidEdgeError('a triangle must be a JSON object with "e1", "e2" and "e3"')
     try:
         return Triangle(
             edge_from_json(obj["e1"]),

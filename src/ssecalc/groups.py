@@ -119,6 +119,8 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(obj: dict) -> FiniteGroup:
+    if not isinstance(obj, dict):
+        raise InvalidGroupError('a group must be a JSON object with "elements" and "table"')
     try:
         return FiniteGroup(obj["elements"], obj["table"])
     except (TypeError, KeyError) as exc:

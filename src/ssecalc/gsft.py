@@ -280,6 +280,10 @@ def gsft_matrix_to_json(a: GroupRingMatrix) -> dict:
 
 
 def gsft_matrix_from_json(obj: dict) -> GroupRingMatrix:
+    if not isinstance(obj, dict):
+        raise InvalidMatrixError(
+            'a group-ring matrix must be a JSON object with "group" and "entries"'
+        )
     try:
         group = group_from_json(obj["group"])
         entries = [

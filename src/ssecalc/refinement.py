@@ -107,7 +107,7 @@ def _star_image(normal: tuple[BlockCode, ...], side: int) -> StarImage:
     alphabet = tuple(sorted(set(symbols)))
     ranks = {t: i for i, t in enumerate(alphabet)}
     labels = dict(zip(x.packed_words(2), map(ranks.__getitem__, symbols)))
-    b, succ = x.symbol_bits, x._succ
+    b, succ = x.symbol_bits, x.succ
     last = (1 << b) - 1
     closure = [0] * len(alphabet)
     for w, u in labels.items():

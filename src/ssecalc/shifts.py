@@ -21,7 +21,8 @@ class VertexShift(Frozen):
     Shifts are immutable, and equal matrices share one shift while it is
     alive: ``VertexShift(m)`` returns the live shift of a matrix equal to
     ``m`` if there is one, so its successor and predecessor tuples and its
-    word tables are built once per matrix.
+    packed word tables are built once per matrix.  ``succ[i]`` and
+    ``pred[j]`` are the symbols that may follow i and precede j.
 
     A word packs into an int of ``symbol_bits`` bits per symbol, the first
     symbol most significant, so packed words of one length sort like the
@@ -29,7 +30,7 @@ class VertexShift(Frozen):
     """
 
     __slots__ = (
-        "matrix", "symbol_bits", "_succ", "_pred", "_words", "_packed", "_hash", "__weakref__"
+        "matrix", "symbol_bits", "succ", "pred", "_packed", "_hash", "__weakref__"
     )
 
     def __new__(cls, matrix: NonnegMatrix):
@@ -44,13 +45,9 @@ class VertexShift(Frozen):
             raise InvalidMatrixError("vertex shift needs a nondegenerate matrix")
         self = object.__new__(cls)
         _set_matrix(self, matrix)
-        n = matrix.rows
-        _set_symbol_bits(self, max(1, (n - 1).bit_length()))
-        rows = matrix.support_rows()
-        _set_succ(self, tuple(_bits(rows[i]) for i in range(n)))
-        cols = matrix.transpose().support_rows()
-        _set_pred(self, tuple(_bits(cols[j]) for j in range(n)))
-        _set_words(self, {})
+        _set_symbol_bits(self, max(1, (matrix.rows - 1).bit_length()))
+        _set_succ(self, tuple(map(_bits, matrix.support_rows())))
+        _set_pred(self, tuple(map(_bits, matrix.transpose().support_rows())))
         _set_packed(self, {})
         _set_hash(self, hash(matrix))
         # only a shift whose matrix passed every check is recorded; another
@@ -64,62 +61,41 @@ class VertexShift(Frozen):
     def alphabet_size(self) -> int:
         return self.matrix.rows
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return self.matrix.entry(i, j) == 1
-
-    def succ(self, i: int) -> tuple[int, ...]:
-        return self._succ[i]
-
-    def pred(self, j: int) -> tuple[int, ...]:
-        return self._pred[j]
-
     def words(self, length: int) -> tuple[tuple[int, ...], ...]:
-        """All allowed words of the given length, lexicographically sorted;
-        ``packed_words(length)`` holds the same words packed, in the same
-        order."""
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        cached = self._words.get(length)
-        if cached is not None:
-            return cached
-        n, succ = self.alphabet_size, self._succ
-        if length == 1:
-            out = tuple((a,) for a in range(n))
-        elif length == 2:
-            out = tuple((a, b) for a in range(n) for b in succ[a])
-        else:
-            # a word is a head of half its length joined on the head's last
-            # symbol to a word of the other half, so each word is built by
-            # one concatenation and all of them in O(count * length)
-            head = (length + 1) // 2
-            tails = [[] for _ in range(n)]
-            for w in self.words(length - head + 1):
-                tails[w[0]].append(w[1:])
-            out = tuple(u + v for u in self.words(head) for v in tails[u[-1]])
-        self._words[length] = out
-        return out
+        """All allowed words of the given length, lexicographically sorted:
+        ``packed_words(length)`` unpacked, in the same order."""
+        b = self.symbol_bits
+        last, offsets = (1 << b) - 1, range(b * (length - 1), -1, -b)
+        return tuple(tuple([w >> k & last for k in offsets]) for w in self.packed_words(length))
 
     def packed_words(self, length: int) -> tuple[int, ...]:
-        """The words of ``words(length)`` packed into ints, in the same order.
+        """All allowed words of the given length packed into ints, sorted.
 
-        Words of each length up to this one are built once, each from one
-        of the length before by a shift and an OR, and kept."""
+        A longer word is a head of half its length joined on the head's
+        last symbol to a word of the other half, so each word is built by
+        one shift and an OR; the lengths built are kept, about 2*log2 of
+        them for one long request."""
         if length < 1:
             raise ValueError("length must be >= 1")
         cache = self._packed
         out = cache.get(length)
         if out is not None:
             return out
-        known = max((k for k in cache if k < length), default=0)
-        if known == 0:
-            known = 1
-            cache[1] = tuple(range(self.alphabet_size))
-        b, succ = self.symbol_bits, self._succ
-        last = (1 << b) - 1
-        out = cache[known]
-        for k in range(known + 1, length + 1):
-            out = tuple(w << b | a for w in out for a in succ[w & last])
-            cache[k] = out
+        n, b, succ = self.alphabet_size, self.symbol_bits, self.succ
+        if length == 1:
+            out = tuple(range(n))
+        elif length == 2:
+            out = tuple(a << b | c for a in range(n) for c in succ[a])
+        else:
+            head = (length + 1) // 2
+            rest = length - head  # symbols after the head's last one
+            first, keep = b * rest, (1 << b * rest) - 1
+            tails = [[] for _ in range(n)]
+            for w in self.packed_words(rest + 1):
+                tails[w >> first].append(w & keep)
+            last = (1 << b) - 1
+            out = tuple(u << first | v for u in self.packed_words(head) for v in tails[u & last])
+        cache[length] = out
         return out
 
     def __eq__(self, other) -> bool:
@@ -134,7 +110,7 @@ class VertexShift(Frozen):
         return f"VertexShift({self.alphabet_size} symbols)"
 
 
-_set_matrix, _set_symbol_bits, _set_succ, _set_pred, _set_words, _set_packed, _set_hash = (
+_set_matrix, _set_symbol_bits, _set_succ, _set_pred, _set_packed, _set_hash = (
     slot_setters(VertexShift)
 )
 
@@ -166,7 +142,7 @@ def higher_block(x: VertexShift, window: int):
         return x, f
     words = x.packed_words(window)
     rank = {w: i for i, w in enumerate(words)}
-    b, succ = x.symbol_bits, x._succ
+    b, succ = x.symbol_bits, x.succ
     last, tail, first = (1 << b) - 1, (1 << b * (window - 1)) - 1, b * (window - 1)
     masks = []
     for w in words:

@@ -332,6 +332,53 @@ def test_a_matrix_that_is_not_an_object_is_an_input_error(tmp_path, command, obj
     assert rep["error"] == 'a matrix must be a JSON object with "rows", "cols" and "entries"'
 
 
+_GM_CODE = code_to_json(shift_code(VertexShift(GM), 1))
+_CODE_TEXT = 'a block code must be a JSON object with "domain", "codomain", "window" and "table"'
+
+
+@pytest.mark.parametrize(
+    "command, obj, error",
+    [
+        ("verify-edge", [1, 2], 'an edge must be a JSON object with "A", "B", "R" and "S"'),
+        ("verify-triangle", [1], 'a triangle must be a JSON object with "e1", "e2" and "e3"'),
+        ("compose-path", "x", 'a path must be a JSON object with "base" and "steps"'),
+        (
+            "compose-path",
+            {"base": matrix_to_json(GM), "steps": [1]},
+            'a path step must be a JSON object with "edge" and "sign"',
+        ),
+        ("extract", 5, _CODE_TEXT),
+        ("decompose", dict(_GM_CODE, inverse=[1]), _CODE_TEXT),
+        ("gsft-bar", [1], 'a group-ring matrix must be a JSON object with "group" and "entries"'),
+        (
+            "gsft-bar",
+            {"group": [1], "entries": []},
+            'a group must be a JSON object with "elements" and "table"',
+        ),
+        (
+            "cayley-schedule",
+            [1],
+            'a window must be a JSON object with "group", "generators" and "window"',
+        ),
+    ],
+    ids=[
+        "verify-edge-list",
+        "verify-triangle-list",
+        "compose-path-string",
+        "compose-path-step-int",
+        "extract-int",
+        "decompose-inverse-list",
+        "gsft-bar-list",
+        "gsft-bar-group-list",
+        "cayley-schedule-list",
+    ],
+)
+def test_a_value_that_is_not_an_object_is_named_as_such(tmp_path, command, obj, error):
+    code, rep = run(tmp_path, command, "--input", write(tmp_path, "in.json", obj))
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == error
+
+
 def test_homotopic_non_object_input(tmp_path):
     path = write(tmp_path, "pair.json", [1, 2])
     code, rep = run(tmp_path, "homotopic", "--input", path)

@@ -333,18 +333,17 @@ def test_table_size_is_checked_before_the_words_are_built(window, table, detail)
     # matrices share one shift, and only a fresh one shows no word was built
     gc.collect()
     x = VertexShift(NonnegMatrix([[0, 1], [1, 1]]))
-    assert not x._words
+    assert not x._packed
     with pytest.raises(InvalidCodeError) as exc:
         BlockCode(x, x, *window, table)
     width = window[1] - window[0] + 1
     assert str(exc.value) == f"table must be total on allowed {width}-words ({detail})"
-    assert max(x._words, default=0) < width
     assert max(x._packed, default=0) < width
 
 
 def _validate_oracle(f: BlockCode) -> None:
     """The table check of BlockCode as it was written first: set equality
-    for totality and one has_edge call per (width+1)-word."""
+    for totality and one transition check per (width+1)-word."""
     width, table, x = f.width, f.table, f.domain
     total = f"table must be total on allowed {width}-words"
     if any(len(w) != width for w in table):
@@ -353,7 +352,7 @@ def _validate_oracle(f: BlockCode) -> None:
     for _ in range(width - 1):
         if sum(ends) > len(table):
             break
-        ends = [sum(ends[i] for i in x.pred(j)) for j in range(x.alphabet_size)]
+        ends = [sum(ends[i] for i in x.pred[j]) for j in range(x.alphabet_size)]
     count = sum(ends)
     if count != len(table):
         allowed = "more words" if count > len(table) else f"{count} words"
@@ -368,7 +367,7 @@ def _validate_oracle(f: BlockCode) -> None:
         if not (0 <= v < n_out):
             raise InvalidCodeError(f"table value {v} outside codomain alphabet")
     for w in f.domain.words(width + 1):
-        if not f.codomain.has_edge(f.table[w[:-1]], f.table[w[1:]]):
+        if f.table[w[1:]] not in f.codomain.succ[f.table[w[:-1]]]:
             raise InvalidCodeError(f"image of word {w} leaves the codomain shift")
 
 

@@ -17,6 +17,8 @@ from ssecalc.codes import (
     _compose_data,
     _normalize_data,
     bijection_code,
+    code_from_json,
+    code_to_json,
     compose,
     identity_code,
     normalize,
@@ -50,7 +52,7 @@ def _try_rewindow_oracle(x, width, tab, slide, right):
     if right:
         for u in words:
             core = u[1:] if slide else u
-            it = iter(x.succ(u[-1]))
+            it = iter(x.succ[u[-1]])
             v0 = tab[core + (next(it),)]
             for a in it:
                 if tab[core + (a,)] != v0:
@@ -59,7 +61,7 @@ def _try_rewindow_oracle(x, width, tab, slide, right):
     else:
         for u in words:
             core = u[:-1] if slide else u
-            it = iter(x.pred(u[0]))
+            it = iter(x.pred[u[0]])
             v0 = tab[(next(it),) + core]
             for a in it:
                 if tab[(a,) + core] != v0:
@@ -263,6 +265,24 @@ def test_the_tuple_table_is_a_view_built_on_first_read():
     view = f.table
     assert f.table is view and dict(view) == {w: i for i, w in enumerate(GM.words(3))}
     assert list(view) == list(GM.words(3))
+
+
+def _json_tables(obj):
+    return [obj["table"], *([obj["inverse"]["table"]] if "inverse" in obj else [])]
+
+
+@pytest.mark.parametrize("x", SHIFTS.values(), ids=SHIFTS.keys())
+def test_the_json_table_is_listed_in_word_order(x):
+    rng = random.Random(x.alphabet_size * 6151 + len(x.words(2)))
+    for f, g in _pairs(rng, x, rounds=1):
+        for code in (f, g):
+            for table in _json_tables(code_to_json(code)):
+                assert table == sorted(table)
+        # read back from JSON with both tables listed out of order
+        obj = code_to_json(f)
+        for table in _json_tables(obj):
+            rng.shuffle(table)
+        assert code_to_json(code_from_json(obj)) == code_to_json(f)
 
 
 # -- symbols are ints ------------------------------------------------------

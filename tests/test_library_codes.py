@@ -146,7 +146,7 @@ def _relabel_codomain_oracle(f, perm):
     if any(type(p) is not int for p in perm) or sorted(perm) != list(range(n)):
         raise InvalidCodeError("perm is not a bijection of the codomain alphabet")
     y = f.codomain
-    succ = y._succ
+    succ = y.succ
     masks = [0] * n
     for i in range(n):
         masks[perm[i]] = sum(1 << perm[j] for j in succ[i])

@@ -25,7 +25,7 @@ FULL2 = NonnegMatrix([[1, 1], [1, 1]])
 
 def shift_presentation(x: VertexShift) -> DeterministicPresentation:
     """The canonical source-labeled presentation of a vertex shift."""
-    edges = [(i, i, j) for i in range(x.alphabet_size) for j in x.succ(i)]
+    edges = [(i, i, j) for i in range(x.alphabet_size) for j in x.succ[i]]
     return DeterministicPresentation.from_graph(LabeledGraph(x.alphabet_size, edges))
 
 
@@ -55,7 +55,7 @@ def test_a_shift_leaves_the_table_when_nothing_references_it():
     del x
     gc.collect()
     assert ref() is None and m not in shifts._LIVE
-    assert not VertexShift(m)._words
+    assert not VertexShift(m)._packed
 
 
 @pytest.mark.parametrize(
@@ -72,12 +72,12 @@ def test_a_refused_matrix_leaves_no_entry(entries):
 
 def test_shifts_are_immutable():
     x = VertexShift(GM)
-    for name in ("matrix", "_succ", "_words", "other"):
+    for name in ("matrix", "succ", "_packed", "other"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(x, name, None)
         with pytest.raises(AttributeError, match="immutable"):
             delattr(x, name)
-    assert x.matrix == GM and x.succ(1) == (0,)
+    assert x.matrix == GM and x.succ[1] == (0,)
 
 
 def test_copies_and_pickles_are_the_shared_shift():
@@ -167,6 +167,82 @@ def test_words_match_brute_force(entries):
         assert list(x.words(length)) == _brute_force_words(m, length)
 
 
+def _halving_words(x: VertexShift, length: int, cache: dict) -> tuple:
+    """The allowed words as tuples, sorted, as the shift once built them:
+    a word is a head of half its length joined on the head's last symbol
+    to a word of the other half.  Lengths built are kept in cache."""
+    if length not in cache:
+        n = x.alphabet_size
+        if length == 1:
+            out = tuple((a,) for a in range(n))
+        elif length == 2:
+            out = tuple((a, b) for a in range(n) for b in x.succ[a])
+        else:
+            head = (length + 1) // 2
+            tails = [[] for _ in range(n)]
+            for w in _halving_words(x, length - head + 1, cache):
+                tails[w[0]].append(w[1:])
+            out = tuple(u + v for u in _halving_words(x, head, cache) for v in tails[u[-1]])
+        cache[length] = out
+    return cache[length]
+
+
+def _unpacked(x: VertexShift, length: int) -> tuple:
+    b = x.symbol_bits
+    return tuple(
+        tuple(p >> b * (length - 1 - i) & (1 << b) - 1 for i in range(length))
+        for p in x.packed_words(length)
+    )
+
+
+def _random_shift(rng: random.Random) -> VertexShift:
+    n, density = rng.randint(1, 6), rng.choice([0.25, 0.5, 0.75])
+    while True:
+        m = NonnegMatrix([[int(rng.random() < density) for _ in range(n)] for _ in range(n)])
+        try:
+            return VertexShift(m)
+        except InvalidMatrixError:
+            continue
+
+
+def test_words_match_the_tuple_halving_on_random_shifts():
+    rng = random.Random(23)
+    longest = set()
+    for _ in range(60):
+        x = _random_shift(rng)
+        cache = {}
+        ends = [1] * x.alphabet_size  # words of the current length, by last symbol
+        length = 1
+        # dense shifts stop where the words outgrow a quick test
+        while length <= 12 and sum(ends) <= 20000:
+            expected = _halving_words(x, length, cache)
+            assert x.words(length) == expected
+            assert _unpacked(x, length) == expected
+            ends = [sum(ends[i] for i in x.pred[j]) for j in range(x.alphabet_size)]
+            length += 1
+        longest.add(length - 1)
+    assert 12 in longest and min(longest) < 12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4], ids=["2-cycle", "3-cycle", "4-cycle"])
+def test_long_words_of_cycles_match_the_tuple_halving(n):
+    x = VertexShift(NonnegMatrix([[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]))
+    cache = {}
+    for length in (2000, 4097, 20000):
+        expected = _halving_words(x, length, cache)
+        assert x.words(length) == expected
+        assert _unpacked(x, length) == expected
+
+
+def test_one_long_request_keeps_few_lengths():
+    # the 3-cycle the other way round, which no other test keeps alive
+    gc.collect()
+    x = VertexShift(NonnegMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    assert not x._packed
+    assert len(x.packed_words(20000)) == 3
+    assert len(x._packed) <= 40
+
+
 def test_higher_block_window_one():
     x = VertexShift(GM)
     y, f = higher_block(x, 1)
@@ -218,7 +294,7 @@ def test_language_equal_relabeled_presentation():
     edges = [
         (i, words[i][0], j)
         for i in range(y.alphabet_size)
-        for j in y.succ(i)
+        for j in y.succ[i]
     ]
     q = DeterministicPresentation.from_graph(LabeledGraph(y.alphabet_size, edges))
     assert language_equal(shift_presentation(x), q)
