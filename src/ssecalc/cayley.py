@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Union
 
-from .errors import SseError
+from .errors import SseError, json_fields, json_list
 from .frozen import Frozen, slot_setters
 from .groups import FiniteGroup, group_from_json, group_to_json
 
@@ -221,25 +221,20 @@ def window_to_json(w: FGGroupWindow) -> dict:
 
 
 def window_from_json(obj: dict) -> FGGroupWindow:
-    if not isinstance(obj, dict):
-        raise InvalidWindowError(
-            'a window must be a JSON object with "group", "generators" and "window"'
-        )
+    keys = ("group", "generators", "window")
+    gspec, gens, window = json_fields(obj, InvalidWindowError, "a window", keys)
+    if not isinstance(gspec, dict):
+        raise InvalidWindowError(f"group must be a JSON object, not {gspec!r}")
+    if gspec.get("type") != "Z^d":
+        group = group_from_json(gspec)
+        gens = [group.index(name) for name in json_list(gens, InvalidWindowError, "generators")]
+        window = [group.index(name) for name in json_list(window, InvalidWindowError, "window")]
+        return FGGroupWindow(TableGroup(group), gens, window)
+    (dim,) = json_fields(gspec, InvalidWindowError, "a window", ("dim",))
+    ops = ZdGroup(dim)
     try:
-        gspec = obj["group"]
-        if not isinstance(gspec, dict):
-            raise InvalidWindowError(f"group must be a JSON object, not {gspec!r}")
-        if gspec.get("type") == "Z^d":
-            ops: GroupOps = ZdGroup(gspec["dim"])
-            gens = [tuple(g) for g in obj["generators"]]
-            window = [tuple(t) for t in obj["window"]]
-        else:
-            group = group_from_json(gspec)
-            ops = TableGroup(group)
-            gens = [group.index(name) for name in obj["generators"]]
-            window = [group.index(name) for name in obj["window"]]
-        return FGGroupWindow(ops, gens, window)
-    except (TypeError, KeyError, ValueError) as exc:
+        return FGGroupWindow(ops, [tuple(g) for g in gens], [tuple(t) for t in window])
+    except TypeError as exc:
         raise InvalidWindowError(f"malformed window object: {exc}") from exc
 
 

@@ -29,6 +29,7 @@ from .errors import (
     InvalidCodeError,
     MissingInverseError,
     ShiftMismatchError,
+    json_fields,
 )
 from .frozen import Frozen, slot_setters
 from .matrices import NonnegMatrix, matrix_from_json, matrix_to_json
@@ -481,22 +482,18 @@ def code_to_json(f: BlockCode, include_inverse: bool = True, *, encode=matrix_to
 
 def _code_fields(obj) -> tuple:
     """The shifts, window and 0-based table of one block code object."""
-    if not isinstance(obj, dict):
-        raise InvalidCodeError(
-            'a block code must be a JSON object with "domain", "codomain", "window" and "table"'
-        )
+    keys = ("domain", "codomain", "window", "table")
+    domain, codomain, window, table = json_fields(obj, InvalidCodeError, "a block code", keys)
+    domain, codomain = (VertexShift(matrix_from_json(m)) for m in (domain, codomain))
     try:
-        domain = VertexShift(matrix_from_json(obj["domain"]))
-        codomain = VertexShift(matrix_from_json(obj["codomain"]))
-        left, right = obj["window"]
-        entries = [tuple(e) for e in obj["table"]]
-        table = {tuple(a - 1 for a in w): v - 1 for w, v in entries}
-    except (TypeError, KeyError, ValueError) as exc:
+        left, right = window
+        entries = [(tuple(w), v) for w, v in [tuple(e) for e in table]]
+    except (TypeError, ValueError) as exc:
         raise InvalidCodeError(f"malformed block code object: {exc}") from exc
     for n in (left, right, *(s for w, v in entries for s in (*w, v))):
         if type(n) is not int:
             raise InvalidCodeError(f"window and table symbols must be integers, not {n!r}")
-    return domain, codomain, left, right, table
+    return domain, codomain, left, right, {tuple(a - 1 for a in w): v - 1 for w, v in entries}
 
 
 def code_from_json(obj: dict) -> BlockCode:

@@ -20,7 +20,7 @@ from .elementary import (
     edge_from_json,
     edge_to_json,
 )
-from .errors import InvalidEdgeError, ResourceBoundError
+from .errors import InvalidEdgeError, ResourceBoundError, json_fields, json_list
 from .factorize import factorizations, factorizations_general
 from .matrices import (
     NonnegMatrix,
@@ -276,26 +276,16 @@ def path_to_json(p: SSEPath, degenerate: bool = False, *, encode=matrix_to_json)
 def path_from_json(obj: dict, degenerate: bool = False) -> SSEPath:
     """A path of SSEEdges, or of DegSSEEdges when degenerate.  A sign is
     taken as it is, so SSEPath refuses any but the integers 1 and -1."""
-    if not isinstance(obj, dict):
-        raise InvalidEdgeError('a path must be a JSON object with "base" and "steps"')
-    try:
-        base = matrix_from_json(obj["base"])
-        if not all(isinstance(st, dict) for st in obj["steps"]):
-            raise InvalidEdgeError('a path step must be a JSON object with "edge" and "sign"')
-        steps = tuple(
-            (edge_from_json(st["edge"], degenerate), st["sign"]) for st in obj["steps"]
-        )
-    except (TypeError, KeyError) as exc:
-        raise InvalidEdgeError(f"malformed path object: {exc}") from exc
-    return SSEPath(base, steps)
+    base, steps = json_fields(obj, InvalidEdgeError, "a path", ("base", "steps"))
+    base = matrix_from_json(base)
+    steps = [
+        json_fields(st, InvalidEdgeError, "a path step", ("edge", "sign"))
+        for st in json_list(steps, InvalidEdgeError, "path steps")
+    ]
+    return SSEPath(base, tuple((edge_from_json(e, degenerate), sign) for e, sign in steps))
 
 
 def path_pair_from_json(obj: dict) -> tuple[SSEPath, SSEPath]:
     """The paths p and q of a {"p": path, "q": path} object."""
-    if not isinstance(obj, dict):
-        raise InvalidEdgeError("a path pair must be a JSON object")
-    try:
-        p, q = obj["p"], obj["q"]
-    except KeyError as exc:
-        raise InvalidEdgeError(f"malformed path pair object: {exc}") from exc
+    p, q = json_fields(obj, InvalidEdgeError, "a path pair", ("p", "q"))
     return path_from_json(p), path_from_json(q)

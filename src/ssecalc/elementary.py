@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import BlockCode, _fits, _packed_at, normalize, verify_inverse
-from .errors import InvalidEdgeError, NotElementaryError, VerificationError
+from .errors import InvalidEdgeError, NotElementaryError, VerificationError, json_fields
 from .matrices import (
     NonnegMatrix,
     is_nondegenerate,
@@ -193,17 +193,8 @@ def edge_to_json(e: DegSSEEdge, degenerate: bool = False, *, encode=matrix_to_js
 def edge_from_json(obj: dict, degenerate: bool = False) -> DegSSEEdge:
     """An SSEEdge, or a DegSSEEdge when degenerate; the "degenerate" key of
     the object is not read."""
-    if not isinstance(obj, dict):
-        raise InvalidEdgeError('an edge must be a JSON object with "A", "B", "R" and "S"')
-    try:
-        return (DegSSEEdge if degenerate else SSEEdge)(
-            matrix_from_json(obj["A"]),
-            matrix_from_json(obj["B"]),
-            matrix_from_json(obj["R"]),
-            matrix_from_json(obj["S"]),
-        )
-    except (TypeError, KeyError) as exc:
-        raise InvalidEdgeError(f"malformed edge object: {exc}") from exc
+    fields = json_fields(obj, InvalidEdgeError, "an edge", ("A", "B", "R", "S"))
+    return (DegSSEEdge if degenerate else SSEEdge)(*map(matrix_from_json, fields))
 
 
 def triangle_to_json(t: Triangle, *, encode=matrix_to_json) -> dict:
@@ -215,13 +206,5 @@ def triangle_to_json(t: Triangle, *, encode=matrix_to_json) -> dict:
 
 
 def triangle_from_json(obj: dict) -> Triangle:
-    if not isinstance(obj, dict):
-        raise InvalidEdgeError('a triangle must be a JSON object with "e1", "e2" and "e3"')
-    try:
-        return Triangle(
-            edge_from_json(obj["e1"]),
-            edge_from_json(obj["e2"]),
-            edge_from_json(obj["e3"]),
-        )
-    except (TypeError, KeyError) as exc:
-        raise InvalidEdgeError(f"malformed triangle object: {exc}") from exc
+    fields = json_fields(obj, InvalidEdgeError, "a triangle", ("e1", "e2", "e3"))
+    return Triangle(*map(edge_from_json, fields))

@@ -55,3 +55,28 @@ class GStarOverflowError(SseError):
 
 class EmptyCoreError(SseError):
     """A matrix core (indices on bi-infinite paths) is empty where one is required."""
+
+
+# -- JSON input -------------------------------------------------------
+
+
+def json_fields(obj, error: type[SseError], what: str, keys: tuple[str, ...]) -> list:
+    """The values of keys in the JSON object obj, in order.  A value that
+    is not an object, or an object without one of keys, is refused with
+    error; what names the object with its article ("a path step")."""
+    if not isinstance(obj, dict):
+        *head, last = (f'"{key}"' for key in keys)
+        listed = f"{', '.join(head)} and {last}" if head else last
+        raise error(f"{what} must be a JSON object with {listed}")
+    try:
+        return [obj[key] for key in keys]
+    except KeyError as exc:
+        raise error(f"malformed {what.split(' ', 1)[1]} object: {exc}") from exc
+
+
+def json_list(value, error: type[SseError], what: str) -> list:
+    """value, refused with error unless it is a JSON list: a string or an
+    object iterates too, as its characters or its keys."""
+    if not isinstance(value, list):
+        raise error(f"{what} must be a JSON list, not {value!r}")
+    return value

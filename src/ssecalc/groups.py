@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import SseError
+from .errors import SseError, json_fields, json_list
 from .frozen import Frozen, slot_setters
 
 
@@ -119,9 +119,8 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(obj: dict) -> FiniteGroup:
-    if not isinstance(obj, dict):
-        raise InvalidGroupError('a group must be a JSON object with "elements" and "table"')
+    names, table = json_fields(obj, InvalidGroupError, "a group", ("elements", "table"))
     try:
-        return FiniteGroup(obj["elements"], obj["table"])
-    except (TypeError, KeyError) as exc:
+        return FiniteGroup(json_list(names, InvalidGroupError, "group elements"), table)
+    except TypeError as exc:
         raise InvalidGroupError(f"malformed group object: {exc}") from exc

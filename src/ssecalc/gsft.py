@@ -21,6 +21,8 @@ from .errors import (
     InvalidEdgeError,
     InvalidMatrixError,
     VerificationError,
+    json_fields,
+    json_list,
 )
 from .frozen import Frozen, slot_setters
 from .groups import FiniteGroup, group_from_json, group_to_json
@@ -280,18 +282,16 @@ def gsft_matrix_to_json(a: GroupRingMatrix) -> dict:
 
 
 def gsft_matrix_from_json(obj: dict) -> GroupRingMatrix:
-    if not isinstance(obj, dict):
-        raise InvalidMatrixError(
-            'a group-ring matrix must be a JSON object with "group" and "entries"'
-        )
-    try:
-        group = group_from_json(obj["group"])
-        entries = [
-            [[group.index(name) for name in cell] for cell in row]
-            for row in obj["entries"]
+    keys = ("group", "entries")
+    group, entries = json_fields(obj, InvalidMatrixError, "a group-ring matrix", keys)
+    group = group_from_json(group)
+    entries = [
+        [
+            [group.index(name) for name in json_list(cell, InvalidMatrixError, "a group-ring cell")]
+            for cell in json_list(row, InvalidMatrixError, "a group-ring row")
         ]
-    except (TypeError, KeyError) as exc:
-        raise InvalidMatrixError(f"malformed group-ring matrix: {exc}") from exc
+        for row in json_list(entries, InvalidMatrixError, "group-ring entries")
+    ]
     m = GroupRingMatrix(group, entries)
     check_declared_shape(m, obj.get("rows", m.rows), obj.get("cols", m.cols))
     return m
@@ -299,12 +299,8 @@ def gsft_matrix_from_json(obj: dict) -> GroupRingMatrix:
 
 def hat_input_from_json(obj: dict) -> tuple[FiniteGroup, NonnegMatrix, tuple[int, int]]:
     """The group, the boolean matrix and the block shape [m, n] that hat takes."""
-    if not isinstance(obj, dict):
-        raise InvalidMatrixError("hat input must be a JSON object")
-    try:
-        group, e, shape = obj["group"], obj["matrix"], obj["shape"]
-    except KeyError as exc:
-        raise InvalidMatrixError(f"malformed hat input object: {exc}") from exc
+    keys = ("group", "matrix", "shape")
+    group, e, shape = json_fields(obj, InvalidMatrixError, "a hat input", keys)
     group, e = group_from_json(group), matrix_from_json(e)
     if not (
         isinstance(shape, list)

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidIndexSetError,
     InvalidMatrixError,
+    json_fields,
 )
 from .frozen import Frozen, slot_setters
 
@@ -367,14 +368,11 @@ def matrix_to_json(a: NonnegMatrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> NonnegMatrix:
-    if not isinstance(obj, dict):
-        raise InvalidMatrixError(
-            'a matrix must be a JSON object with "rows", "cols" and "entries"'
-        )
+    keys = ("rows", "cols", "entries")
+    rows, cols, entries = json_fields(obj, InvalidMatrixError, "a matrix", keys)
     try:
-        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         m = NonnegMatrix(entries)
-    except (TypeError, KeyError) as exc:
+    except TypeError as exc:
         raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
     check_declared_shape(m, rows, cols)
     return m

@@ -40,6 +40,7 @@ from .errors import (
     NotElementaryError,
     ShiftMismatchError,
     VerificationError,
+    json_fields,
 )
 from .matrices import NonnegMatrix, matrix_from_json
 from .shifts import (
@@ -490,9 +491,8 @@ def axiom_input_from_json(obj: dict, seed: int) -> tuple[list[BlockCode], dict]:
             raise InvalidCodeError("codes must be a nonempty list of block codes")
         codes = [code_from_json(c) for c in listed]
         return codes, {"codes": len(codes)}
-    if "base" not in obj:
-        raise InvalidCodeError("malformed axiom input object: 'base'")
-    base = matrix_from_json(obj["base"])
+    (base,) = json_fields(obj, InvalidCodeError, "an axiom input", ("base",))
+    base = matrix_from_json(base)
     n = obj.get("tuple_size", 2)
     if type(n) is not int or n < 1:
         raise InvalidCodeError(f"tuple_size must be a positive integer, not {n!r}")

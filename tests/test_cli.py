@@ -669,14 +669,91 @@ _HAT = _group_input("gsft-hat", ["e", "a"])
             {"group": _HAT["group"], "matrix": _HAT["matrix"]},
             "malformed hat input object: 'shape'",
         ),
+        (
+            "compose-path",
+            {"base": matrix_to_json(GM), "steps": [{"edge": _signed_path(1)["steps"][0]["edge"]}]},
+            "malformed path step object: 'sign'",
+        ),
+        (
+            "normalize-degenerate",
+            {"base": matrix_to_json(GM), "steps": [{"sign": 1}]},
+            "malformed path step object: 'edge'",
+        ),
     ],
     ids=["homotopic-empty", "homotopic-q", "refine-axioms-empty", "gsft-hat-empty",
-         "gsft-hat-matrix", "gsft-hat-shape"],
+         "gsft-hat-matrix", "gsft-hat-shape", "compose-path-step-sign",
+         "normalize-degenerate-step-edge"],
 )
 def test_a_missing_key_is_named_by_its_decoder(tmp_path, command, obj, error):
     code, rep = run(tmp_path, command, "--input", write(tmp_path, "in.json", obj))
     assert code == 2 and rep["kind"] == "input", rep
     assert rep["error"] == error
+
+
+@pytest.mark.parametrize(
+    "command, obj, error",
+    [
+        (
+            "gsft-bar",
+            {"group": dict(_HAT["group"], elements="ea"), "entries": [["ea", "e"], ["a", "ea"]]},
+            "group elements must be a JSON list, not 'ea'",
+        ),
+        (
+            "gsft-hat",
+            dict(_HAT, group=dict(_HAT["group"], elements="ea")),
+            "group elements must be a JSON list, not 'ea'",
+        ),
+        (
+            "gsft-bar",
+            {"group": _HAT["group"], "entries": "ea"},
+            "group-ring entries must be a JSON list, not 'ea'",
+        ),
+        (
+            "gsft-bar",
+            {"group": _HAT["group"], "entries": ["ea"]},
+            "a group-ring row must be a JSON list, not 'ea'",
+        ),
+        (
+            "gsft-bar",
+            {"group": _HAT["group"], "entries": [[{"e": 0, "a": 1}]]},
+            "a group-ring cell must be a JSON list, not {'e': 0, 'a': 1}",
+        ),
+        (
+            "cayley-schedule",
+            dict(_group_input("cayley-schedule", ["e", "a"]), generators="ea"),
+            "generators must be a JSON list, not 'ea'",
+        ),
+        (
+            "cayley-schedule",
+            dict(_group_input("cayley-schedule", ["e", "a"]), window="ea"),
+            "window must be a JSON list, not 'ea'",
+        ),
+        (
+            "compose-path",
+            dict(_signed_path(1), steps=3),
+            "path steps must be a JSON list, not 3",
+        ),
+    ],
+    ids=["gsft-bar-elements", "gsft-hat-elements", "gsft-bar-entries", "gsft-bar-row",
+         "gsft-bar-cell", "cayley-schedule-generators", "cayley-schedule-window",
+         "compose-path-steps"],
+)
+def test_a_string_or_object_is_not_read_as_a_list(tmp_path, command, obj, error):
+    code, rep = run(tmp_path, command, "--input", write(tmp_path, "in.json", obj))
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == error
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[["a"], 1], [[2], 2]], [[[1], "a"], [[2], 2]], [[{"a": 1}, 1], [[2], 2]]],
+    ids=["word", "image", "object-word"],
+)
+def test_table_symbols_are_checked_before_they_are_read(tmp_path, table):
+    path = write(tmp_path, "code.json", _code_obj(table=table))
+    code, rep = run(tmp_path, "extract", "--input", path)
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == "window and table symbols must be integers, not 'a'"
 
 
 def _path_with_a_two():
@@ -783,6 +860,67 @@ def test_mutated_inputs_keep_the_exit_contract(sweep_dir, data):
 
 
 _INPUT_COMMANDS = [name for name in _COMMANDS if name != "freudenthal-check"]
+
+_EDGE_TEXTS = (
+    'an edge must be a JSON object with "A", "B", "R" and "S"',
+    "malformed edge object: 'A'",
+)
+_PATH_TEXTS = (
+    'a path must be a JSON object with "base" and "steps"',
+    "malformed path object: 'base'",
+)
+# the refusal of a value that is not an object, and of an object without
+# its first key, by the reader of each subcommand's input
+_READER_TEXTS = {
+    "verify-edge": _EDGE_TEXTS,
+    "verify-triangle": (
+        'a triangle must be a JSON object with "e1", "e2" and "e3"',
+        "malformed triangle object: 'e1'",
+    ),
+    "code": _EDGE_TEXTS,
+    "extract": (_CODE_TEXT, "malformed block code object: 'domain'"),
+    "decompose": (_CODE_TEXT, "malformed block code object: 'domain'"),
+    "compose-path": _PATH_TEXTS,
+    "homotopic": (
+        'a path pair must be a JSON object with "p" and "q"',
+        "malformed path pair object: 'p'",
+    ),
+    "explore": (
+        'a matrix must be a JSON object with "rows", "cols" and "entries"',
+        "malformed matrix object: 'rows'",
+    ),
+    "normalize-degenerate": _PATH_TEXTS,
+    "gsft-bar": (
+        'a group-ring matrix must be a JSON object with "group" and "entries"',
+        "malformed group-ring matrix object: 'group'",
+    ),
+    "gsft-hat": (
+        'a hat input must be a JSON object with "group", "matrix" and "shape"',
+        "malformed hat input object: 'group'",
+    ),
+    # the two forms of an axiom input are told apart before the reader runs
+    "refine-axioms": ("axiom input must be a JSON object", "malformed axiom input object: 'base'"),
+    "cayley-schedule": (
+        'a window must be a JSON object with "group", "generators" and "window"',
+        "malformed window object: 'group'",
+    ),
+}
+_NON_OBJECTS = {"list": [], "string": "x", "int": 5, "null": None, "empty": {}}
+
+
+@pytest.mark.parametrize(
+    "command, obj, error",
+    [
+        (command, obj, _READER_TEXTS[command][name == "empty"])
+        for command in _INPUT_COMMANDS
+        for name, obj in _NON_OBJECTS.items()
+    ],
+    ids=[f"{command}-{name}" for command in _INPUT_COMMANDS for name in _NON_OBJECTS],
+)
+def test_every_input_reader_refuses_a_non_object_and_a_missing_key(tmp_path, command, obj, error):
+    code, rep = run(tmp_path, command, "--input", write(tmp_path, "in.json", obj))
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == error
 
 
 @pytest.mark.parametrize("command", _INPUT_COMMANDS)
