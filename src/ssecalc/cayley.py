@@ -81,17 +81,20 @@ class FGGroupWindow(Frozen):
     __slots__ = ("ops", "gens", "window", "sprime")
 
     def __init__(self, ops: GroupOps, gens: Iterable, window: Iterable):
-        _set_ops(self, ops)
-        _set_gens(self, tuple(gens))
-        _set_window(self, frozenset(window))
-        for g in self.gens:
-            ops.check(g)
-        for t in self.window:
-            ops.check(t)
-        if ops.identity not in self.gens:
+        gens, window = tuple(gens), tuple(window)
+        # in input order and before any set is built, so an error names
+        # the first bad element whatever the hash seed
+        for x in gens + window:
+            ops.check(x)
+        # an empty set is refused before the identity is built: Z^d's
+        # identity is a d-tuple, and only the elements bound d
+        if not gens or ops.identity not in gens:
             raise InvalidWindowError("generating set must contain the identity")
-        if not self.window:
+        if not window:
             raise InvalidWindowError("window must be nonempty")
+        _set_ops(self, ops)
+        _set_gens(self, gens)
+        _set_window(self, frozenset(window))
         sp = set(self.gens) | {ops.inv(g) for g in self.gens}
         sp.discard(ops.identity)
         _set_sprime(self, frozenset(sp))

@@ -10,7 +10,6 @@ and comparing normal forms.  explore materializes the depth-bounded
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .codes import BlockCode, compose, identity_code, normalize
 from .elementary import (
@@ -24,7 +23,7 @@ from .errors import InvalidEdgeError, ResourceBoundError, json_fields, json_list
 from .factorize import factorizations, factorizations_general
 from .matrices import (
     NonnegMatrix,
-    _boolean_mul,
+    _boolean_rows,
     is_nondegenerate,
     matrix_from_json,
     matrix_to_json,
@@ -109,23 +108,6 @@ def automorphism_from_loop(p: SSEPath) -> BlockCode:
     return compose_path(p)
 
 
-class _Products(dict):
-    """(X, Y) -> X·Y for interned matrices X and Y, computed on first
-    lookup and interned; None where multiply gives None."""
-
-    __slots__ = ("multiply", "intern")
-
-    def __init__(self, multiply, intern):
-        self.multiply, self.intern = multiply, intern
-
-    def __missing__(self, key: tuple[NonnegMatrix, NonnegMatrix]) -> Optional[NonnegMatrix]:
-        p = self.multiply(*key)
-        if p is not None:
-            p = self.intern(p, p)
-        self[key] = p
-        return p
-
-
 @dataclass
 class ComplexFragment:
     """A finite piece of the SSE complex around a base matrix; a triangle
@@ -155,11 +137,11 @@ def explore(
     among the recorded edges A -> C with that R, in recording order, and
     each candidate is then checked against all three equations of
     check_triangle.  The products are read from a table local to the call,
-    so each distinct product is computed once.  Every matrix of the call
-    is interned, so the tables are keyed by the matrices themselves and
-    the scan compares them by identity.  The edges out of a nondegenerate
-    vertex are built without their checks, which the exact covers already
-    guarantee; a degenerate base gets checked edges.  Caps raise
+    so each distinct product is computed once.  Every distinct matrix of
+    the call gets a serial when it is found, the tables are keyed by
+    serials, and the scan compares serials.  The edges out of a
+    nondegenerate vertex are built without their checks, which the exact
+    covers already guarantee; a degenerate base gets checked edges.  Caps raise
     ResourceBoundError, they never silently truncate.
 
     experimental_counts switches to the much slower search over all
@@ -180,26 +162,35 @@ def explore(
     if a.rows > max_size:
         raise ResourceBoundError(f"matrix size {a.rows} exceeds cap {max_size}")
     if experimental_counts:
-        find, checked_edge, multiply = factorizations_general, DegSSEEdge, mul
+        find, checked_edge = factorizations_general, DegSSEEdge
     else:
         if not a.is_boolean:
             raise ResourceBoundError(
                 "entries above 1 need the experimental_counts flag"
             )
-        # a strict R or S is {0,1}, so a product with a larger entry
-        # equals none of them and is recorded as a miss (None)
-        find, checked_edge, multiply = factorizations, SSEEdge, _boolean_mul
-    # one object per distinct matrix of the call, so that equal matrices
-    # below are the same object: the tables below are keyed by them, and
-    # a lookup or a product test then matches by identity
-    canon: dict[NonnegMatrix, NonnegMatrix] = {a: a}
-    intern = canon.setdefault
-    vertices: dict[NonnegMatrix, None] = {a: None}  # in discovery order
-    edges: dict[tuple[NonnegMatrix, NonnegMatrix], DegSSEEdge] = {}  # by (R, S)
-    frontier = [a]
+        find, checked_edge = factorizations, SSEEdge
+    # every distinct matrix of the call gets a serial, its position in
+    # mats, when it is found; every table below is keyed by serials
+    mats: list[NonnegMatrix] = [a]
+    serial: dict[NonnegMatrix, int] = {a: 0}
+
+    def number(m: NonnegMatrix) -> int:
+        k = serial.setdefault(m, len(mats))
+        if k == len(mats):
+            mats.append(m)
+        return k
+
+    vertices = [a]  # in discovery order
+    seen = {0}  # their serials
+    recorded: set[tuple[int, int]] = set()  # the (R, S) of every edge
+    edge_list: list[DegSSEEdge] = []
+    # (position, A, B, R, S) of each edge, in edge_list order
+    rows: list[tuple[int, int, int, int, int]] = []
+    frontier = [0]
     for _ in range(depth):
         next_frontier = []
-        for v in frontier:
+        for vk in frontier:
+            v = mats[vk]
             if v.rows > max_size:
                 continue
             # an exact cover of a nondegenerate {0,1} A makes R, S and B
@@ -211,48 +202,90 @@ def explore(
                 make_edge = SSEEdge._trusted
             for m in range(1, max_inner + 1):
                 for r, s, b in find(v, m, max_results=max_edges):
-                    r, s, b = intern(r, r), intern(s, s), intern(b, b)
-                    if (r, s) not in edges:  # A = RS and B = SR
-                        edges[r, s] = make_edge(v, b, r, s)
-                        edges[s, r] = make_edge(b, v, s, r)
-                        if len(edges) > max_edges:
+                    rk, sk, bk = number(r), number(s), number(b)
+                    if (rk, sk) not in recorded:  # A = RS and B = SR
+                        r, s, b = mats[rk], mats[sk], mats[bk]
+                        recorded.add((rk, sk))
+                        edge_list.append(make_edge(v, b, r, s))
+                        rows.append((len(rows), vk, bk, rk, sk))
+                        # with R = S the edge is its own reverse
+                        if rk != sk:
+                            recorded.add((sk, rk))
+                            edge_list.append(make_edge(b, v, s, r))
+                            rows.append((len(rows), bk, vk, sk, rk))
+                        if len(edge_list) > max_edges:
                             raise ResourceBoundError(
                                 f"more than {max_edges} edges; tighten the bounds"
                             )
-                    if b not in vertices:
-                        vertices[b] = None
-                        next_frontier.append(b)
+                    if bk not in seen:
+                        seen.add(bk)
+                        vertices.append(mats[bk])
+                        next_frontier.append(bk)
         frontier = next_frontier
-    edge_list = list(edges.values())
-    # source -> target -> R -> [(position in edge_list, edge)], each list
-    # in edge_list order
-    index: dict[NonnegMatrix, dict[NonnegMatrix, dict[NonnegMatrix, list]]] = {}
-    for pos, e in enumerate(edge_list):
-        index.setdefault(e.a, {}).setdefault(e.b, {}).setdefault(e.r, []).append((pos, e))
-    # few distinct R and S occur, so most products repeat
-    products = _Products(multiply, intern)
+    # the rows by source and by (source, target, R), each list in
+    # edge_list order
+    out_of: dict[int, list] = {}
+    e3_at: dict[tuple[int, int, int], list] = {}
+    for row in rows:
+        _, ak, bk, rk, _ = row
+        out_of.setdefault(ak, []).append(row)
+        e3_at.setdefault((ak, bk, rk), []).append(row)
+    targets = {ak: {row[2] for row in out} for ak, out in out_of.items()}
+    # x·n + y -> the serial of X·Y, or -1 when X·Y is no matrix of the
+    # call (then it equals no R or S); few distinct R and S occur, so
+    # most products repeat
+    n = len(mats)
+    products: dict[int, int] = {}
+    if experimental_counts:
+        def product(key: int) -> int:
+            x, y = divmod(key, n)
+            products[key] = p = serial.get(mul(mats[x], mats[y]), -1)
+            return p
+    else:
+        # every matrix of the call is {0,1}, so its column count and row
+        # masks name it; a product with an entry >= 2 equals none of them
+        masks = [tuple(m.support_rows()) for m in mats]
+        by_masks = {(m.cols, mk): k for k, (m, mk) in enumerate(zip(mats, masks))}
+
+        def product(key: int) -> int:
+            x, y = divmod(key, n)
+            pm = _boolean_rows(masks[x], masks[y])
+            products[key] = p = -1 if pm is None else by_masks.get((mats[y].cols, pm), -1)
+            return p
+
     # the three triangle equations of check_triangle; the first,
     # R1·R2 = R3, is the lookup of e3 by its R
     triangles = []
-    for pos1, e1 in enumerate(edge_list):
-        from_a, out_of_b = index[e1.a], index[e1.b]
-        r1, s1 = e1.r, e1.s
+    follow: dict[tuple[int, int], list] = {}  # (A, B) -> the e2 of an e1: A -> B
+    for pos1, a1, b1, r1, s1 in rows:
         # the e2 out of B into the targets A has edges to, in edge_list order
-        for pos2, e2 in sorted(
-            pair
-            for c in out_of_b.keys() & from_a.keys()
-            for by_r in out_of_b[c].values()
-            for pair in by_r
-        ):
-            r2 = e2.r
-            r3 = products[r1, r2]
+        e2s = follow.get((a1, b1))
+        if e2s is None:
+            reach = targets[a1]
+            e2s = follow[a1, b1] = [row for row in out_of[b1] if row[2] in reach]
+        r1n = r1 * n
+        for pos2, _, c, r2, s2 in e2s:
+            key = r1n + r2
+            r3 = products.get(key)
             if r3 is None:
+                r3 = product(key)
+            if r3 < 0:
                 continue
-            for pos3, e3 in from_a[e2.b].get(r3, ()):
-                s3 = e3.s
-                if products[r2, s3] is s1 and products[s3, r1] is e2.s:
+            r2n = r2 * n
+            for pos3, _, _, _, s3 in e3_at.get((a1, c, r3), ()):
+                key = r2n + s3
+                p = products.get(key)
+                if p is None:
+                    p = product(key)
+                if p != s1:
+                    continue
+                key = s3 * n + r1
+                p = products.get(key)
+                if p is None:
+                    p = product(key)
+                if p == s2:
                     triangles.append((pos1, pos2, pos3))
-    return ComplexFragment(list(vertices), edge_list, triangles, depth, max_inner)
+    return ComplexFragment(vertices, edge_list, triangles, depth, max_inner)
 
 
 # -- JSON formats ------------------------------------------------------

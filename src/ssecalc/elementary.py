@@ -22,10 +22,10 @@ from .codes import BlockCode, _fits, _packed_at, normalize, verify_inverse
 from .errors import InvalidEdgeError, NotElementaryError, VerificationError, json_fields
 from .matrices import (
     NonnegMatrix,
+    _product_is,
     is_nondegenerate,
     matrix_from_json,
     matrix_to_json,
-    mul,
 )
 from .shifts import VertexShift
 
@@ -46,9 +46,9 @@ class DegSSEEdge:
             raise InvalidEdgeError("A and B must be square")
         if r.rows != a.rows or r.cols != b.rows or s.rows != b.rows or s.cols != a.rows:
             raise InvalidEdgeError("R, S shapes do not match A, B")
-        if mul(r, s) != a:
+        if not _product_is(r, s, a):
             raise InvalidEdgeError("RS != A")
-        if mul(s, r) != b:
+        if not _product_is(s, r, b):
             raise InvalidEdgeError("SR != B")
 
     @classmethod
@@ -172,9 +172,9 @@ def edge_from_code(f: BlockCode) -> SSEEdge:
 def check_triangle(t: Triangle) -> bool:
     """The three triangle equations R1R2=R3, R2S3=S1, S3R1=S2, exactly."""
     return (
-        mul(t.e1.r, t.e2.r) == t.e3.r
-        and mul(t.e2.r, t.e3.s) == t.e1.s
-        and mul(t.e3.s, t.e1.r) == t.e2.s
+        _product_is(t.e1.r, t.e2.r, t.e3.r)
+        and _product_is(t.e2.r, t.e3.s, t.e1.s)
+        and _product_is(t.e3.s, t.e1.r, t.e2.s)
     )
 
 

@@ -224,25 +224,49 @@ def mul(a: NonnegMatrix, b: NonnegMatrix) -> NonnegMatrix:
     return NonnegMatrix(out)
 
 
+# _SET_BITS[v]: the positions of the set bits of the byte v, ascending
+_SET_BITS = tuple(tuple(j for j in range(8) if v >> j & 1) for v in range(256))
+
+
+def _boolean_rows(arows: Sequence[int], brows: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The row masks of the product of the {0,1} matrices with row masks
+    arows and brows, or None when some entry is >= 2.  Each mask of arows
+    is read a byte at a time, so any width takes one table lookup per
+    byte."""
+    out = []
+    for sel in arows:
+        acc = dup = 0
+        base = 0
+        while sel:
+            for k in _SET_BITS[sel & 255]:
+                brow = brows[base + k]
+                dup |= acc & brow
+                acc |= brow
+            sel >>= 8
+            base += 8
+        if dup:
+            return None
+        out.append(acc)
+    return tuple(out)
+
+
 def _boolean_mul(a: NonnegMatrix, b: NonnegMatrix) -> Optional[NonnegMatrix]:
     """a·b of {0,1} matrices of matching shape when it is a {0,1} matrix
     too, else None (some entry is >= 2).  Unchecked: the caller ensures
     both are {0,1} and a.cols == b.rows."""
-    brows = b._rows
-    acc_rows = []
-    for sel in a._rows:
-        acc = 0
-        dup = 0
-        while sel:
-            k = (sel & -sel).bit_length() - 1
-            sel &= sel - 1
-            brow = brows[k]
-            dup |= acc & brow
-            acc |= brow
-        if dup:
-            return None
-        acc_rows.append(acc)
-    return NonnegMatrix._from_packed(a.rows, b.cols, 1, tuple(acc_rows))
+    rows = _boolean_rows(a._rows, b._rows)
+    if rows is None:
+        return None
+    return NonnegMatrix._from_packed(a.rows, b.cols, 1, rows)
+
+
+def _product_is(a: NonnegMatrix, b: NonnegMatrix, c: NonnegMatrix) -> bool:
+    """mul(a, b) == c, without building a·b when all three are {0,1} and
+    a.cols == b.rows; a {0,1} a·b with an entry >= 2 equals no {0,1} c.
+    Otherwise mul(a, b) == c, so a shape mismatch raises as mul does."""
+    if a._width == 1 and b._width == 1 and c._width == 1 and a.cols == b.rows:
+        return c.cols == b.cols and _boolean_rows(a._rows, b._rows) == c._rows
+    return mul(a, b) == c
 
 
 def is_nondegenerate(a: NonnegMatrix) -> bool:

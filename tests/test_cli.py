@@ -3,12 +3,15 @@ import functools
 import json
 import operator
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssecalc
 from ssecalc.cli import _COMMANDS, _encode, _text, build_parser, main
 from ssecalc.codes import code_to_json, shift_code
 from ssecalc.complexes import SSEPath, path_from_json, path_to_json
@@ -539,6 +542,36 @@ def test_cayley_schedule_rejects_non_integer_z_d(tmp_path, obj):
     path = write(tmp_path, "w.json", obj)
     code, rep = run(tmp_path, "cayley-schedule", "--input", path)
     assert code == 2 and rep["kind"] == "input", rep
+
+
+def test_cayley_schedule_names_the_first_bad_element_under_any_hash_seed(tmp_path):
+    """Elements are checked in input order, so the report does not depend
+    on the set order of PYTHONHASHSEED."""
+    obj = _zd_window(2, [[0, 0], [1, 0]], [[0, 0], [1, 1.5], "ea"])
+    path = write(tmp_path, "w.json", obj)
+    src = os.path.dirname(os.path.dirname(ssecalc.__file__))
+    reports = []
+    for seed in ("1", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssecalc.cli", "cayley-schedule", "--input", path],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        reports.append(json.loads(proc.stdout))
+    assert reports[0] == reports[1] == {
+        "command": "cayley-schedule",
+        "error": "(1, 1.5) is not an element of Z^2",
+        "kind": "input",
+    }
+
+
+def test_cayley_schedule_refuses_an_empty_generating_set_before_the_identity(tmp_path):
+    """Z^d's identity is a d-tuple; with no element to bound d it is never built."""
+    obj = _zd_window(10**20, [], [])
+    code, rep = run(tmp_path, "cayley-schedule", "--input", write(tmp_path, "w.json", obj))
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == "generating set must contain the identity"
 
 
 def test_refine_axioms_large_tuple(tmp_path):

@@ -286,6 +286,21 @@ def test_explore_triangles_match_reference_scan(a, max_inner, depth):
 
 
 @pytest.mark.parametrize(
+    "a, max_inner, counts",
+    [(I2, 2, (2, 2, 4)), (NonnegMatrix.identity(3), 3, (6, 4, 36))],
+    ids=["identity2", "identity3"],
+)
+def test_explore_records_a_self_reverse_edge_once(a, max_inner, counts):
+    """An edge with R = S is its own reverse and is one edge of the
+    fragment; counts are (edges, edges with R = S, triangles)."""
+    frag = explore(a, max_inner)
+    keys = [(e.r, e.s) for e in frag.edges]
+    assert len(set(keys)) == len(keys)
+    assert (len(frag.edges), sum(r == s for r, s in keys), len(frag.triangles)) == counts
+    assert frag.triangles == _reference_triangles(frag)
+
+
+@pytest.mark.parametrize(
     "a, max_inner",
     [(NonnegMatrix([[2]]), 1), (NonnegMatrix([[2]]), 2), (FULL2, 2)],
     ids=["two", "two-inner2", "full2"],

@@ -8,6 +8,8 @@ from ssecalc.errors import DimensionMismatchError, InvalidIndexSetError, Invalid
 from ssecalc.matrices import (
     IndexSet,
     NonnegMatrix,
+    _boolean_mul,
+    _product_is,
     core_indices,
     e_s_matrix,
     identity_submatrix,
@@ -82,6 +84,78 @@ def test_mul_associative(data):
     b = NonnegMatrix([[rng.randint(0, 2) for _ in range(dims[2])] for _ in range(dims[1])])
     c = NonnegMatrix([[rng.randint(0, 2) for _ in range(dims[3])] for _ in range(dims[2])])
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+@st.composite
+def bool_matrix(draw, rows, cols):
+    """A {0,1} matrix whose density is drawn too, so sparse rows and
+    products with entries >= 2 both occur."""
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return NonnegMatrix([[int(rng.random() < p) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def bool_pair(draw):
+    """{0,1} a, b with a.cols == b.rows; the inner dimension runs to 20,
+    so rows of b cross the 8- and 16-bit boundaries of the byte table."""
+    n, k, m = draw(st.integers(1, 5)), draw(st.integers(1, 20)), draw(st.integers(1, 5))
+    return draw(bool_matrix(n, k)), draw(bool_matrix(k, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bool_pair())
+def test_boolean_mul_matches_the_counting_product(pair):
+    a, b = pair
+    want = naive_mul(a, b)
+    got = _boolean_mul(a, b)
+    if want.is_boolean:
+        assert got == want
+    else:
+        assert got is None
+
+
+def test_boolean_mul_reads_every_byte_of_a_wide_row():
+    # a single row selecting columns 0, 7, 8, 15, 16 and 19 of a 20-row b
+    sel = [0, 7, 8, 15, 16, 19]
+    a = NonnegMatrix([[int(j in sel) for j in range(20)]])
+    b = NonnegMatrix.from_bool_rows(20, [1 << j for j in range(20)])
+    assert _boolean_mul(a, b) == a
+    assert _boolean_mul(a, NonnegMatrix([[1]] * 20)) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(bool_pair(), st.data())
+def test_product_is_agrees_with_mul(pair, data):
+    a, b = pair
+    product = mul(a, b)
+    flipped = product.to_lists()
+    i, j = data.draw(st.integers(0, a.rows - 1)), data.draw(st.integers(0, b.cols - 1))
+    flipped[i][j] = 1 - flipped[i][j] if flipped[i][j] < 2 else 1
+    two = product.to_lists()
+    two[i][j] = 2
+    candidates = [
+        product,
+        NonnegMatrix(flipped),
+        NonnegMatrix(two),  # not {0,1}
+        data.draw(bool_matrix(a.rows, b.cols)),
+        data.draw(bool_matrix(a.rows, b.cols + 1)),  # another shape
+        data.draw(bool_matrix(a.rows + 1, b.cols)),
+    ]
+    for c in candidates:
+        assert _product_is(a, b, c) == (product == c)
+
+
+def test_product_is_refuses_a_shape_mismatch_as_mul_does():
+    a, b = NonnegMatrix([[1, 0]]), NonnegMatrix([[1, 1]])
+    with pytest.raises(DimensionMismatchError) as want:
+        mul(a, b)
+    with pytest.raises(DimensionMismatchError) as got:
+        _product_is(a, b, NonnegMatrix([[1]]))
+    assert str(got.value) == str(want.value)
+    two = NonnegMatrix([[2, 0]])
+    with pytest.raises(DimensionMismatchError):
+        _product_is(two, b, NonnegMatrix([[1]]))
 
 
 def test_is_nondegenerate():
