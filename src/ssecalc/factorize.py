@@ -160,7 +160,10 @@ def _covers(
                 rec(new_rows, i, used + 1, row_pairs | rho_pairs, col_pairs | gamma_pairs)
                 rect_stack.pop()
 
-    rec(list(support), 0, 0, 0, 0)
+    try:
+        rec(list(support), 0, 0, 0, 0)
+    finally:
+        del rec  # rec's closure holds rec; free the cycle on return
     return out
 
 

@@ -6,6 +6,12 @@ Chains are finitely supported integer combinations of ordered vertex
 tuples; any tuple with a repeated vertex is annihilated at insertion, so
 cancellation in the subdivision identities is exact by construction.
 Pair vertices (v,w) with v = w are identified with the plain vertex v.
+
+F and rho are one kernel each, given how to make a pair and how to read
+a first component.  chain_f and chain_rho take any vertices and make
+PairVertex pairs; check_subdivision numbers its vertices, so that every
+simplex it hashes is a tuple of small ints: a lattice point is its slot,
+and the pair of trial vertices v != w is one int past them.
 """
 
 from __future__ import annotations
@@ -73,6 +79,12 @@ MAX_SUBDIVISION_DIMENSION = 10
 _CELLS: dict[int, tuple[FreudenthalSimplex, ...]] = {}
 
 
+def _slot(i: int, j: int, n: int) -> int:
+    """The position of (i, j) in the pairs i <= j of 0..n, row by row;
+    row i starts at i(2n + 3 - i)/2."""
+    return i * (2 * n + 3 - i) // 2 + j - i
+
+
 def _subdivision_cells(n: int) -> tuple[FreudenthalSimplex, ...]:
     """The 2^n signed top cells of the subdivided n-simplex, sorted by
     (base, perm).
@@ -112,7 +124,7 @@ def _subdivision_cells(n: int) -> tuple[FreudenthalSimplex, ...]:
                     perm.append(j + k - i)
                 pairs.append((i, j + k - i))
             verts = tuple(theta(a, b, n) for a, b in pairs)
-            slots = tuple(a * (2 * n + 3 - a) // 2 + b - a for a, b in pairs)
+            slots = tuple(_slot(a, b, n) for a, b in pairs)
             sign = -1 if (sum(two_steps) - j * (j - 1) // 2) % 2 else 1
             found.append(
                 FreudenthalSimplex(n, base, tuple(perm), verts, sign, tuple(pairs), slots)
@@ -144,7 +156,8 @@ def face_map(k: int, point: Sequence[int]) -> tuple[int, ...]:
 
 
 class Chain:
-    """A finitely supported integer combination of ordered simplices."""
+    """A finitely supported integer combination of ordered simplices; no
+    key of coeffs repeats a vertex and no coefficient is zero."""
 
     __slots__ = ("coeffs",)
 
@@ -156,12 +169,7 @@ class Chain:
 
     def add(self, simplex: tuple, coeff: int) -> None:
         """Add coeff·simplex; a simplex with a repeated vertex is zero."""
-        if len(set(simplex)) == len(simplex):
-            self._add(simplex, coeff)
-
-    def _add(self, simplex: tuple, coeff: int) -> None:
-        """add for a simplex known to have no repeated vertex."""
-        if coeff:
+        if coeff and len(set(simplex)) == len(simplex):
             coeffs = self.coeffs
             new = coeffs.get(simplex, 0) + coeff
             if new:
@@ -170,12 +178,11 @@ class Chain:
                 del coeffs[simplex]
 
     def _plus(self, other: "Chain", sign: int) -> "Chain":
-        out = Chain()
-        out.coeffs.update(self.coeffs)
-        add = out._add  # no key of a chain repeats a vertex
+        coeffs = dict(self.coeffs)
+        get = coeffs.get
         for s, c in other.coeffs.items():
-            add(s, sign * c)
-        return out
+            coeffs[s] = get(s, 0) + sign * c
+        return _chain(coeffs)
 
     def __add__(self, other: "Chain") -> "Chain":
         return self._plus(other, 1)
@@ -195,16 +202,29 @@ class Chain:
         return f"Chain({self.coeffs!r})"
 
 
-def boundary(c: Chain) -> Chain:
+def _chain(coeffs: dict) -> Chain:
+    """The chain of a fresh dict whose keys repeat no vertex, its zero
+    terms deleted: the chain maps sum into a plain dict and drop zeros
+    once."""
+    for s in [s for s, c in coeffs.items() if not c]:
+        del coeffs[s]
     out = Chain()
-    add = out._add  # a face of a simplex repeats none of its vertices
+    out.coeffs = coeffs
+    return out
+
+
+def boundary(c: Chain) -> Chain:
+    # a face of a simplex repeats none of its vertices
+    out: dict[tuple, int] = {}
+    get = out.get
     for simplex, coeff in c.coeffs.items():
         if len(simplex) == 1:
             continue
         for k in range(len(simplex)):
-            add(simplex[:k] + simplex[k + 1 :], coeff)
+            face = simplex[:k] + simplex[k + 1 :]
+            out[face] = get(face, 0) + coeff
             coeff = -coeff
-    return out
+    return _chain(out)
 
 
 # -- pair vertices and the maps F, rho ----------------------------------
@@ -248,44 +268,73 @@ def split_pair(x):
     return x, x
 
 
-def chain_f(c: Chain) -> Chain:
-    """The signed Freudenthal subdivision image of a chain."""
-    out = Chain()
+def _first(x):
+    """The first component of a vertex: lo of a pair, a plain vertex itself."""
+    return x[1] if type(x) is PairVertex else x
+
+
+def _f(c: Chain, pair: Callable[[Hashable, Hashable], Hashable]) -> Chain:
+    """F with the pair vertex of (v, w) made by pair(v, w); pair(v, v) is v."""
+    out: dict[tuple, int] = {}
+    get = out.get
     # a cell's (i, j) rise in both coordinates, and its every i is at most
     # its every j; so a diagonal v_k and a pair (v_i, v_j) of one cell
     # have k = i or k = j, and since a simplex repeats no vertex, no image
     # repeats one either
-    add = out._add
     for simplex, coeff in c.coeffs.items():
         # each pair vertex is made once per simplex, not once per cell
-        pairs = [make_pair(v, w) for i, v in enumerate(simplex) for w in simplex[i:]]
+        pairs = [pair(v, w) for i, v in enumerate(simplex) for w in simplex[i:]]
         take = pairs.__getitem__
         for cell in _subdivision_cells(len(simplex) - 1):
-            add(tuple(map(take, cell.slots)), coeff * cell.sign)
-    return out
+            image = tuple(map(take, cell.slots))
+            out[image] = get(image, 0) + coeff * cell.sign
+    return _chain(out)
 
 
-def chain_rho(c: Chain) -> Chain:
-    """The alternating cone from subdivision simplices into the mixed
-    complex; degenerate output terms vanish.
+def _rho(c: Chain, first: Callable[[Hashable], Hashable]) -> Chain:
+    """rho with the first component of a vertex read by first(x).
 
     Term k of a simplex is the first components of its vertices 0..k
     followed by the pairs of its vertices k.., and those pairs are the
     vertices themselves, since make_pair(*split_pair(x)) == x.  Once a
     first component repeats, it repeats in every later term too, so the
-    terms from there on are all degenerate."""
-    out = Chain()
-    add = out.add
+    terms from there on are all degenerate.  Neither the head nor the tail
+    of a term repeats a vertex, so the term does iff they meet."""
+    out: dict[tuple, int] = {}
+    get = out.get
     for simplex, coeff in c.coeffs.items():
-        los = tuple(x.lo if type(x) is PairVertex else x for x in simplex)
+        firsts = tuple(map(first, simplex))
         seen = set()
-        for k, lo in enumerate(los):
+        for k, lo in enumerate(firsts):
             if lo in seen:
                 break
             seen.add(lo)
-            add(los[: k + 1] + simplex[k:], coeff)
+            tail = simplex[k:]
+            if seen.isdisjoint(tail):
+                term = firsts[: k + 1] + tail
+                out[term] = get(term, 0) + coeff
             coeff = -coeff
-    return out
+    return _chain(out)
+
+
+def chain_f(c: Chain) -> Chain:
+    """The signed Freudenthal subdivision image of a chain."""
+    return _f(c, make_pair)
+
+
+def chain_rho(c: Chain) -> Chain:
+    """The alternating cone from subdivision simplices into the mixed
+    complex; degenerate output terms vanish."""
+    return _rho(c, _first)
+
+
+def _face_slots(n: int, k: int) -> list[int]:
+    """Face k on slots: the slot of (i, j) in dimension n - 1 goes to the
+    slot of (i + (k <= i), j + (k <= j)) in dimension n, which is
+    face_map(k, .) on theta points."""
+    return [
+        _slot(i + (k <= i), j + (k <= j), n) for i in range(n) for j in range(i, n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -307,24 +356,37 @@ def check_subdivision(n: int, trials: int, seed: int) -> SubdivisionCheck:
     """Check the counts and the chain-map identity of the subdivided
     n-simplex, and the chain homotopy on `trials` random chains of
     n-simplices drawn with random.Random(seed); `trials` must be an
-    integer >= 0."""
+    integer >= 0.
+
+    Both identities run on numbered vertices.  A lattice point is its
+    slot.  The random chains are on the vertices 0..size-1, size = n + 3,
+    and the pair of v != w is the number size + v·size + w, whose first
+    component is read from a table."""
     if type(trials) is not int or trials < 0:
         raise ValueError(f"trials must be an integer >= 0, not {trials!r}")
     cells = enumerate_subdivision(n)
     vertices = {v for c in cells for v in c.vertices}
     counts_ok = len(cells) == 2**n and len(vertices) == (n + 1) * (n + 2) // 2
-    lhs = boundary(Chain({cell.vertices: cell.sign for cell in cells}))
+    lhs = boundary(Chain({cell.slots: cell.sign for cell in cells}))
     rhs = Chain()
     for k in range(n + 1):
+        take = _face_slots(n, k).__getitem__
         for cell in _subdivision_cells(n - 1):
-            rhs.add(tuple(face_map(k, p) for p in cell.vertices), (-1) ** k * cell.sign)
+            rhs.add(tuple(map(take, cell.slots)), (-1) ** k * cell.sign)
     rng = random.Random(seed)
     simplices = list(combinations(range(n + 3), n + 1))
+    size = n + 3
+    firsts = list(range(size)) + [v for v in range(size) for _w in range(size)]
+
+    def pair(v: int, w: int) -> int:
+        return v if v == w else size + v * size + w
+
+    first = firsts.__getitem__
     homotopy_ok = True
     for _ in range(trials):
         c = Chain({rng.choice(simplices): rng.randint(-3, 3) for _ in range(4)})
-        fc = chain_f(c)
-        if boundary(chain_rho(fc)) + chain_rho(chain_f(boundary(c))) != fc - c:
+        fc = _f(c, pair)
+        if boundary(_rho(fc, first)) + _rho(_f(boundary(c), pair), first) != fc - c:
             homotopy_ok = False
             break
     return SubdivisionCheck(len(cells), len(vertices), counts_ok, lhs == rhs, homotopy_ok)

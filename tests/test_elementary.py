@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from itertools import permutations, product
@@ -7,6 +8,7 @@ from typing import Optional
 import pytest
 
 from ssecalc.codes import compose, equal_codes, identity_code, is_elementary, normalize, shift_code
+from ssecalc.complexes import explore
 from ssecalc.elementary import (
     DegSSEEdge,
     SSEEdge,
@@ -18,7 +20,13 @@ from ssecalc.elementary import (
     edge_to_json,
 )
 from ssecalc.errors import InvalidEdgeError, NotElementaryError, ResourceBoundError, SseError
-from ssecalc.factorize import _covers, _subsets_containing, factorizations, factorizations_general
+from ssecalc.factorize import (
+    _covers,
+    _PairMasks,
+    _subsets_containing,
+    factorizations,
+    factorizations_general,
+)
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate, mul
 from ssecalc.sampling import edge_pool, random_edge, random_nondeg_matrix
 from ssecalc.shifts import VertexShift, higher_block
@@ -319,6 +327,27 @@ def test_covers_match_reference_in_order():
                     args = (support, n, inner, cap)
                     want = _covers_or_bound(_reference_covers, *args)
                     assert _covers_or_bound(_covers, *args) == want, (a.to_lists(), inner, cap)
+
+
+def test_covers_leave_nothing_for_the_collector():
+    """A cover search frees its recursive closure when it returns or
+    raises its bound error, so none of its objects waits for the cycle
+    collector."""
+    full = NonnegMatrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        explore(GM, max_inner=4, depth=2)
+        assert _covers_or_bound(_covers, full.support_rows(), 3, 3, 0).startswith("more than 0")
+        gc.collect()
+        left = [
+            o for o in gc.garbage
+            if isinstance(o, _PairMasks) or getattr(o, "__qualname__", "").startswith("_covers.")
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not left
 
 
 def _reference_factorizations_general(a, inner, max_results=None):

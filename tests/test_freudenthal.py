@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import pickle
 import random
@@ -7,6 +8,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+import ssecalc.freudenthal as freudenthal
 from ssecalc.cli import main
 from ssecalc.codes import identity_code, normalize, shift_code
 from ssecalc.errors import ResourceBoundError
@@ -18,6 +20,8 @@ from ssecalc.freudenthal import (
     OracleUndefinedError,
     OrderedComplex,
     PairVertex,
+    SubdivisionCheck,
+    _face_slots,
     _subdivision_cells,
     boundary,
     chain_f,
@@ -216,6 +220,82 @@ def oracle_sum(c, d, sign):
     return out
 
 
+# The check on vertex tuples and PairVertex keys, as it stood before the
+# numbered vertices, with Chain._add (since removed) read as Chain.add,
+# which adds only the repeated-vertex test, and boundary as oracle_boundary.
+
+
+def reference_chain_f(c: Chain) -> Chain:
+    """The signed Freudenthal subdivision image of a chain."""
+    out = Chain()
+    # a cell's (i, j) rise in both coordinates, and its every i is at most
+    # its every j; so a diagonal v_k and a pair (v_i, v_j) of one cell
+    # have k = i or k = j, and since a simplex repeats no vertex, no image
+    # repeats one either
+    add = out.add
+    for simplex, coeff in c.coeffs.items():
+        # each pair vertex is made once per simplex, not once per cell
+        pairs = [make_pair(v, w) for i, v in enumerate(simplex) for w in simplex[i:]]
+        take = pairs.__getitem__
+        for cell in _subdivision_cells(len(simplex) - 1):
+            add(tuple(map(take, cell.slots)), coeff * cell.sign)
+    return out
+
+
+def reference_chain_rho(c: Chain) -> Chain:
+    """The alternating cone from subdivision simplices into the mixed
+    complex; degenerate output terms vanish.
+
+    Term k of a simplex is the first components of its vertices 0..k
+    followed by the pairs of its vertices k.., and those pairs are the
+    vertices themselves, since make_pair(*split_pair(x)) == x.  Once a
+    first component repeats, it repeats in every later term too, so the
+    terms from there on are all degenerate."""
+    out = Chain()
+    add = out.add
+    for simplex, coeff in c.coeffs.items():
+        los = tuple(x.lo if type(x) is PairVertex else x for x in simplex)
+        seen = set()
+        for k, lo in enumerate(los):
+            if lo in seen:
+                break
+            seen.add(lo)
+            add(los[: k + 1] + simplex[k:], coeff)
+            coeff = -coeff
+    return out
+
+
+def reference_check_subdivision(n: int, trials: int, seed: int) -> SubdivisionCheck:
+    """Check the counts and the chain-map identity of the subdivided
+    n-simplex, and the chain homotopy on `trials` random chains of
+    n-simplices drawn with random.Random(seed); `trials` must be an
+    integer >= 0."""
+    if type(trials) is not int or trials < 0:
+        raise ValueError(f"trials must be an integer >= 0, not {trials!r}")
+    cells = enumerate_subdivision(n)
+    vertices = {v for c in cells for v in c.vertices}
+    counts_ok = len(cells) == 2**n and len(vertices) == (n + 1) * (n + 2) // 2
+    lhs = oracle_boundary(Chain({cell.vertices: cell.sign for cell in cells}))
+    rhs = Chain()
+    for k in range(n + 1):
+        for cell in _subdivision_cells(n - 1):
+            rhs.add(tuple(face_map(k, p) for p in cell.vertices), (-1) ** k * cell.sign)
+    rng = random.Random(seed)
+    simplices = list(combinations(range(n + 3), n + 1))
+    homotopy_ok = True
+    for _ in range(trials):
+        c = Chain({rng.choice(simplices): rng.randint(-3, 3) for _ in range(4)})
+        fc = reference_chain_f(c)
+        if (
+            oracle_boundary(reference_chain_rho(fc))
+            + reference_chain_rho(reference_chain_f(oracle_boundary(c)))
+            != fc - c
+        ):
+            homotopy_ok = False
+            break
+    return SubdivisionCheck(len(cells), len(vertices), counts_ok, lhs == rhs, homotopy_ok)
+
+
 def test_pair_vertex_is_a_tagged_value():
     p = PairVertex("v", ("w", 1))
     assert (p.lo, p.hi) == ("v", ("w", 1)) == split_pair(p)
@@ -242,8 +322,11 @@ def _random_simplex(rng, pool, length):
 def test_chain_maps_match_oracles():
     rng = random.Random(11)
     plain = [0, 1, 2, 3, "a", "b", "c", (0, 1), (1, 0), ("a", 2), (0, 1, 2)]
+    # the tuple (0, 1) sits next to the pair of 0 and 1, and one pair has
+    # a pair as its first component
     mixed = plain + [make_pair(u, v) for u, v in [(0, 1), (1, 2), ("a", "b"), ((0, 1), 1),
-                                                  (0, (0, 1)), ("b", 3)]]
+                                                  (0, (0, 1)), ("b", 3),
+                                                  (make_pair(0, 1), (0, 1))]]
     for trial in range(60):
         pool = plain if trial % 2 else mixed
         c = Chain()
@@ -257,6 +340,7 @@ def test_chain_maps_match_oracles():
         assert chain_rho(c) == oracle_chain_rho(c)
         fc = chain_f(c)
         assert chain_rho(fc) == oracle_chain_rho(fc)
+        assert fc == reference_chain_f(c) and chain_rho(fc) == reference_chain_rho(fc)
         assert c + d == oracle_sum(c, d, 1) and c - d == oracle_sum(c, d, -1)
         assert c - c == Chain()
 
@@ -351,6 +435,60 @@ def test_check_subdivision():
         assert check.ok
         assert check.cells == 2**n and check.vertices == (n + 1) * (n + 2) // 2
     assert check_subdivision(2, trials=0, seed=0).ok
+
+
+def test_check_subdivision_matches_the_reference_on_vertex_tuples():
+    for n in range(1, 9):
+        for seed in range(3) if n <= 6 else (n,):
+            for trials in range(4):
+                want = reference_check_subdivision(n, trials, seed)
+                assert check_subdivision(n, trials, seed) == want, (n, seed, trials)
+
+
+def test_face_slots_are_face_map_on_theta_points():
+    for n in range(1, 7):
+        upper = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+        for k in range(n + 1):
+            want = [
+                upper.index(theta_inverse(face_map(k, theta(i, j, n - 1))))
+                for i in range(n)
+                for j in range(i, n)
+            ]
+            assert _face_slots(n, k) == want
+
+
+def _with_cell_changed(monkeypatch, n, change):
+    """Put the cells of dimension n in place with cell 1 replaced by change(cell 1)."""
+    cells = _subdivision_cells(n)
+    monkeypatch.setitem(freudenthal._CELLS, n, cells[:1] + (change(cells[1]),) + cells[2:])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_flipped_sign_fails_both_identities(n, monkeypatch, tmp_path):
+    _with_cell_changed(monkeypatch, n, lambda cell: dataclasses.replace(cell, sign=-cell.sign))
+    check = check_subdivision(n, trials=2, seed=0)
+    assert (check.counts_ok, check.chain_map_identity, check.chain_homotopy) == (True, False, False)
+    assert reference_check_subdivision(n, 2, 0) == check
+    out = tmp_path / "out.json"
+    code = main(["freudenthal-check", "--dimension", str(n), "--trials", "2", "--output", str(out)])
+    rep = json.loads(out.read_text())
+    assert code == 1 and rep["chain_map_identity"] is False and rep["chain_homotopy"] is False
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_swapped_slots_fail_both_identities(n, monkeypatch):
+    # the chain-map identity runs on slots, so it sees the swap; on
+    # vertex tuples it read cell.vertices, which the swap leaves alone
+    def swap(cell):
+        slots = list(cell.slots)
+        slots[0], slots[1] = slots[1], slots[0]
+        return dataclasses.replace(cell, slots=tuple(slots))
+
+    _with_cell_changed(monkeypatch, n, swap)
+    check = check_subdivision(n, trials=2, seed=0)
+    assert (check.counts_ok, check.chain_map_identity, check.chain_homotopy) == (True, False, False)
+    want = reference_check_subdivision(n, 2, 0)
+    assert (want.chain_map_identity, want.chain_homotopy) == (True, False)
 
 
 @pytest.mark.parametrize("trials", [-1, -2, 1.0, "2", True, None])
