@@ -27,8 +27,8 @@ The triples are built once per cover: the row masks of R, S and B are
 read off the rectangles, and each ordering π is a relabeling of them (S's
 rows permuted by π, R's columns and B's rows and columns relabeled), with
 one relabeling table per π shared by every cover of the call.
-FactorizationSpace keeps only the covers and builds the triple at an
-index on access, for callers that draw a few triples out of many.
+EdgeSpace keeps only the covers and decodes the SSEEdge at an index on
+access, for callers that draw a few edges out of many.
 Inner dimension 0 has no factorization.
 """
 
@@ -40,8 +40,9 @@ from math import factorial
 from operator import index
 from typing import Iterator, Optional
 
+from .elementary import SSEEdge
 from .errors import ResourceBoundError
-from .matrices import NonnegMatrix, mul
+from .matrices import NonnegMatrix, is_nondegenerate, mul
 
 _from_packed = NonnegMatrix._from_packed
 
@@ -319,25 +320,28 @@ def _triples(
             yield _ordering(masks, relabel)
 
 
-class FactorizationSpace:
-    """The (R, S, B) of a with inner dimension 1..max_inner, as a sequence
-    built on access.
+class EdgeSpace:
+    """The edges (R, S): a -> B of a with inner dimension 1..max_inner, as a
+    sequence built on access.
 
-    Inner dimension m holds factorizations(a, m, max_results=max_results)
-    or, when that overflows, factorizations(a, m, ordered=False,
-    max_results=max_results), whose own overflow raises.  The ordered list
-    overflows exactly when its covers times m! exceed max_results, so each
-    dimension is searched once, unordered.  Only the covers are kept:
-    index i decodes to (m, cover, ordering rank), and the rank unranks to
-    the permutation itertools.permutations emits there, so the sequence
-    equals the concatenation of those lists.
+    Inner dimension m holds the triples of factorizations(a, m,
+    max_results=max_results) or, when that overflows, factorizations(a, m,
+    ordered=False, max_results=max_results), whose own overflow raises.  The
+    ordered list overflows exactly when its covers times m! exceed
+    max_results, so each dimension is searched once, unordered.  Only the
+    covers are kept: index i decodes to (m, cover, ordering rank), and the
+    rank unranks to the permutation itertools.permutations emits there, so
+    the sequence lists the edges of the concatenation of those lists.  The
+    edges of a nondegenerate a skip SSEEdge's checks, which an exact cover
+    already guarantees; a degenerate a gets checked edges, which raise.
     """
 
-    __slots__ = ("n", "_starts", "_blocks", "_len")
+    __slots__ = ("a", "_edge", "_starts", "_blocks", "_len")
 
     def __init__(self, a: NonnegMatrix, max_inner: int, max_results: int):
-        self.n = a.rows
-        self._starts: list[int] = []  # index of each block's first triple
+        self.a = a
+        self._edge = SSEEdge._trusted if is_nondegenerate(a) else SSEEdge
+        self._starts: list[int] = []  # index of each block's first edge
         self._blocks: list[tuple[int, list, bool]] = []  # (m, covers, ordered)
         total = 0
         for m in range(1, max_inner + 1):
@@ -352,7 +356,7 @@ class FactorizationSpace:
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i: int) -> tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]:
+    def __getitem__(self, i: int) -> SSEEdge:
         i = index(i)
         if i < 0:
             i += self._len
@@ -361,11 +365,9 @@ class FactorizationSpace:
         block = bisect_right(self._starts, i) - 1
         m, covers, ordered = self._blocks[block]
         c, rank = divmod(i - self._starts[block], factorial(m) if ordered else 1)
-        return _ordering(_cover_masks(covers[c], self.n), _Relabel(_unrank(rank, m)))
-
-    def __iter__(self) -> Iterator[tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]]:
-        for m, covers, ordered in self._blocks:
-            yield from _triples(covers, self.n, m, ordered)
+        a = self.a
+        r, s, b = _ordering(_cover_masks(covers[c], a.rows), _Relabel(_unrank(rank, m)))
+        return self._edge(a, b, r, s)
 
 
 def factorizations(

@@ -35,17 +35,24 @@ class GroupRingMatrix(Frozen):
     __slots__ = ("group", "rows", "cols", "entries", "_hash")
 
     def __init__(self, group: FiniteGroup, entries: Iterable[Iterable[Iterable[int]]]):
-        ent = tuple(tuple(frozenset(cell) for cell in row) for row in entries)
+        cells = [[list(cell) for cell in row] for row in entries]
+        ent = tuple(tuple(frozenset(cell) for cell in row) for row in cells)
         if not ent or not ent[0]:
             raise InvalidMatrixError("matrix must have at least one row and column")
         cols = len(ent[0])
-        for row in ent:
+        for i, row in enumerate(cells):
             if len(row) != cols:
                 raise InvalidMatrixError("ragged rows")
-            for cell in row:
+            for j, cell in enumerate(row):
                 for g in cell:
                     if not (0 <= g < group.order):
                         raise InvalidMatrixError(f"element index {g} out of range")
+                if len(cell) != len(ent[i][j]):
+                    g = next(g for g in cell if cell.count(g) > 1)
+                    raise InvalidMatrixError(
+                        f"coefficient >= 2 at cell ({i + 1},{j + 1}): element "
+                        f"{group.names[g]!r} is listed more than once"
+                    )
         _set_group(self, group)
         _set_rows(self, len(ent))
         _set_cols(self, cols)

@@ -1,12 +1,12 @@
 """Random generators for the randomized verification suites.
 
 Everything takes an explicit random.Random so suites are reproducible
-from a seed.  Edge pools are cached per (matrix, max_inner), since the
-suites repeatedly sample edges from a handful of base matrices.  A pool
-keeps only the covers of its factorization search and builds an edge
-when it is drawn.  The cache keeps the last _FACTOR_CACHE_SIZE pools
-built.  The whole tier-1 suite in one process builds 3246 pools, 2805 of
-them (8.6 MB of covers) in the triangle-equivalence acceptance
+from a seed.  Edge pools (factorize.EdgeSpace) are cached per (matrix,
+max_inner), since the suites repeatedly sample edges from a handful of
+base matrices.  A pool keeps only the covers of its factorization search
+and builds an edge when it is drawn.  The cache keeps the last
+_FACTOR_CACHE_SIZE pools built.  The whole tier-1 suite in one process
+builds 3266 pools, 2805 of them in the triangle-equivalence acceptance
 criterion, and the benchmark's inputs 189 (codes) and 47 (search), so
 the bound is not reached there and only caps memory in longer runs.
 """
@@ -14,12 +14,12 @@ the bound is not reached there and only caps memory in longer runs.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from typing import Optional
 
 from .codes import BlockCode, bijection_code, compose, identity_code, normalize
 from .elementary import SSEEdge, code_from_edge
 from .errors import ResourceBoundError
-from .factorize import FactorizationSpace, factorizations
+from .factorize import EdgeSpace, factorizations
 from .matrices import NonnegMatrix, is_nondegenerate, mul
 from .shifts import VertexShift
 
@@ -39,33 +39,6 @@ def random_nondeg_matrix(rng: random.Random, size: int, density: float = 0.55) -
             return m
 
 
-class EdgeSpace:
-    """The edges (R, S): a -> B of FactorizationSpace(a, max_inner,
-    _FACTOR_CAP), in its order, each built on access.  The edges of a
-    nondegenerate a skip SSEEdge's checks, which an exact cover already
-    guarantees; a degenerate a gets checked edges, which raise.
-    """
-
-    __slots__ = ("a", "_triples", "_edge")
-
-    def __init__(self, a: NonnegMatrix, max_inner: int):
-        self.a = a
-        self._triples = FactorizationSpace(a, max_inner, _FACTOR_CAP)
-        self._edge = SSEEdge._trusted if is_nondegenerate(a) else SSEEdge
-
-    def __len__(self) -> int:
-        return len(self._triples)
-
-    def __getitem__(self, i: int) -> SSEEdge:
-        r, s, b = self._triples[i]
-        return self._edge(self.a, b, r, s)
-
-    def __iter__(self) -> Iterator[SSEEdge]:
-        a, edge = self.a, self._edge
-        for r, s, b in self._triples:
-            yield edge(a, b, r, s)
-
-
 # (matrix, max_inner) -> its pool, oldest first
 _FACTOR_CACHE: dict[tuple[NonnegMatrix, int], EdgeSpace] = {}
 
@@ -75,7 +48,7 @@ def edge_pool(a: NonnegMatrix, max_inner: int) -> EdgeSpace:
     key = (a, max_inner)
     pool = _FACTOR_CACHE.get(key)
     if pool is None:
-        pool = EdgeSpace(a, max_inner)
+        pool = EdgeSpace(a, max_inner, _FACTOR_CAP)
         if len(_FACTOR_CACHE) >= _FACTOR_CACHE_SIZE:
             del _FACTOR_CACHE[next(iter(_FACTOR_CACHE))]
         _FACTOR_CACHE[key] = pool

@@ -686,6 +686,14 @@ def test_group_table_entries_must_be_integers(tmp_path):
     assert rep["error"] == "table entry True is not an integer"
 
 
+def test_gsft_bar_refuses_a_cell_that_lists_an_element_twice(tmp_path):
+    group = {"elements": ["e", "a"], "table": [[0, 1], [1, 0]]}
+    path = write(tmp_path, "in.json", {"group": group, "entries": [[["e", "e", "a"]]]})
+    code, rep = run(tmp_path, "gsft-bar", "--input", path)
+    assert code == 2 and rep["kind"] == "input", rep
+    assert rep["error"] == "coefficient >= 2 at cell (1,1): element 'e' is listed more than once"
+
+
 _HAT = _group_input("gsft-hat", ["e", "a"])
 
 

@@ -157,6 +157,16 @@ def test_mul_gstar_overflow_reported():
     assert counts[0][0] == Counter({0: 4, 1: 4})
 
 
+def test_a_cell_that_lists_an_element_twice_is_refused():
+    # e listed twice is the coefficient 2, which is outside G*
+    with pytest.raises(InvalidMatrixError, match=r"cell \(1,1\): element 'e' is listed more"):
+        GroupRingMatrix(Z2, [[[0, 0]]])
+    with pytest.raises(InvalidMatrixError, match=r"cell \(2,1\): element 'a' is listed more"):
+        GroupRingMatrix(Z3, [[[0], [1]], [[1, 2, 1], []]])
+    # a set, or a list of distinct elements, is the same matrix as before
+    assert GroupRingMatrix(Z2, [[[1, 0]]]) == GroupRingMatrix(Z2, [[{0, 1}]])
+
+
 def _identity_gsft_edge(a: GroupRingMatrix) -> GsftEdge:
     n = a.rows
     ident = GroupRingMatrix(

@@ -12,7 +12,7 @@ from ssecalc.complexes import explore
 from ssecalc.elementary import SSEEdge, Triangle, check_triangle
 from ssecalc.errors import InvalidEdgeError, ResourceBoundError
 from ssecalc import factorize
-from ssecalc.factorize import FactorizationSpace, _covers, factorizations, factorizations_general
+from ssecalc.factorize import EdgeSpace, _covers, factorizations, factorizations_general
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate
 from ssecalc import sampling
 from ssecalc.sampling import edge_pool, random_edge, random_nondeg_matrix
@@ -185,7 +185,7 @@ def test_each_inner_dimension_is_searched_once(monkeypatch):
     with pytest.raises(ResourceBoundError) as want:
         factorizations(full3, 4, ordered=False, max_results=10)
     with pytest.raises(ResourceBoundError) as got:
-        FactorizationSpace(full3, 4, 10)
+        EdgeSpace(full3, 4, 10)
     assert str(got.value) == str(want.value)
 
 
