@@ -82,10 +82,34 @@ class DegSSEEdge:
 
 @dataclass(frozen=True)
 class SSEEdge(DegSSEEdge):
-    """An elementary SSE between {0,1} matrices, all four nondegenerate."""
+    """An elementary SSE between {0,1} matrices, all four nondegenerate.
+
+    R and S need no nondegeneracy check of their own once RS = A and SR = B
+    with A and B nondegenerate: a nonzero row i of A = RS needs a nonzero
+    row i of R and a nonzero column j of A a nonzero column j of S, and
+    B = SR gives the rows of S and the columns of R alike.  So a valid edge
+    passes one conjunction of the remaining checks; only an edge that fails
+    it runs every check in order, for the message of the first that fails.
+    """
 
     def __post_init__(self):
-        for name, m in (("A", self.a), ("B", self.b), ("R", self.r), ("S", self.s)):
+        a, b, r, s = self.a, self.b, self.r, self.s
+        if (
+            a.is_boolean
+            and b.is_boolean
+            and r.is_boolean
+            and s.is_boolean
+            and a.is_square
+            and b.is_square
+            and r.rows == a.rows == s.cols
+            and r.cols == b.rows == s.rows
+            and is_nondegenerate(a)
+            and is_nondegenerate(b)
+            and _product_is(r, s, a)
+            and _product_is(s, r, b)
+        ):
+            return
+        for name, m in (("A", a), ("B", b), ("R", r), ("S", s)):
             if not m.is_boolean:
                 raise InvalidEdgeError(f"{name} must be a {{0,1}} matrix")
             if not is_nondegenerate(m):

@@ -9,11 +9,15 @@ the first uncovered 1-entry, which yields every unordered cover exactly
 once; orderings of the rectangle list are emitted as separate (R, S)
 pairs since they are distinct edges of the complex.
 
-Three things keep the work per cover small.  The last rectangle is
-closed directly: with one rectangle left, every nonzero uncovered row
-must equal the first one, which is checked in O(n) and yields at most
-one cover.  Compatibility is checked by pair masks: the set of pairs
-{a < b} inside a row or column set is a bit mask, two sets share at most
+Three things keep the work per cover small.  The last two rectangles
+are closed directly.  The first of them, (rho, gamma), holds the first
+uncovered entry; the rows gamma does not fit must share one value.  If
+gamma leaves part of its row uncovered, rho is every row gamma fits; if
+gamma is the whole row, rho is that set or the rows equal to gamma,
+unless every row gamma fits equals it.  Each such rho leaves one
+rectangle, whose rows must all equal the first uncovered one, checked
+in O(n) with at most one cover.  Compatibility is checked by pair
+masks: the set of pairs {a < b} inside a row or column set is a bit mask, two sets share at most
 one index iff their pair masks are disjoint, and the search carries the
 OR of the pair masks of the row sets and of the column sets on its
 stack, so a candidate costs one AND against each (plus |γ ∩ ρ| <= 1 for
@@ -25,11 +29,15 @@ ordered factorizations".
 
 The triples are built once per cover: the row masks of R, S and B are
 read off the rectangles, and each ordering π is a relabeling of them (S's
-rows permuted by π, R's columns and B's rows and columns relabeled), with
-one relabeling table per π shared by every cover of the call.
+rows permuted by π, R's columns and B's rows and columns relabeled).  A
+call builds each π's relabeling once and shares it among its covers: a
+table over all 2^m masks, each bit doubling it, when those entries cost
+no more than the covers' lookups, and otherwise a dict filled on lookup,
+so a large m with few covers never pays m!·2^m.
 EdgeSpace keeps only the covers and decodes the SSEEdge at an index on
 access, for callers that draw a few edges out of many.
-Inner dimension 0 has no factorization.
+Inner dimension 0 has no factorization.  max_results is None or an int
+>= 0; anything else is a ValueError, not a bound.
 """
 
 from __future__ import annotations
@@ -61,6 +69,11 @@ def _subsets_containing(mask: int, forced: int) -> Iterator[int]:
 def _check_inner(inner) -> None:
     if type(inner) is not int or inner < 0:
         raise ValueError(f"inner dimension must be an int >= 0, not {inner!r}")
+
+
+def _check_cap(max_results) -> None:
+    if max_results is not None and (type(max_results) is not int or max_results < 0):
+        raise ValueError(f"max_results must be None or an int >= 0, not {max_results!r}")
 
 
 class _PairMasks(dict):
@@ -123,8 +136,12 @@ def _covers(
         if used == m:
             return
         row = rows[i]
+        if used == m - 2:
+            close_two(rows, i, row, row_pairs, col_pairs)
+            return
         if used == m - 1:
-            # the rest must be one rectangle: every nonzero row equals row
+            # only when m == 1: the rest must be one rectangle, every
+            # nonzero row equals row
             rho = 0
             for k in range(i, n):
                 if rows[k]:
@@ -161,6 +178,69 @@ def _covers(
                 rec(new_rows, i, used + 1, row_pairs | rho_pairs, col_pairs | gamma_pairs)
                 rect_stack.pop()
 
+    # The last two rectangles: (rho, gamma) through the first uncovered
+    # entry, then the one rectangle (rho2, last) that must cover the rest.
+    # The nonzero rows gamma does not fit stay as they are, so they must
+    # share one value, other, and last is other.  A row that fits gamma
+    # but stays out of rho keeps a superset of gamma, so it must be last.
+    # So rho is rho_cand when there is an other (it misses part of gamma)
+    # and when gamma leaves part of row i uncovered (that part is last and
+    # misses gamma).  Otherwise gamma is row i and a row left out of rho is
+    # last, a superset of gamma, so every row in rho equals gamma: if some
+    # candidate row is larger, rho is rho_cand or the rows equal to gamma;
+    # if none is, rho may be any candidate set.  Each choice is closed in
+    # one pass, in the order of _subsets_containing(rho_cand, 1 << i).
+    def close_two(rows: list[int], i: int, row: int, row_pairs: int, col_pairs: int):
+        for gamma in _subsets_containing(row, row & -row):
+            gamma_pairs = pairs[gamma]
+            if gamma_pairs & row_pairs:
+                continue
+            rho_cand = equal = other = 0
+            for k in range(i, n):
+                rk = rows[k]
+                if gamma & ~rk == 0:
+                    rho_cand |= 1 << k
+                    if rk == gamma:
+                        equal |= 1 << k
+                elif rk:
+                    if other and rk != other:
+                        break
+                    other = rk
+            else:
+                if row != gamma or other:
+                    choices = (rho_cand,)
+                elif equal == rho_cand:
+                    choices = _subsets_containing(rho_cand, 1 << i)
+                else:
+                    choices = (rho_cand, equal)
+                col_pairs2 = col_pairs | gamma_pairs
+                for rho in choices:
+                    rho_pairs = pairs[rho]
+                    both = gamma & rho
+                    if rho_pairs & col_pairs or both & (both - 1):
+                        continue
+                    last = rho2 = 0
+                    for k in range(i, n):
+                        rk = rows[k] & ~gamma if rho >> k & 1 else rows[k]
+                        if rk:
+                            if last and rk != last:
+                                break
+                            last = rk
+                            rho2 |= 1 << k
+                    else:
+                        both = last & rho2
+                        if (
+                            not last
+                            or pairs[last] & (row_pairs | rho_pairs)
+                            or pairs[rho2] & col_pairs2
+                            or both & (both - 1)
+                        ):
+                            continue
+                        rect_stack.append((rho, gamma))
+                        rect_stack.append((rho2, last))
+                        emit()
+                        del rect_stack[-2:]
+
     try:
         rec(list(support), 0, 0, 0, 0)
     finally:
@@ -192,6 +272,7 @@ def factorizations_general(
     then solves the columns of S exactly; exponential and meant for very
     small inputs only."""
     _check_inner(inner)
+    _check_cap(max_results)
     if not a.is_square:
         raise ValueError("factorization search needs a square matrix")
     if inner == 0:
@@ -229,6 +310,7 @@ def _search(
     """The covers behind factorizations(a, inner, ordered, max_results),
     with its argument checks and its bound errors."""
     _check_inner(inner)
+    _check_cap(max_results)
     if not a.is_boolean or not a.is_square:
         raise ValueError("factorization search needs a square {0,1} matrix")
     if inner == 0:
@@ -245,7 +327,7 @@ def _search(
 
 class _Relabel(dict):
     """Mask x -> the mask with bit t set iff bit perm[t] of x is set,
-    computed on first lookup.  One instance per ordering perm."""
+    computed on first lookup: _relabeling's fallback for few lookups."""
 
     __slots__ = ("perm",)
 
@@ -259,6 +341,25 @@ class _Relabel(dict):
                 y |= 1 << t
         self[x] = y
         return y
+
+
+def _relabeling(perm: tuple[int, ...], lookups: int):
+    """Mask x -> the mask with bit t set iff bit perm[t] of x is set, for
+    masks below 2 ** m (m = len(perm)), indexed by x.  It is the whole
+    table, built one bit at a time (each bit doubles it), when its 2 ** m
+    entries are no more than the lookups the caller will make, and a
+    _Relabel filled on lookup otherwise, so building it never costs more
+    than the lookups themselves, however large m is."""
+    m = len(perm)
+    if 1 << m > lookups:
+        return _Relabel(perm)
+    images = [0] * m
+    for t, p in enumerate(perm):
+        images[p] = 1 << t
+    table = [0]
+    for image in images:
+        table += [y | image for y in table]
+    return table
 
 
 def _cover_masks(cover: list[tuple[int, int]], n: int) -> tuple[list[int], list[int], list[int]]:
@@ -279,13 +380,12 @@ def _cover_masks(cover: list[tuple[int, int]], n: int) -> tuple[list[int], list[
 
 
 def _ordering(
-    masks: tuple[list[int], list[int], list[int]], relabel: _Relabel
+    masks: tuple[list[int], list[int], list[int]], perm: tuple[int, ...], relabel
 ) -> tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]:
-    """(R, S, B) of a cover with its rectangles taken in the order
-    relabel.perm: S's rows are permuted, R's columns and B's rows and
-    columns relabeled.  relabel may be shared by many covers."""
+    """(R, S, B) of a cover with its rectangles taken in the order perm:
+    S's rows are permuted, R's columns and B's rows and columns relabeled
+    by relabel, perm's _relabeling, which may be shared by many covers."""
     r_masks, s_masks, b_masks = masks
-    perm = relabel.perm
     n, m = len(r_masks), len(perm)
     return (
         _from_packed(n, m, 1, tuple(map(relabel.__getitem__, r_masks))),
@@ -312,12 +412,17 @@ def _triples(
     itertools.permutations order, or in cover order only when unordered."""
     if not covers:
         return
-    perms = permutations(range(m)) if ordered else [tuple(range(m))]
-    relabels = [_Relabel(perm) for perm in perms]
+    def orderings():
+        return permutations(range(m)) if ordered else [tuple(range(m))]
+
+    # each relabeling is looked up for the n rows of R and m rows of B of
+    # every cover
+    lookups = len(covers) * (n + m)
+    relabels = [_relabeling(perm, lookups) for perm in orderings()]
     for cover in covers:
         masks = _cover_masks(cover, n)
-        for relabel in relabels:
-            yield _ordering(masks, relabel)
+        for perm, relabel in zip(orderings(), relabels):
+            yield _ordering(masks, perm, relabel)
 
 
 class EdgeSpace:
@@ -326,9 +431,10 @@ class EdgeSpace:
 
     Inner dimension m holds the triples of factorizations(a, m,
     max_results=max_results) or, when that overflows, factorizations(a, m,
-    ordered=False, max_results=max_results), whose own overflow raises.  The
-    ordered list overflows exactly when its covers times m! exceed
-    max_results, so each dimension is searched once, unordered.  Only the
+    ordered=False, max_results=max_results), whose own overflow raises; a
+    max_results of None caps nothing.  The ordered list overflows exactly
+    when its covers times m! exceed max_results, so each dimension is
+    searched once, unordered.  Only the
     covers are kept: index i decodes to (m, cover, ordering rank), and the
     rank unranks to the permutation itertools.permutations emits there, so
     the sequence lists the edges of the concatenation of those lists.  The
@@ -338,7 +444,8 @@ class EdgeSpace:
 
     __slots__ = ("a", "_edge", "_starts", "_blocks", "_len")
 
-    def __init__(self, a: NonnegMatrix, max_inner: int, max_results: int):
+    def __init__(self, a: NonnegMatrix, max_inner: int, max_results: Optional[int]):
+        _check_cap(max_results)
         self.a = a
         self._edge = SSEEdge._trusted if is_nondegenerate(a) else SSEEdge
         self._starts: list[int] = []  # index of each block's first edge
@@ -346,7 +453,7 @@ class EdgeSpace:
         total = 0
         for m in range(1, max_inner + 1):
             covers = _search(a, m, False, max_results)
-            ordered = len(covers) * factorial(m) <= max_results
+            ordered = max_results is None or len(covers) * factorial(m) <= max_results
             if covers:
                 self._starts.append(total)
                 self._blocks.append((m, covers, ordered))
@@ -366,7 +473,8 @@ class EdgeSpace:
         m, covers, ordered = self._blocks[block]
         c, rank = divmod(i - self._starts[block], factorial(m) if ordered else 1)
         a = self.a
-        r, s, b = _ordering(_cover_masks(covers[c], a.rows), _Relabel(_unrank(rank, m)))
+        perm = _unrank(rank, m)
+        r, s, b = _ordering(_cover_masks(covers[c], a.rows), perm, _relabeling(perm, a.rows + m))
         return self._edge(a, b, r, s)
 
 

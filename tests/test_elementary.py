@@ -21,6 +21,7 @@ from ssecalc.elementary import (
 )
 from ssecalc.errors import InvalidEdgeError, NotElementaryError, ResourceBoundError, SseError
 from ssecalc.factorize import (
+    EdgeSpace,
     _covers,
     _PairMasks,
     _subsets_containing,
@@ -249,6 +250,29 @@ def test_bad_inner_is_an_input_error(search, inner):
         search(GM, inner, max_results=10)
 
 
+@pytest.mark.parametrize("cap", [-1, True, 2.5, "3"], ids=["negative", "bool", "float", "str"])
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda cap: factorizations(GM, 2, max_results=cap),
+        lambda cap: factorizations(GM, 2, ordered=False, max_results=cap),
+        lambda cap: factorizations_general(GM, 2, max_results=cap),
+        lambda cap: EdgeSpace(GM, 2, cap),
+        lambda cap: EdgeSpace(GM, 0, cap),
+    ],
+    ids=["ordered", "unordered", "general", "pool", "empty-pool"],
+)
+def test_bad_cap_is_an_input_error(search, cap):
+    # a bad cap is an argument error, never a bound error or a TypeError
+    with pytest.raises(ValueError) as exc:
+        search(cap)
+    assert str(exc.value) == f"max_results must be None or an int >= 0, not {cap!r}"
+
+
+def test_pool_without_cap_is_ordered():
+    assert list(EdgeSpace(GM, 3, None)) == list(EdgeSpace(GM, 3, 10**6))
+
+
 def _reference_covers(support: list[int], n: int, m: int, cap: Optional[int]) -> list[list[tuple[int, int]]]:
     """All unordered exact covers of the support by exactly m rectangles.
 
@@ -314,6 +338,39 @@ def _covers_or_bound(search, *args):
 COVER_CASES = {1: 2, 2: 8, 3: 12, 4: 12, 5: 4}  # random supports per size n
 
 
+def _blocks(*sizes: int) -> list[int]:
+    """The row masks of the block-diagonal support of all-ones blocks of
+    the given sizes."""
+    rows, offset = [], 0
+    for k in sizes:
+        rows += [((1 << k) - 1) << offset] * k
+        offset += k
+    return rows
+
+
+def _structured_supports(rng: random.Random) -> list[list[int]]:
+    """Supports that reach every way the last two rectangles close: rows
+    equal to the first rectangle's columns next to a larger row, candidate
+    rows that all equal them, the identity, all-ones blocks and
+    block-diagonal supports, and rows repeated at random."""
+    supports = [
+        [0b1000, 0b1000, 0b1100, 0],  # rows equal to gamma and one larger row
+        [0b01, 0b01],  # every candidate row equals gamma
+        [0b001, 0b001, 0b110],
+        [0b0011, 0b0011, 0b0011, 0b1100],
+        [0b1111, 0b1111, 0b1100, 0b1100],  # all-ones blocks, upper block triangle
+        [0b0111, 0b0001, 0b0001, 0b1000],
+    ]
+    supports += [_blocks(*[1] * n) for n in range(1, 7)]  # the identity
+    supports += [_blocks(n) for n in range(1, 5)]  # all ones
+    supports += [_blocks(*sizes) for sizes in ((1, 2), (2, 2), (1, 3), (2, 1, 2), (3, 3), (2, 2, 2))]
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            distinct = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3))]
+            supports.append([rng.choice(distinct + [0]) for _ in range(n)])
+    return supports
+
+
 def test_covers_match_reference_in_order():
     """_covers returns the reference search's covers in the same order, and
     the same bound message at the same cap."""
@@ -327,6 +384,13 @@ def test_covers_match_reference_in_order():
                     args = (support, n, inner, cap)
                     want = _covers_or_bound(_reference_covers, *args)
                     assert _covers_or_bound(_covers, *args) == want, (a.to_lists(), inner, cap)
+    for support in _structured_supports(rng):
+        n = len(support)
+        for inner in range(n + 3):
+            for cap in ([None] if n <= 4 else []) + [5, 50]:
+                args = (support, n, inner, cap)
+                want = _covers_or_bound(_reference_covers, *args)
+                assert _covers_or_bound(_covers, *args) == want, (support, inner, cap)
 
 
 def test_covers_leave_nothing_for_the_collector():
@@ -491,17 +555,36 @@ def _flip_first_entry(x):
     return NonnegMatrix(rows)
 
 
+def _zero_line(x, rng):
+    """x with one random row or column set to zero."""
+    rows = x.to_lists()
+    if rng.random() < 0.5:
+        rows[rng.randrange(x.rows)] = [0] * x.cols
+    else:
+        k = rng.randrange(x.cols)
+        for row in rows:
+            row[k] = 0
+    return NonnegMatrix(rows)
+
+
 def test_strict_edge_is_checked_degenerate_edge():
     rng = random.Random(17)
+    # pools of valid edges, inner dimension up to 5, for half the cases:
+    # random products of n x m matrices are seldom {0,1} and nondegenerate
+    pools = [EdgeSpace(random_nondeg_matrix(rng, n), 5, 3000) for n in (1, 2, 3, 4, 5)]
     seen = set()
-    for _ in range(600):
-        n, m = rng.randint(1, 3), rng.randint(1, 3)
+    for _ in range(1200):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
         max_entry = rng.choice((1, 1, 2))
         density = rng.choice((0.5, 0.7, 0.9))
-        r = _random_matrix(rng, n, m, max_entry, density)
-        s = _random_matrix(rng, m, n, max_entry, density)
+        if rng.random() < 0.5:
+            e = rng.choice(pools[n - 1])
+            r, s, m = e.r, e.s, e.r.cols
+        else:
+            r = _random_matrix(rng, n, m, max_entry, density)
+            s = _random_matrix(rng, m, n, max_entry, density)
         a, b = mul(r, s), mul(s, r)
-        spoil = rng.randrange(6)
+        spoil = rng.randrange(8)
         if spoil == 1:
             a = _flip_first_entry(a)
         elif spoil == 2:
@@ -510,6 +593,15 @@ def test_strict_edge_is_checked_degenerate_edge():
             r = r.transpose()
         elif spoil == 4:
             a = NonnegMatrix([[1] * (n + 1)] * n)
+        elif spoil >= 6:
+            # a zero line in R or S, with A and B left as they were (a
+            # product fails) or recomputed (A or B loses a line too)
+            if spoil == 6:
+                r = _zero_line(r, rng)
+            else:
+                s = _zero_line(s, rng)
+            if rng.random() < 0.5:
+                a, b = mul(r, s), mul(s, r)
         deg = _refusal(DegSSEEdge, a, b, r, s)
         strict = _refusal(SSEEdge, a, b, r, s)
         clean = all(x.is_boolean and is_nondegenerate(x) for x in (a, b, r, s))
@@ -526,6 +618,24 @@ def test_strict_edge_is_checked_degenerate_edge():
         "RS != A",
         "SR != B",
     }
+
+
+def test_checked_edge_is_the_trusted_edge_on_random_pools():
+    # the checked SSEEdge accepts every ordered factorization of a
+    # nondegenerate {0,1} base, as the trusted constructor assumes
+    rng = random.Random(29)
+    built = 0
+    for n in (1, 2, 3, 3, 4, 4):
+        a = random_nondeg_matrix(rng, n, rng.uniform(0.3, 0.9))
+        for inner in range(1, n + 2):
+            try:
+                triples = factorizations(a, inner, max_results=2000)
+            except ResourceBoundError:
+                continue
+            for r, s, b in triples:
+                assert SSEEdge(a, b, r, s) == SSEEdge._trusted(a, b, r, s)
+            built += len(triples)
+    assert built > 1000, built
 
 
 @pytest.mark.parametrize(
