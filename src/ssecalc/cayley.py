@@ -228,15 +228,15 @@ def window_from_json(obj: dict) -> FGGroupWindow:
     gspec, gens, window = json_fields(obj, InvalidWindowError, "a window", keys)
     if not isinstance(gspec, dict):
         raise InvalidWindowError(f"group must be a JSON object, not {gspec!r}")
-    if gspec.get("type") != "Z^d":
-        group = group_from_json(gspec)
-        gens = [group.index(name) for name in json_list(gens, InvalidWindowError, "generators")]
-        window = [group.index(name) for name in json_list(window, InvalidWindowError, "window")]
-        return FGGroupWindow(TableGroup(group), gens, window)
-    (dim,) = json_fields(gspec, InvalidWindowError, "a window", ("dim",))
-    ops = ZdGroup(dim)
+    gens, window = (json_list(v, InvalidWindowError, k) for v, k in zip((gens, window), keys[1:]))
+    if gspec.get("type") == "Z^d":
+        (dim,) = json_fields(gspec, InvalidWindowError, "a window", ("dim",))
+        ops, element = ZdGroup(dim), tuple
+    else:
+        ops = TableGroup(group_from_json(gspec))
+        element = ops.group.index
     try:
-        return FGGroupWindow(ops, [tuple(g) for g in gens], [tuple(t) for t in window])
+        return FGGroupWindow(ops, map(element, gens), map(element, window))
     except TypeError as exc:
         raise InvalidWindowError(f"malformed window object: {exc}") from exc
 

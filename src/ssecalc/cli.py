@@ -291,7 +291,7 @@ def _run_normalize_degenerate(args) -> tuple[int, dict]:
         "input": path_to_json(p, degenerate=True, encode=_as_is),
         "normalized": path_to_json(q, degenerate=True, encode=_as_is),
     }
-    if all(e.is_boolean for e, _ in p.steps):
+    if p.base.is_boolean and all(e.is_boolean for e, _ in p.steps):
         same = equal_codes(
             compose_path(to_strict_path(restrict_path_to_cores(p))),
             compose_path(to_strict_path(q)),

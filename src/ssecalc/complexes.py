@@ -188,6 +188,8 @@ def explore(
     rows: list[tuple[int, int, int, int, int]] = []
     frontier = [0]
     for _ in range(depth):
+        if not frontier:
+            break
         next_frontier = []
         for vk in frontier:
             v = mats[vk]

@@ -21,6 +21,14 @@ from ssecalc.shifts import VertexShift, higher_block
 
 GM = NonnegMatrix([[1, 1], [1, 0]])
 I2 = NonnegMatrix.identity(2)
+# an edge between 3-symbol bases, RS = A and SR = B: 3 symbols pack into
+# 2 bits each, one symbol code left unused
+TRI_EDGE = SSEEdge(
+    NonnegMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+    NonnegMatrix([[1, 0, 1], [1, 1, 0], [0, 1, 1]]),
+    NonnegMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    NonnegMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]]),
+)
 
 
 def write(tmp_path, name, obj):
@@ -44,6 +52,23 @@ def test_verify_edge(tmp_path):
     assert "elapsed_seconds" in rep
 
 
+def test_the_readme_verify_edge_example(tmp_path, capsys):
+    """README.md's example, from its `cat > gm-edge.json` line to its
+    `ssecalc verify-edge` line, run through main."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as f:
+        lines = f.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("cat > gm-edge.json"))
+    stop = next(i for i in range(start, len(lines)) if lines[i].startswith("ssecalc verify-edge"))
+    assert lines[start] == "cat > gm-edge.json <<'EOF'" and lines[stop - 1] == "EOF"
+    assert lines[stop] == "ssecalc verify-edge --input gm-edge.json"
+    path = tmp_path / "gm-edge.json"
+    path.write_text("\n".join(lines[start + 1 : stop - 1]))
+    code = main(["verify-edge", "--input", str(path)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and rep["verified"] is True
+
+
 def test_verify_edge_bad_input(tmp_path):
     path = write(tmp_path, "edge.json", {"A": matrix_to_json(GM)})
     code, rep = run(tmp_path, "verify-edge", "--input", path)
@@ -63,14 +88,16 @@ def test_verify_triangle(tmp_path):
 
 
 def test_code_and_extract_roundtrip(tmp_path):
-    e = SSEEdge(GM, GM, GM, I2)
-    path = write(tmp_path, "edge.json", edge_to_json(e))
-    code, rep = run(tmp_path, "code", "--input", path)
-    assert code == 0
-    path2 = write(tmp_path, "code.json", rep["code"])
-    code, rep2 = run(tmp_path, "extract", "--input", path2)
-    assert code == 0
-    assert rep2["edge"] == edge_to_json(e)
+    for e in (SSEEdge(GM, GM, GM, I2), TRI_EDGE):
+        path = write(tmp_path, "edge.json", edge_to_json(e))
+        code, rep = run(tmp_path, "code", "--input", path)
+        assert code == 0
+        path2 = write(tmp_path, "code.json", rep["code"])
+        code, rep2 = run(tmp_path, "extract", "--input", path2)
+        assert code == 0
+        assert rep2["edge"] == edge_to_json(e)
+        code, rep3 = run(tmp_path, "decompose", "--input", path2)
+        assert code == 0 and rep3["recomposes"] is True
 
 
 def test_decompose_and_compose_path(tmp_path):
@@ -81,6 +108,12 @@ def test_decompose_and_compose_path(tmp_path):
     path2 = write(tmp_path, "path.json", rep["path"])
     code, rep2 = run(tmp_path, "compose-path", "--input", path2)
     assert code == 0
+    # out along an edge and back composes to the identity on window [0, 0]
+    loop = SSEPath(TRI_EDGE.a, ((TRI_EDGE, 1), (TRI_EDGE, -1)))
+    code, rep = run(tmp_path, "compose-path", "--input", write(tmp_path, "loop.json",
+                                                                path_to_json(loop)))
+    assert code == 0 and rep["code"]["window"] == [0, 0]
+    assert rep["code"]["table"] == [[[1], 1], [[2], 2], [[3], 3]]
 
 
 def test_homotopic(tmp_path):
@@ -90,6 +123,17 @@ def test_homotopic(tmp_path):
     path = write(tmp_path, "pair.json", {"p": path_to_json(p), "q": path_to_json(q)})
     code, rep = run(tmp_path, "homotopic", "--input", path)
     assert code == 0 and rep["homotopic"]
+    # loops at the full 2-shift: the swap edge (R, S) = (P, F) is homotopic
+    # to itself after a backtrack along the identity edge (I, F), and not
+    # to the identity edge
+    swap = SSEEdge(FULL2, FULL2, NonnegMatrix([[0, 1], [1, 0]]), FULL2)
+    ident = SSEEdge(FULL2, FULL2, I2, FULL2)
+    p = path_to_json(SSEPath(FULL2, ((swap, 1),)))
+    for steps, status in ((((ident, 1), (ident, -1), (swap, 1)), 0), (((ident, 1),), 1)):
+        q = path_to_json(SSEPath(FULL2, steps))
+        code, rep = run(tmp_path, "homotopic", "--input", write(tmp_path, "pair.json",
+                                                                {"p": p, "q": q}))
+        assert code == status and rep["homotopic"] is (status == 0), rep
 
 
 def test_explore(tmp_path):
@@ -179,12 +223,40 @@ def test_an_output_that_is_not_a_regular_file_keeps_the_status(tmp_path, capsys,
 
 
 def test_explore_report_is_canonical_json(tmp_path):
+    for a, argv, counts in (
+        (GM, ["--max-inner", "3", "--depth", "2"], (8, 104, 960)),
+        # entries above 9, with their edges from the Z>=0 search
+        (NonnegMatrix([[12]]), ["--max-inner", "2", "--experimental-counts"], (54, 166, 357)),
+    ):
+        path = write(tmp_path, "m.json", matrix_to_json(a))
+        out = tmp_path / "out.json"
+        assert main(["explore", "--input", path, *argv, "--output", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        fragment = json.loads(text)["fragment"]
+        assert tuple(len(fragment[k]) for k in ("vertices", "edges", "triangles")) == counts
+        # triangles name their edges by position: e1: A -> B, e2: B -> C, e3: A -> C
+        edges = fragment["edges"]
+        for t in fragment["triangles"]:
+            e1, e2, e3 = (edges[t[k]] for k in ("e1", "e2", "e3"))
+            assert e1["target"] == e2["source"] and e1["source"] == e3["source"], t
+            assert e2["target"] == e3["target"], t
+
+
+def test_explore_stops_when_a_round_finds_no_new_vertex(tmp_path):
+    """The golden mean's fragment is whole after 2 rounds, so 10^12 rounds
+    end at once with the same fragment, and the report echoes the depth."""
     path = write(tmp_path, "m.json", matrix_to_json(GM))
-    out = tmp_path / "out.json"
-    assert main(["explore", "--input", path, "--max-inner", "3", "--depth", "2",
-                 "--output", str(out)]) == 0
-    text = out.read_text()
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    src = os.path.dirname(os.path.dirname(ssecalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssecalc.cli", "explore", "--input", path, "--max-inner", "3",
+         "--depth", str(10**12)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fragment = json.loads(proc.stdout)["fragment"]
+    assert tuple(len(fragment[k]) for k in ("vertices", "edges", "triangles")) == (8, 104, 960)
+    assert fragment["depth"] == 10**12
 
 
 def test_explore_pinned_results(tmp_path):
@@ -233,6 +305,12 @@ def test_normalize_degenerate(tmp_path):
     path = write(tmp_path, "degpath.json", _degenerate_path())
     code, rep = run(tmp_path, "normalize-degenerate", "--input", path)
     assert code == 0 and rep["composite_agrees_on_cores"]
+    assert rep["input"]["degenerate"] is True and rep["normalized"]["steps"]
+    # the normalized path, read back, is accepted and echoed as it was
+    again = write(tmp_path, "normalized.json", rep["normalized"])
+    code, rep2 = run(tmp_path, "normalize-degenerate", "--input", again)
+    assert code == 0 and rep2["composite_agrees_on_cores"]
+    assert rep2["input"] == rep["normalized"]
     # the bound counts rounds: a negative one is an input error, and 0
     # rounds leave the degenerate midpoint
     for bound in ("-1", "-7"):
@@ -266,14 +344,21 @@ def test_gsft_bar_and_hat(tmp_path):
 
 
 def test_freudenthal_check(tmp_path):
-    code, rep = run(tmp_path, "freudenthal-check", "--dimension", "3", "--trials", "5")
-    assert code == 0
-    assert rep["cells"] == 8 and rep["chain_map_identity"] and rep["chain_homotopy"]
+    # dimension n has 2^n cells on (n + 1)(n + 2)/2 vertices
+    for dimension, trials, cells, vertices in (("3", "5", 8, 10), ("6", "2", 64, 28),
+                                               ("10", "1", 1024, 66)):
+        code, rep = run(tmp_path, "freudenthal-check", "--dimension", dimension,
+                        "--trials", trials)
+        assert code == 0
+        assert (rep["cells"], rep["vertices"]) == (cells, vertices)
+        assert rep["chain_map_identity"] is True and rep["chain_homotopy"] is True
 
 
 def test_negative_trials_are_input_errors(tmp_path):
-    code, rep = run(tmp_path, "freudenthal-check", "--dimension", "3", "--trials", "-2")
-    assert code == 2 and rep["kind"] == "input" and "trials" in rep["error"]
+    for dimension, trials in (("3", "-2"), ("6", "-1")):
+        code, rep = run(tmp_path, "freudenthal-check", "--dimension", dimension,
+                        "--trials", trials)
+        assert code == 2 and rep["kind"] == "input" and "trials" in rep["error"]
     path = write(tmp_path, "ax.json", {"base": matrix_to_json(GM), "tuple_size": 2})
     code, rep = run(tmp_path, "refine-axioms", "--input", path, "--trials", "-1")
     assert code == 2 and rep["kind"] == "input" and "trials" in rep["error"]
@@ -298,6 +383,10 @@ def test_refine_axioms(tmp_path):
     path = write(tmp_path, "ax.json", {"base": matrix_to_json(GM), "tuple_size": 2})
     code, rep = run(tmp_path, "refine-axioms", "--input", path, "--trials", "2", "--seed", "5")
     assert code == 0 and rep["all_passed"]
+    path = write(tmp_path, "ax3.json", {"base": matrix_to_json(TRI_EDGE.a), "tuple_size": 3})
+    code, rep = run(tmp_path, "refine-axioms", "--input", path)
+    assert code == 0 and rep["all_passed"] is True
+    assert all(axiom["checked"] > 0 for axiom in rep["axioms"]), rep["axioms"]
 
 
 def test_cayley_schedule(tmp_path):
@@ -492,6 +581,8 @@ _BAD_SIGN_INPUTS = [
         ("explore", {"rows": 1.0, "cols": 1, "entries": [[1]]}),
         ("gsft-bar", dict(Z3_MATRIX, rows=2.0)),
         ("gsft-bar", dict(Z3_MATRIX, cols=True, rows=True, entries=[[["e"]]])),
+        ("verify-edge", dict(edge_to_json(SSEEdge(GM, GM, GM, I2)),
+                             A=dict(matrix_to_json(GM), rows=True))),
     ],
     # fixed ids, so a case inserted anywhere renames no other test; they
     # keep the positional names pytest first gave these cases
@@ -505,7 +596,7 @@ _BAD_SIGN_INPUTS = [
         "normalize-degenerate-obj18", "compose-path-obj19", "homotopic-obj20",
         "normalize-degenerate-obj21", "extract-obj22", "decompose-obj23",
         "explore-obj24", "explore-obj25", "gsft-bar-obj26",
-        "gsft-bar-obj27",
+        "gsft-bar-obj27", "verify-edge-obj28",
     ],
 )
 def test_malformed_json_is_an_input_error(tmp_path, command, obj):
@@ -774,10 +865,20 @@ def test_a_missing_key_is_named_by_its_decoder(tmp_path, command, obj, error):
             dict(_signed_path(1), steps=3),
             "path steps must be a JSON list, not 3",
         ),
+        (
+            "cayley-schedule",
+            _zd_window(1, "ab", [[0]]),
+            "generators must be a JSON list, not 'ab'",
+        ),
+        (
+            "cayley-schedule",
+            _zd_window(1, [[0], [1]], {"a": 1}),
+            "window must be a JSON list, not {'a': 1}",
+        ),
     ],
     ids=["gsft-bar-elements", "gsft-hat-elements", "gsft-bar-entries", "gsft-bar-row",
          "gsft-bar-cell", "cayley-schedule-generators", "cayley-schedule-window",
-         "compose-path-steps"],
+         "compose-path-steps", "cayley-schedule-zd-generators", "cayley-schedule-zd-window"],
 )
 def test_a_string_or_object_is_not_read_as_a_list(tmp_path, command, obj, error):
     code, rep = run(tmp_path, command, "--input", write(tmp_path, "in.json", obj))
@@ -806,12 +907,14 @@ def _path_with_a_two():
 
 
 def test_normalize_degenerate_with_an_entry_above_one(tmp_path):
-    # no {0,1} composite, so the report carries no core comparison
-    path = write(tmp_path, "p.json", _path_with_a_two())
-    code, rep = run(tmp_path, "normalize-degenerate", "--input", path)
-    assert code == 0, rep
-    assert "composite_agrees_on_cores" not in rep
-    assert rep["input"]["degenerate"] is True
+    # no {0,1} composite, so the report carries no core comparison; with
+    # no steps the base alone has the entry above one
+    for obj in (_path_with_a_two(), dict(_path_with_a_two(), steps=[])):
+        path = write(tmp_path, "p.json", obj)
+        code, rep = run(tmp_path, "normalize-degenerate", "--input", path)
+        assert code == 0, rep
+        assert "composite_agrees_on_cores" not in rep
+        assert rep["input"]["degenerate"] is True
 
 
 def test_explore_edge_cap(tmp_path):
@@ -1029,6 +1132,9 @@ def test_reports_are_canonical_json(tmp_path, command, obj, extra):
     assert main([*argv, "--output", str(out)]) == 0
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    # exit 0 is a true verdict, where the report has one (normalize-degenerate
+    # on an entry above one has no core comparison)
+    assert json.loads(text).get(_VERDICTS.get(command), True) is True
 
 
 class _Int(int):

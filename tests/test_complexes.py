@@ -287,17 +287,19 @@ def test_explore_triangles_match_reference_scan(a, max_inner, depth):
 
 @pytest.mark.parametrize(
     "a, max_inner, counts",
-    [(I2, 2, (2, 2, 4)), (NonnegMatrix.identity(3), 3, (6, 4, 36))],
+    [(I2, 2, (1, 2, 2, 4)), (NonnegMatrix.identity(3), 3, (1, 6, 4, 36))],
     ids=["identity2", "identity3"],
 )
 def test_explore_records_a_self_reverse_edge_once(a, max_inner, counts):
     """An edge with R = S is its own reverse and is one edge of the
-    fragment; counts are (edges, edges with R = S, triangles)."""
+    fragment; counts are (vertices, edges, edges with R = S, triangles)."""
     frag = explore(a, max_inner)
     keys = [(e.r, e.s) for e in frag.edges]
     assert len(set(keys)) == len(keys)
-    assert (len(frag.edges), sum(r == s for r, s in keys), len(frag.triangles)) == counts
+    got = (len(frag.vertices), len(frag.edges), sum(r == s for r, s in keys), len(frag.triangles))
+    assert got == counts
     assert frag.triangles == _reference_triangles(frag)
+    _assert_report_matches_oracle(a, frag)
 
 
 @pytest.mark.parametrize(
@@ -360,8 +362,9 @@ def test_explore_triangles_pass_check_triangle(fragment):
         assert check_triangle(Triangle(e1, e2, e3))
 
 
-# the benchmark's four deep explore inputs: (base, max_inner, depth) and
-# the (vertices, edges, triangles) of their fragments
+# the benchmark's four deep explore inputs, the golden mean at depth 2,
+# and two bases whose covers need inner dimension n + 1: (base, max_inner,
+# depth) and the (vertices, edges, triangles) of their fragments
 @pytest.mark.parametrize(
     "a, max_inner, depth, counts",
     [
@@ -369,8 +372,17 @@ def test_explore_triangles_pass_check_triangle(fragment):
         (FULL2, 3, 2, (13, 340, 4908)),
         (FULL2, 3, 3, (13, 340, 4908)),
         (GM, 4, 2, (104, 1256, 11328)),
+        (GM, 3, 2, (8, 104, 960)),
+        (NonnegMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 4, 1, (74, 450, 2052)),
+        (
+            NonnegMatrix([[1, 1, 1, 0], [1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 0, 1]]),
+            5,
+            1,
+            (968, 5850, 26514),
+        ),
     ],
-    ids=["gm-d3", "full2-d2", "full2-d3", "gm-d2-inner4"],
+    ids=["gm-d3", "full2-d2", "full2-d3", "gm-d2-inner4", "gm-d2", "cycle3-inner4",
+         "near4-inner5"],
 )
 def test_deep_explore_counts(a, max_inner, depth, counts):
     frag = explore(a, max_inner, depth=depth)
