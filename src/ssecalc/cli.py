@@ -11,8 +11,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
+from itertools import chain, islice, repeat
+from operator import attrgetter
 
 from . import __version__
 from .cayley import (
@@ -44,6 +47,7 @@ from .elementary import (
     edge_from_code,
     edge_from_json,
     edge_to_json,
+    failed_triangle_equations,
     triangle_from_json,
     triangle_to_json,
 )
@@ -56,7 +60,7 @@ from .gsft import (
     hat,
     hat_input_from_json,
 )
-from .matrices import NonnegMatrix, matrix_from_json
+from .matrices import NonnegMatrix, matrix_from_json, matrix_value, unpack_row
 from .refinement import axiom_input_from_json, report_to_json, verify_refinement_axioms
 from .williams import decompose
 
@@ -69,63 +73,130 @@ def _load(path: str):
             raise ValueError("input nests deeper than the JSON decoder allows") from exc
 
 
-def _matrix_text(m: NonnegMatrix, pad: str) -> str:
-    """json.dumps(matrix_to_json(m), indent=2, sort_keys=True) with pad
-    after every newline.  The rows of a {0,1} matrix are written from
-    their masks, one character per entry."""
-    entry = f",\n{pad}      "
-    if m.is_boolean:
-        form = f"0{m.cols}b"
-        cells = (entry.join(format(mask, form)[::-1]) for mask in m.support_rows())
-    else:
-        cells = (entry.join(map(str, m.row_list(i))) for i in range(m.rows))
-    rows = f",\n{pad}    ".join(f"[\n{pad}      {row}\n{pad}    ]" for row in cells)
-    return (
-        f'{{\n{pad}  "cols": {m.cols},\n{pad}  "entries": [\n{pad}    {rows}\n'
-        f'{pad}  ],\n{pad}  "rows": {m.rows}\n{pad}}}'
-    )
+# records per %-template of a listing: a template per block, not per
+# listing, keeps the transient text of a listing to one block's
+_BLOCK = 512
 
 
-def _fragment_text(f: ComplexFragment, pad: str) -> str:
-    """The fragment of an explore report as json.dumps writes its dict at
-    indent 2 with pad after every newline, without building the dict.
+class _RowTexts(dict):
+    """(cols, mask) -> the text of the {0,1} row of cols entries with that
+    mask, in a matrix written at one pad; written on first lookup."""
 
-    The records have a fixed shape, so each is one %-template, and each
-    matrix is written once, directly.  Vertices are indexed by matrix;
-    triangles already hold edge positions."""
-    inner = pad + "  "
-    item, field = inner + "  ", inner + "    "  # indents of a record and of its fields
-    vindex = {v: i for i, v in enumerate(f.vertices)}
-    field_text: dict[NonnegMatrix, str] = {}  # R and S text, once per matrix
+    __slots__ = ("head", "entry", "tail")
 
-    def edge_matrix_text(m: NonnegMatrix) -> str:
-        t = field_text.get(m)
-        if t is None:
-            t = field_text[m] = _matrix_text(m, field)
+    def __init__(self, pad: str):
+        self.head, self.entry, self.tail = f"[\n{pad}      ", f",\n{pad}      ", f"\n{pad}    ]"
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        cols, mask = key
+        t = self[key] = self.head + self.entry.join(format(mask, f"0{cols}b")[::-1]) + self.tail
         return t
 
+
+class _MatrixTexts(dict):
+    """matrix_value(m) -> json.dumps(matrix_to_json(m), indent=2,
+    sort_keys=True) with pad after every newline; written on first
+    lookup, the rows of a {0,1} matrix from the row table of the pad."""
+
+    __slots__ = ("rows", "sep", "template")
+
+    def __init__(self, pad: str):
+        self.rows = _RowTexts(pad)
+        self.sep = f",\n{pad}    "
+        self.template = (
+            f'{{\n{pad}  "cols": %d,\n{pad}  "entries": [\n{pad}    %s'
+            f'\n{pad}  ],\n{pad}  "rows": %d\n{pad}}}'
+        )
+
+    def __missing__(self, value: tuple) -> str:
+        cols, width, packed = value
+        rows = self.rows
+        if width == 1:
+            texts = map(rows.__getitem__, zip(repeat(cols), packed))
+        else:
+            texts = (
+                rows.head + rows.entry.join(map(str, unpack_row(r, cols, width))) + rows.tail
+                for r in packed
+            )
+        t = self[value] = self.template % (cols, self.sep.join(texts), len(packed))
+        return t
+
+
+class _Texts(dict):
+    """The matrix texts of one report: pad -> its _MatrixTexts, made on
+    first lookup, so a report writes each distinct matrix and each
+    distinct {0,1} row once per pad."""
+
+    __slots__ = ()
+
+    def __missing__(self, pad: str) -> _MatrixTexts:
+        t = self[pad] = _MatrixTexts(pad)
+        return t
+
+
+def _listing(parts: list, record: str, width: int, fields, count: int, item: str, inner: str):
+    """Append to parts a list of count records as json.dumps writes it at
+    indent 2, with inner before its closing bracket and item before each
+    record.  record is the %-template of one record of width fields, and
+    fields runs over all their values, record after record; each block of
+    up to _BLOCK records is filled as one template."""
+    if not count:
+        parts.append("[]")
+        return
+    sep = f",\n{item}"
+    parts.append(f"[\n{item}")
+    fields = iter(fields)
+    template, size = "", 0
+    for start in range(0, count, _BLOCK):
+        n = min(count - start, _BLOCK)
+        if n != size:
+            template, size = sep.join([record] * n), n
+        if start:
+            parts.append(sep)
+        parts.append(template % tuple(islice(fields, n * width)))
+    parts.append(f"\n{inner}]")
+
+
+def _fragment_parts(f: ComplexFragment, pad: str, texts: _Texts, parts: list):
+    """Append to parts the fragment of an explore report as json.dumps
+    writes its dict at indent 2 with pad after every newline, without
+    building the dict.
+
+    Each listing is written by _listing, a %-template per block of
+    records, from fields that C-level maps gather: every R, S and vertex
+    text is a lookup in the report's matrix texts, and every endpoint a
+    lookup of its matrix value in the vertex index, so no Python code runs
+    per edge or per triangle, and the cost is about that of formatting
+    the bytes."""
+    inner = pad + "  "
+    item, field = inner + "  ", inner + "    "  # indents of a record and of its fields
+    edges = f.edges
+    vindex = {v: i for i, v in enumerate(map(matrix_value, f.vertices))}
+    field_texts = texts[field]
+
+    def values(name: str):
+        return map(matrix_value, map(attrgetter(name), edges))
+
+    edge_fields = zip(
+        map(field_texts.__getitem__, values("r")),
+        map(field_texts.__getitem__, values("s")),
+        map(vindex.__getitem__, values("a")),
+        map(vindex.__getitem__, values("b")),
+    )
+    parts.append(f'{{\n{inner}"depth": {f.depth},\n{inner}"edges": ')
     edge_record = (
         f'{{\n{field}"R": %s,\n{field}"S": %s,\n'
         f'{field}"source": %d,\n{field}"target": %d\n{item}}}'
     )
-    edges = [
-        edge_record % (edge_matrix_text(e.r), edge_matrix_text(e.s), vindex[e.a], vindex[e.b])
-        for e in f.edges
-    ]
+    _listing(parts, edge_record, 4, chain.from_iterable(edge_fields), len(edges), item, inner)
+    parts.append(f',\n{inner}"max_inner": {f.max_inner},\n{inner}"triangles": ')
     triangle_record = f'{{\n{field}"e1": %d,\n{field}"e2": %d,\n{field}"e3": %d\n{item}}}'
-    triangles = [triangle_record % t for t in f.triangles]
-    vertices = [_matrix_text(v, item) for v in f.vertices]
-
-    def listing(records: list[str]) -> str:
-        if not records:
-            return "[]"
-        return f"[\n{item}" + f",\n{item}".join(records) + f"\n{inner}]"
-
-    return (
-        f'{{\n{inner}"depth": {f.depth},\n{inner}"edges": {listing(edges)},\n'
-        f'{inner}"max_inner": {f.max_inner},\n{inner}"triangles": {listing(triangles)},\n'
-        f'{inner}"vertices": {listing(vertices)}\n{pad}}}'
-    )
+    triangles = f.triangles
+    _listing(parts, triangle_record, 3, chain.from_iterable(triangles), len(triangles), item, inner)
+    parts.append(f',\n{inner}"vertices": ')
+    vertex_texts = map(texts[item].__getitem__, map(matrix_value, f.vertices))
+    _listing(parts, "%s", 1, vertex_texts, len(f.vertices), item, inner)
+    parts.append(f"\n{pad}}}")
 
 
 _string_text = json.encoder.encode_basestring_ascii
@@ -138,54 +209,75 @@ def _as_is(m: NonnegMatrix) -> NonnegMatrix:
 
 
 def _text(v, pad: str) -> str:
-    """json.dumps(v, indent=2, sort_keys=True) with pad after every newline.
+    """json.dumps(v, indent=2, sort_keys=True) with pad after every
+    newline: the parts _parts writes, with one table of matrix texts,
+    joined once."""
+    parts: list[str] = []
+    _parts(v, pad, _Texts(), parts)
+    return "".join(parts)
+
+
+def _parts(v, pad: str, texts: _Texts, parts: list):
+    """Append to parts the text of v as json.dumps(v, indent=2,
+    sort_keys=True) writes it, with pad after every newline.
 
     Plain strings, ints, lists, tuples and dicts with string keys are
     written here, a list of plain ints in one join; a NonnegMatrix as
-    matrix_to_json writes it, by _matrix_text; a ComplexFragment by
-    _fragment_text.  Everything else (subclasses, non-string keys, NaN
-    and infinities) is json.dumps of its subtree."""
+    matrix_to_json writes it, from texts; a ComplexFragment by
+    _fragment_parts.  Everything else (subclasses, non-string keys, NaN
+    and infinities) is json.dumps of its subtree.  The text is joined
+    once, by the caller, so no part is copied into a larger one."""
     t = type(v)
     if t is list or t is tuple:
         if not v:
-            return "[]"
+            parts.append("[]")
+            return
         inner = pad + "  "
         if {*map(type, v)} == {int}:
-            body = f",\n{inner}".join(map(int.__repr__, v))
-        else:
-            body = f",\n{inner}".join([_text(x, inner) for x in v])
-        return f"[\n{inner}{body}\n{pad}]"
-    if t is int:
-        return int.__repr__(v)
-    if t is str:
-        return _string_text(v)
-    if t is dict and all(type(k) is str for k in v):
+            parts.append(f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, v)) + f"\n{pad}]")
+            return
+        lead, sep = f"[\n{inner}", f",\n{inner}"
+        for x in v:
+            parts.append(lead)
+            lead = sep
+            _parts(x, inner, texts, parts)
+        parts.append(f"\n{pad}]")
+    elif t is int:
+        parts.append(int.__repr__(v))
+    elif t is str:
+        parts.append(_string_text(v))
+    elif t is dict and all(type(k) is str for k in v):
         if not v:
-            return "{}"
+            parts.append("{}")
+            return
         inner = pad + "  "
-        body = f",\n{inner}".join(
-            [f"{_string_text(k)}: {_text(v[k], inner)}" for k in sorted(v)]
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if v is None:
-        return "null"
-    if t is float and math.isfinite(v):
-        return float.__repr__(v)
-    if t is NonnegMatrix:
-        return _matrix_text(v, pad)
-    if t is ComplexFragment:
-        return _fragment_text(v, pad)
-    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        lead, sep = f"{{\n{inner}", f",\n{inner}"
+        for k in sorted(v):
+            parts.append(f"{lead}{_string_text(k)}: ")
+            lead = sep
+            _parts(v[k], inner, texts, parts)
+        parts.append(f"\n{pad}}}")
+    elif t is NonnegMatrix:
+        parts.append(texts[pad][matrix_value(v)])
+    elif v is True:
+        parts.append("true")
+    elif v is False:
+        parts.append("false")
+    elif v is None:
+        parts.append("null")
+    elif t is float and math.isfinite(v):
+        parts.append(float.__repr__(v))
+    elif t is ComplexFragment:
+        _fragment_parts(v, pad, texts, parts)
+    else:
+        parts.append(json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad))
 
 
 def _encode(report: dict) -> str:
     """json.dumps(report, indent=2, sort_keys=True), written by _text:
     json's C encoder runs only without indent, and its Python encoder is
-    several times slower."""
+    several times slower.  One table of matrix texts serves the whole
+    report, so a matrix that recurs at the same indent is written once."""
     return _text(report, "")
 
 
@@ -205,11 +297,14 @@ def _run_verify_edge(args) -> tuple[int, dict]:
 def _run_verify_triangle(args) -> tuple[int, dict]:
     t = triangle_from_json(_load(args.input))
     ok = check_triangle(t)
-    return (0 if ok else 1), {
+    report = {
         "command": "verify-triangle",
         "input": triangle_to_json(t, encode=_as_is),
         "verified": ok,
     }
+    if not ok:
+        report["failed_equations"] = failed_triangle_equations(t)
+    return (0 if ok else 1), report
 
 
 def _run_code(args) -> tuple[int, dict]:
@@ -426,6 +521,21 @@ def _run(args) -> tuple[int, dict]:
     return status, report
 
 
+def _stdout_failed(exc: OSError) -> int:
+    """Exit 2, with one line on stderr, for a report that stdout did not
+    take (a pipe whose reader has gone, say).  Standard output is pointed
+    at os.devnull, so the flush at exit finds nothing left to fail on."""
+    print(f"ssecalc: the report could not be written to stdout: {exc}", file=sys.stderr)
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no file descriptor, so no flush at exit can fail
+        return 2
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -437,14 +547,17 @@ def main(argv=None) -> int:
         text = _encode(report)
         if args.output:
             with open(args.output, "w") as out:
-                out.write(text + "\n")
-        else:
-            print(text)
+                print(text, file=out)
+            return status
     except OSError as exc:
         # an unwritable --output is an input error, reported on stdout
-        print(_encode({"command": args.command, "error": str(exc), "kind": "input"}))
-        return 2
+        status, text = 2, _encode({"command": args.command, "error": str(exc), "kind": "input"})
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        return _stdout_failed(exc)
     return status
+
 
 if __name__ == "__main__":
     sys.exit(main())

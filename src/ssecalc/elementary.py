@@ -202,6 +202,22 @@ def check_triangle(t: Triangle) -> bool:
     )
 
 
+def failed_triangle_equations(t: Triangle) -> list[str]:
+    """The names of the triangle equations that t fails, of "R1R2=R3",
+    "R2S3=S1" and "S3R1=S2" in that order; empty exactly when
+    check_triangle(t) holds."""
+    e1, e2, e3 = t.e1, t.e2, t.e3
+    return [
+        name
+        for name, x, y, z in (
+            ("R1R2=R3", e1.r, e2.r, e3.r),
+            ("R2S3=S1", e2.r, e3.s, e1.s),
+            ("S3R1=S2", e3.s, e1.r, e2.s),
+        )
+        if not _product_is(x, y, z)
+    ]
+
+
 # -- JSON format ------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ multiply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -31,6 +32,12 @@ def _pack(values: Sequence[int], width: int) -> int:
     for j, v in enumerate(values):
         acc |= v << (j * width)
     return acc
+
+
+def unpack_row(packed: int, cols: int, width: int) -> list[int]:
+    """The cols entries of a row packed at width bits per entry."""
+    mask = (1 << width) - 1
+    return [(packed >> (j * width)) & mask for j in range(cols)]
 
 
 class NonnegMatrix(Frozen):
@@ -104,10 +111,7 @@ class NonnegMatrix(Frozen):
         return (self._rows[i] >> (j * w)) & ((1 << w) - 1)
 
     def row_list(self, i: int) -> list[int]:
-        w = self._width
-        mask = (1 << w) - 1
-        r = self._rows[i]
-        return [(r >> (j * w)) & mask for j in range(self.cols)]
+        return unpack_row(self._rows[i], self.cols, self._width)
 
     def to_lists(self) -> list[list[int]]:
         return [self.row_list(i) for i in range(self.rows)]
@@ -182,6 +186,13 @@ class NonnegMatrix(Frozen):
 
 
 _set_rows, _set_cols, _set_width, _set_packed, _set_hash = slot_setters(NonnegMatrix)
+
+# matrix_value(m) is (cols, width, packed rows), the fields m is made of:
+# its rows are unpack_row(row, cols, width), and the row masks themselves
+# when width is 1.  Two matrices are equal exactly when their values are,
+# and a value hashes in C, so a table keyed by values pays no Python-level
+# __hash__ per lookup.
+matrix_value = attrgetter("cols", "_width", "_rows")
 
 
 def mul(a: NonnegMatrix, b: NonnegMatrix) -> NonnegMatrix:

@@ -1,5 +1,6 @@
 import copy
 import functools
+import io
 import json
 import operator
 import os
@@ -85,6 +86,45 @@ def test_verify_triangle(tmp_path):
     path = write(tmp_path, "tri2.json", triangle_to_json(bad))
     code, rep = run(tmp_path, "verify-triangle", "--input", path)
     assert code == 1 and not rep["verified"]
+
+
+_SW = NonnegMatrix([[0, 1], [1, 0]])
+_ALL_ONES = NonnegMatrix([[1, 1], [1, 1]])
+_R_SWAP = SSEEdge(_ALL_ONES, _ALL_ONES, _SW, _ALL_ONES)
+_S_SWAP = SSEEdge(_ALL_ONES, _ALL_ONES, _ALL_ONES, _SW)
+_SWAP_SWAP = SSEEdge(I2, I2, _SW, _SW)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        (_SWAP_SWAP, _SWAP_SWAP, SSEEdge(I2, I2, I2, I2)),
+        (_R_SWAP, _R_SWAP, _R_SWAP),
+        (_R_SWAP, _S_SWAP, _S_SWAP),
+        (_S_SWAP, _R_SWAP, _S_SWAP),
+        (_SWAP_SWAP,) * 3,
+    ],
+    ids=["true", "first", "third", "second", "all"],
+)
+def test_verify_triangle_names_the_equations_that_fail(tmp_path, edges):
+    """A false report lists the failing equations, each recomputed here
+    with mul; a true report keeps its keys."""
+    e1, e2, e3 = edges
+    want = [
+        name
+        for name, (x, y, z) in {
+            "R1R2=R3": (e1.r, e2.r, e3.r),
+            "R2S3=S1": (e2.r, e3.s, e1.s),
+            "S3R1=S2": (e3.s, e1.r, e2.s),
+        }.items()
+        if mul(x, y) != z
+    ]
+    path = write(tmp_path, "tri.json", triangle_to_json(Triangle(*edges)))
+    code, rep = run(tmp_path, "verify-triangle", "--input", path)
+    if want:
+        assert code == 1 and rep["verified"] is False and rep["failed_equations"] == want
+    else:
+        assert code == 0 and set(rep) == {"command", "input", "verified", "elapsed_seconds"}
 
 
 def test_code_and_extract_roundtrip(tmp_path):
@@ -257,6 +297,47 @@ def test_explore_stops_when_a_round_finds_no_new_vertex(tmp_path):
     fragment = json.loads(proc.stdout)["fragment"]
     assert tuple(len(fragment[k]) for k in ("vertices", "edges", "triangles")) == (8, 104, 960)
     assert fragment["depth"] == 10**12
+
+
+@pytest.mark.parametrize("written", [False, True], ids=["small", "large"])
+def test_a_report_that_stdout_does_not_take_exits_2(tmp_path, written):
+    """Standard output is a pipe whose reader has gone.  The small report
+    (an input error on a missing file) fits the buffer, so it fails only
+    on the flush; the large one (about 150 KB) fails on its first write.
+    Either is exit 2 with one line on stderr and no traceback, and nothing
+    is left to fail at exit.  The child's stdout is block-buffered, as in
+    a shell."""
+    path = tmp_path / "m.json"
+    if written:
+        path.write_text(json.dumps(matrix_to_json(GM)))
+    src = os.path.dirname(os.path.dirname(ssecalc.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssecalc.cli", "explore", "--input", str(path),
+             "--max-inner", "3", "--depth", "2"],
+            env=dict(env, PYTHONPATH=src), stdout=writer, stderr=subprocess.PIPE, text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Broken pipe" in proc.stderr, proc.stderr
+
+
+def test_a_report_that_an_in_process_stdout_refuses_exits_2(tmp_path, capsys, monkeypatch):
+    """An in-process stdout without a file descriptor whose write fails."""
+
+    class Refusing(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    path = write(tmp_path, "edge.json", edge_to_json(SSEEdge(GM, GM, GM, I2)))
+    monkeypatch.setattr(sys, "stdout", Refusing())
+    assert main(["verify-edge", "--input", path]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_explore_pinned_results(tmp_path):

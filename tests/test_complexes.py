@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from ssecalc.cli import _encode
+from ssecalc.cli import _BLOCK, _encode
 from ssecalc.codes import equal_codes, is_identity, shift_code
 from ssecalc.complexes import (
+    ComplexFragment,
     SSEPath,
     automorphism_from_loop,
     compose_path,
@@ -14,7 +15,14 @@ from ssecalc.complexes import (
     path_from_json,
     path_to_json,
 )
-from ssecalc.elementary import SSEEdge, Triangle, check_triangle, code_from_edge, edge_from_code
+from ssecalc.elementary import (
+    DegSSEEdge,
+    SSEEdge,
+    Triangle,
+    check_triangle,
+    code_from_edge,
+    edge_from_code,
+)
 from ssecalc.errors import InvalidEdgeError, ResourceBoundError
 from ssecalc.matrices import NonnegMatrix, is_nondegenerate, matrix_to_json
 from ssecalc.shifts import VertexShift
@@ -349,6 +357,53 @@ def test_fragment_text_is_json_dumps(fragment):
         assert not all(e.is_boolean for e in frag.edges)
     if name == "counts-wide-entries":
         assert (len(obj["edges"]), len(obj["triangles"])) == (166, 357)
+
+
+def _copy(m):
+    """A matrix equal to m that is not m."""
+    return NonnegMatrix(m.to_lists())
+
+
+def _ones(rows, cols):
+    return NonnegMatrix([[1] * cols for _ in range(rows)])
+
+
+def _hand_built(with_triangles):
+    """A fragment that explore does not make: vertices equal to, but not
+    the same objects as, the edge endpoints, one vertex without edges, an
+    edge whose R is another edge's S, {0,1} rows of 10 and 12 columns,
+    and entries of 12.  The writer reads a triangle as three positions, so
+    these need not pass check_triangle."""
+    swap10 = NonnegMatrix.from_bool_rows(10, [1 << ((i + 1) % 10) for i in range(10)])
+    twelve = NonnegMatrix([[12]])
+    edges = [
+        SSEEdge(GM, GM, GM, I2),
+        SSEEdge(GM, GM, I2, GM),  # R is the S of the edge before
+        SSEEdge(swap10, swap10, swap10, NonnegMatrix.identity(10)),
+        DegSSEEdge(twelve, twelve, NonnegMatrix([[3]]), NonnegMatrix([[4]])),
+        DegSSEEdge(twelve, _ones(12, 12), _ones(1, 12), _ones(12, 1)),
+    ]
+    vertices = [_copy(m) for m in (GM, swap10, twelve, _ones(12, 12), FULL2)]
+    triangles = [(0, 1, 0), (1, 0, 1), (3, 4, 4)] if with_triangles else []
+    return ComplexFragment(vertices, edges, triangles, 2, 12)
+
+
+@pytest.mark.parametrize("with_triangles", [True, False], ids=["triangles", "no-triangles"])
+def test_hand_built_fragment_text_is_json_dumps(with_triangles):
+    _assert_report_matches_oracle(GM, _hand_built(with_triangles))
+
+
+@pytest.mark.parametrize("count", [_BLOCK, _BLOCK + 1], ids=["one-block", "one-block-and-one"])
+def test_fragment_listings_of_a_block_and_one_more_record(count):
+    """count vertices [[k]], count edges and count triangles: every listing
+    is exactly one block, or one block and one record."""
+    vertices = [NonnegMatrix([[k]]) for k in range(count)]
+    edges = [
+        DegSSEEdge(_copy(v), _copy(v), _copy(v), ONE) for v in reversed(vertices)
+    ]
+    triangles = [(k, (k + 1) % count, (k * 7) % count) for k in range(count)]
+    frag = ComplexFragment(vertices, edges, triangles, 1, 1)
+    _assert_report_matches_oracle(ONE, frag)
 
 
 def test_explore_triangles_pass_check_triangle(fragment):
