@@ -18,6 +18,9 @@ tuples only at the edges: the read-only ``table``, built on first read,
 copies and checks tables from outside, which only ``code_from_json``
 reads; every code the library makes, phi_{R,S} and the delta pair of
 ``refinement`` included, is built on packed tables by ``_trusted``.
+
+A code keeps its normal form once ``normalize`` has found it, as it keeps
+its ``table`` view and its hash, so a code is normalized at most once.
 """
 
 from __future__ import annotations
@@ -48,10 +51,15 @@ class BlockCode(Frozen):
     library's own codes, on packed tables it has built, come from
     ``_trusted``.  Copies and pickles rebuild the code and its inverse
     through this constructor, linked again.
+
+    ``_normal`` is None until ``normalize`` has read the code, then the
+    marker ``_NORMAL`` when the code is its own normal form, else that
+    normal form.  Equality, hashing, copies and pickles do not read it.
     """
 
     __slots__ = (
-        "domain", "codomain", "left", "right", "_table", "_view", "_inverse", "_hash"
+        "domain", "codomain", "left", "right", "_table", "_view", "_inverse", "_hash",
+        "_normal",
     )
 
     def __new__(
@@ -82,6 +90,7 @@ class BlockCode(Frozen):
         _set_table(f, table)
         _set_view(f, None)
         _set_hash(f, None)
+        _set_normal(f, None)
         partner = None
         if inverse is not None:
             partner = cls._trusted(codomain, domain, *inverse)
@@ -166,8 +175,12 @@ class BlockCode(Frozen):
 
 (
     _set_domain, _set_codomain, _set_left, _set_right,
-    _set_table, _set_view, _set_inverse, _set_hash,
+    _set_table, _set_view, _set_inverse, _set_hash, _set_normal,
 ) = slot_setters(BlockCode)
+
+# the _normal of a code that is its own normal form; a marker rather than
+# the code itself, so that a code without an inverse holds no cycle
+_NORMAL = object()
 
 
 def _packed_at(f: BlockCode, left: int, right: int) -> dict[int, int]:
@@ -365,13 +378,39 @@ def _normalize_data(f: BlockCode) -> tuple[int, int, Mapping]:
 
 def normalize(f: BlockCode) -> BlockCode:
     """Canonical minimal-window form; equality of normal forms is equality
-    of the codes as functions."""
+    of the codes as functions.  A code with an inverse is normal when both
+    are, and its normal form is linked to its inverse's.  The normal form
+    is kept on f and on f's inverse, so only the first call on a code
+    normalizes; a normal form is its own, and so is its inverse."""
+    n = f._normal
+    if n is not None:
+        return f if n is _NORMAL else n
     data = _normalize_data(f)
     g = f._inverse
     inverse = None if g is None else _normalize_data(g)
     if data[2] is f._table and (g is None or inverse[2] is g._table):
-        return f
-    return BlockCode._trusted(f.domain, f.codomain, *data, inverse)
+        n = f
+    else:
+        n = BlockCode._trusted(f.domain, f.codomain, *data, inverse)
+        _set_normal(f, n)
+        if g is not None:
+            _set_normal(g, n._inverse)
+    _set_normal(n, _NORMAL)
+    if g is not None:
+        _set_normal(n._inverse, _NORMAL)
+    return n
+
+
+def _normal_pair(f: BlockCode, g: BlockCode) -> BlockCode:
+    """The normal code with f's rule and g's as its inverse, for the normal
+    forms f and g of two mutually inverse codes; their own inverses, if
+    any, are not read."""
+    n = BlockCode._trusted(
+        f.domain, f.codomain, f.left, f.right, f._table, (g.left, g.right, g._table)
+    )
+    _set_normal(n, _NORMAL)
+    _set_normal(n._inverse, _NORMAL)
+    return n
 
 
 def is_identity(f: BlockCode) -> bool:
@@ -509,6 +548,7 @@ def code_from_json(obj: dict) -> BlockCode:
         raise ShiftMismatchError("inverse endpoints do not match")
     if not verify_inverse(f, g):
         raise InvalidCodeError("stored inverse failed verification")
+    # neither code has been normalized, so no kept normal form goes stale
     _set_inverse(f, g)
     _set_inverse(g, f)
     return f

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import BlockCode, compose, identity_code, normalize
+from .codes import BlockCode, _compose_raw, _normal_pair, identity_code, normalize
 from .elementary import (
     DegSSEEdge,
     SSEEdge,
-    code_from_edge,
+    _edge_rule,
     edge_from_json,
     edge_to_json,
 )
@@ -85,21 +85,30 @@ class SSEPath:
         )
 
 
-def compose_path(p: SSEPath) -> BlockCode:
-    """The conjugacy phi_n^{e_n} ∘ ... ∘ phi_1^{e_1} of the path, normalized."""
+def _fold(p: SSEPath) -> BlockCode:
+    """The normal form of phi_n^{e_n} ∘ ... ∘ phi_1^{e_1}, the forward code
+    of the strict path p, composed one step at a time with no inverse: a
+    step builds only the rule it traverses its edge by.  An empty path
+    gives the identity, which carries its inverse."""
     cur = identity_code(VertexShift(p.base))
     for edge, sign in p.steps:
-        c = code_from_edge(edge, verify=False)
-        step_code = c if sign == 1 else c.inverse
-        cur = normalize(compose(step_code, cur))
+        cur = normalize(_compose_raw(BlockCode._trusted(*_edge_rule(edge, sign)), cur))
     return cur
 
 
+def compose_path(p: SSEPath) -> BlockCode:
+    """The conjugacy phi_n^{e_n} ∘ ... ∘ phi_1^{e_1} of the path, normalized
+    and linked to its normalized inverse.  Each is one forward fold: the
+    inverse is the code of p.reversed(), and normal forms are canonical."""
+    return _normal_pair(_fold(p), _fold(p.reversed()))
+
+
 def homotopic(p: SSEPath, q: SSEPath) -> bool:
-    """Paths with equal endpoints are homotopic iff their compositions agree."""
+    """Paths with equal endpoints are homotopic iff their compositions
+    agree; only the forward codes are composed and compared."""
     if p.base != q.base or p.end != q.end:
         raise InvalidEdgeError("homotopy needs equal endpoints")
-    return compose_path(p) == compose_path(q)
+    return _fold(p) == _fold(q)
 
 
 def automorphism_from_loop(p: SSEPath) -> BlockCode:

@@ -156,17 +156,25 @@ def _two_block_rule(x: VertexShift, p: NonnegMatrix, q: NonnegMatrix, name: str)
     return rule
 
 
+def _edge_rule(e: SSEEdge, sign: int) -> tuple:
+    """The domain, codomain, window and packed table of the rule a path
+    step of the given sign traverses e by: phi_{R,S} on [0, 1] for sign 1,
+    its inverse on [-1, 0] for sign -1.
+
+    Both rules are total on the 2-words and no check can fail: the images
+    c, d of the 2-words (u, v), (v, w) of X_A follow each other in X_B, as
+    B[c, d] >= S[c, v] R[v, d] = 1 for B = SR, and the inverse's images
+    follow each other in X_A alike, for A = RS."""
+    x, y = VertexShift(e.a), VertexShift(e.b)
+    if sign == 1:
+        return x, y, 0, 1, _two_block_rule(x, e.r, e.s, "local rule")
+    return y, x, -1, 0, _two_block_rule(y, e.s, e.r, "inverse local rule")
+
+
 def code_from_edge(e: SSEEdge, verify: bool = True) -> BlockCode:
     """The elementary conjugacy phi_{R,S}: X_A -> X_B with its inverse."""
-    x = VertexShift(e.a)
-    y = VertexShift(e.b)
-    fwd = _two_block_rule(x, e.r, e.s, "local rule")
-    bwd = _two_block_rule(y, e.s, e.r, "inverse local rule")
-    # Both rules are total on the 2-words and no check can fail: the images
-    # c, d of the 2-words (u, v), (v, w) of X_A follow each other in X_B, as
-    # B[c, d] >= S[c, v] R[v, d] = 1 for B = SR, and the inverse's images
-    # follow each other in X_A alike, for A = RS.
-    f = BlockCode._trusted(x, y, 0, 1, fwd, (-1, 0, bwd))
+    x, y, *fwd = _edge_rule(e, 1)
+    f = BlockCode._trusted(x, y, *fwd, _edge_rule(e, -1)[2:])
     if verify and not verify_inverse(f, f.inverse):
         raise VerificationError("phi_{R,S} compositions do not normalize to identity")
     return f

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .codes import (
     BlockCode,
+    _compose_raw,
     compose,
     identity_code,
     is_elementary,
@@ -99,7 +100,9 @@ def reduce_inverse_window(
     g = 1 if hi > 0 else -1
     x, y = cur.domain, cur.codomain
     tau = shift_code(y, g)
-    psi1 = star_map_general([identity_code(x), compose(tau, cur)], side=g)
+    # the delta pair's inverse reads the identity component's inverse, so
+    # the second component is composed without one
+    psi1 = star_map_general([identity_code(x), _compose_raw(tau, cur)], side=g)
     psi2 = star_map_general([identity_code(y), tau], side=g)
     nxt = normalize(compose(psi2, compose(cur, psi1.inverse)))
     if _hull(nxt.window) != (0, 0):

@@ -392,13 +392,20 @@ def test_criterion_08_freudenthal_identities():
 
 
 def power_oracle_core(a):
+    """The indices i with a nonzero row i and column i in every power A^k,
+    k = 1..n, read on Boolean powers: row i of A^k is nonzero iff a walk of
+    length k leaves i, so each power is kept as the sets of the far ends of
+    the walks of length k out of and into each index."""
     n = a.rows
+    rows = a.to_lists()
+    succ = [[j for j in range(n) if rows[i][j]] for i in range(n)]
+    pred = [[i for i in range(n) if rows[i][j]] for j in range(n)]
+    out = into = [{i} for i in range(n)]
     alive = set(range(1, n + 1))
-    p = NonnegMatrix.identity(n)
     for _ in range(n):
-        p = mul(p, a)
-        pt = p.transpose()
-        alive &= {i for i in alive if p.row_mask(i - 1) and pt.row_mask(i - 1)}
+        out = [{j for m in ends for j in succ[m]} for ends in out]
+        into = [{j for m in ends for j in pred[m]} for ends in into]
+        alive &= {i for i in alive if out[i - 1] and into[i - 1]}
     return tuple(sorted(alive))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssecalc import codes
 from ssecalc.codes import (
     BlockCode,
     _compose_raw,
@@ -90,6 +91,72 @@ def test_normalize_idempotent():
     f = compose(shift_code(GM, 1), shift_code(GM, 1).inverse)
     n = normalize(f)
     assert normalize(n) == n
+
+
+def _padded_identity(inverse: bool) -> BlockCode:
+    """The identity of GM read on the window [0, 1], with the same rule as
+    its inverse or with none: not a normal form."""
+    table = identity_code(GM).table_at(0, 1)
+    return BlockCode(GM, GM, 0, 1, table, (0, 1, table) if inverse else None)
+
+
+def _count_normalize_data(monkeypatch) -> list:
+    """A list that grows by one on each call of codes._normalize_data."""
+    calls = []
+    run = codes._normalize_data
+
+    def counted(f):
+        calls.append(f)
+        return run(f)
+
+    monkeypatch.setattr(codes, "_normalize_data", counted)
+    return calls
+
+
+@pytest.mark.parametrize("inverse", [True, False], ids=["with-inverse", "no-inverse"])
+def test_a_code_keeps_its_normal_form(monkeypatch, inverse):
+    calls = _count_normalize_data(monkeypatch)
+    f = _padded_identity(inverse)
+    n = normalize(f)
+    assert n is not f and n.window == (0, 0) and is_identity(n)
+    assert len(calls) == (2 if inverse else 1)
+    calls.clear()
+    # a second normalize, and a normalize of the normal form, read the slot
+    assert normalize(f) is n and normalize(n) is n
+    if inverse:
+        assert normalize(n.inverse) is n.inverse and n.inverse.inverse is n
+        assert normalize(f.inverse) is n.inverse
+    assert calls == []
+    # the normal form is marked, not referenced by itself, and holds
+    # nothing of f: a code without an inverse is no cycle
+    referents = gc.get_referents(n)
+    assert not any(r is n or r is f for r in referents)
+
+
+def test_a_normal_code_is_its_own_normal_form(monkeypatch):
+    calls = _count_normalize_data(monkeypatch)
+    for f in (shift_code(GM, 1), BlockCode(GM, GM, 0, 0, {(0,): 0, (1,): 1})):
+        assert normalize(f) is f and normalize(f) is f
+        if f._inverse is None:
+            assert not any(r is f for r in gc.get_referents(f))
+    # two of the shift code (with its inverse) and one of the other, once
+    assert len(calls) == 3
+
+
+def test_the_kept_normal_form_leaves_values_unchanged():
+    import copy
+    import pickle
+
+    f = _padded_identity(True)
+    before = (hash(f), code_to_json(f))
+    n = normalize(f)
+    assert (hash(f), code_to_json(f)) == before
+    assert f != n and equal_codes(f, n) and f == _padded_identity(True)
+    for c in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        # a copy is rebuilt through the constructor and carries no normal form
+        assert c == f and hash(c) == hash(f) and c._normal is None
+        assert c.inverse == f.inverse and c.inverse._normal is None
+        assert normalize(c) == n and normalize(c).inverse == n.inverse
 
 
 def test_normalize_slides_on_deterministic_shifts():

@@ -12,7 +12,7 @@ import pytest
 
 import ssecalc
 from ssecalc.cayley import FGGroupWindow, TableGroup, ZdGroup
-from ssecalc.codes import BlockCode, shift_code
+from ssecalc.codes import BlockCode, normalize, shift_code
 from ssecalc.freudenthal import OrderedComplex
 from ssecalc.frozen import Frozen
 from ssecalc.groups import FiniteGroup, symmetric_group
@@ -91,15 +91,22 @@ def test_every_frozen_type_refuses_assignment_and_copies_and_pickles(cls):
                 delattr(value, name)
         with pytest.raises(AttributeError, match="is immutable"):
             value.extra = 1
+        if cls is BlockCode:
+            normalize(value)  # the kept normal form is not copied
         for c in _copies(value):
             assert type(c) is cls and c == value and hash(c) == hash(value)
             if cls is VertexShift:
                 assert c is value
             if cls is BlockCode:
+                assert c._normal is None
                 if value._inverse is None:
                     assert c._inverse is None
                 else:
                     assert c.inverse == value.inverse and c.inverse.inverse is c
+
+
+def test_the_kept_normal_form_is_a_slot():
+    assert "_normal" in _slots(BlockCode)
 
 
 def test_block_code_samples_cover_both_kinds():
