@@ -7,7 +7,8 @@ word raises.  Equality of codes as functions is decided on canonical
 normal forms: shrink the window from both ends as far as possible, then
 slide it toward the origin where the shift's structure permits (this is
 what makes e.g. powers of the shift map on a cycle compare equal to the
-alphabet permutation they are).
+alphabet permutation they are).  A shrink regroups the table's own keys;
+only a one-symbol rule can slide.
 
 A code keeps its table keyed by packed words (``VertexShift.packed_words``:
 a fixed number of bits per symbol, the first symbol most significant), so
@@ -314,65 +315,51 @@ def compose(g: BlockCode, f: BlockCode) -> BlockCode:
     return BlockCode._trusted(f.domain, g.codomain, *data, inverse)
 
 
-def _try_rewindow(x: VertexShift, width: int, tab: Mapping, slide: bool, right: bool):
-    """The table of a rule of the given width on x, on a window without its
-    rightmost (right) or its leftmost coordinate: one shorter, or (slide)
-    as wide and moved one step away from that end.  None when the rule
-    depends on the dropped coordinate."""
-    length = width if slide else width - 1
-    b = x.symbol_bits
+def _regroup(tab: Mapping, shift: int, keep: int) -> Optional[dict]:
+    """The table on the words ``w >> shift & keep`` of tab's packed keys w,
+    or None when two keys that read as one word carry different values."""
     new = {}
-    if right:
-        succ, last = x.succ, (1 << b) - 1
-        # a slide drops the word's first symbol; the mask -1 keeps them all
-        tail = (1 << b * (width - 1)) - 1 if slide else -1
-        for u in x.packed_words(length):
-            core = (u & tail) << b
-            it = iter(succ[u & last])
-            v0 = tab[core | next(it)]
-            for a in it:
-                if tab[core | a] != v0:
-                    return None
-            new[u] = v0
-    else:
-        pred = x.pred
-        # a slide drops the word's last symbol
-        first, top, drop = b * (length - 1), b * (width - 1), b if slide else 0
-        for u in x.packed_words(length):
-            core = u >> drop
-            it = iter(pred[u >> first])
-            v0 = tab[next(it) << top | core]
-            for a in it:
-                if tab[a << top | core] != v0:
-                    return None
-            new[u] = v0
+    for w, v in tab.items():
+        if new.setdefault(w >> shift & keep, v) != v:
+            return None
     return new
 
 
 def _normalize_data(f: BlockCode) -> tuple[int, int, Mapping]:
     """The window and table of f's normal form; the table is f's own
-    when f is already normal."""
+    when f is already normal.
+
+    A shrink regroups the table's own keys, by their first width-1
+    symbols (drop the last) or their last (drop the first).  Every symbol
+    has a successor and a predecessor, so every shorter allowed word is a
+    prefix and a suffix of a key, and the regrouped table is total.  Only
+    a one-symbol rule slides toward the origin: a wider rule that also
+    reads one step nearer the origin cannot read its far end, so the
+    shrinks have already dropped it."""
     x, left, right, tab = f.domain, f.left, f.right, f._table
+    b = x.symbol_bits
+    last = (1 << b) - 1
     while right > left:
-        new = _try_rewindow(x, right - left + 1, tab, slide=False, right=True)
+        new = _regroup(tab, b, -1)
         if new is None:
             break
         right, tab = right - 1, new
     while right > left:
-        new = _try_rewindow(x, right - left + 1, tab, slide=False, right=False)
+        new = _regroup(tab, 0, (1 << b * (right - left)) - 1)
         if new is None:
             break
         left, tab = left + 1, new
-    while left > 0:
-        new = _try_rewindow(x, right - left + 1, tab, slide=True, right=True)
+    while left == right != 0:
+        # the rule read on the two symbols from it toward the origin, then
+        # regrouped by the nearer one
+        if left > 0:
+            new = _regroup({w: tab[w & last] for w in x.packed_words(2)}, b, -1)
+        else:
+            new = _regroup({w: tab[w >> b] for w in x.packed_words(2)}, 0, last)
         if new is None:
             break
-        left, right, tab = left - 1, right - 1, new
-    while right < 0:
-        new = _try_rewindow(x, right - left + 1, tab, slide=True, right=False)
-        if new is None:
-            break
-        left, right, tab = left + 1, right + 1, new
+        step = -1 if left > 0 else 1
+        left, right, tab = left + step, right + step, new
     return left, right, tab
 
 

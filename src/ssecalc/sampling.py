@@ -16,7 +16,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .codes import BlockCode, bijection_code, compose, identity_code, normalize
+from .codes import BlockCode, bijection_code
+from .complexes import SSEPath, compose_path
 from .elementary import SSEEdge, code_from_edge
 from .errors import ResourceBoundError
 from .factorize import EdgeSpace, factorizations
@@ -82,21 +83,16 @@ def random_conjugacy(
     n_factors: int,
     max_inner: Optional[int] = None,
 ) -> BlockCode:
-    """A conjugacy composed of n_factors random elementary codes and inverses."""
-    cur = None
+    """A conjugacy composed of n_factors random elementary codes and inverses:
+    the composition of a random strict path of n_factors steps."""
+    steps = []
     a = base
     for _ in range(n_factors):
         e = random_edge(rng, a, max_inner)
-        if rng.random() < 0.3:
-            # a move in H^{-1}: traverse a reversed edge backwards
-            c = code_from_edge(e.reversed(), verify=False).inverse
-        else:
-            c = code_from_edge(e, verify=False)
-        cur = c if cur is None else normalize(compose(c, cur))
-        a = cur.codomain.matrix
-    if cur is None:
-        cur = identity_code(VertexShift(base))
-    return normalize(cur)
+        # a move in H^{-1}: traverse a reversed edge backwards
+        steps.append((e.reversed(), -1) if rng.random() < 0.3 else (e, 1))
+        a = e.b
+    return compose_path(SSEPath(base, tuple(steps)))
 
 
 def random_tuple(

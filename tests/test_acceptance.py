@@ -299,9 +299,7 @@ def test_criterion_06_degenerate_reduction():
             p = SSEPath(a0, tuple(steps))
             q = normalize_path(p)
             assert all(is_nondegenerate(v) for v in q.vertices())
-            f_in = compose_path(to_strict_path(restrict_path_to_cores(p)))
-            f_out = compose_path(to_strict_path(q))
-            assert equal_codes(f_in, f_out)
+            assert homotopic(to_strict_path(restrict_path_to_cores(p)), to_strict_path(q))
             done += 1
 
 

@@ -167,6 +167,47 @@ def test_normalize_slides_on_deterministic_shifts():
     assert is_identity(compose(sigma, sigma))
 
 
+def _rule(x, left, right, value):
+    """The code on x, window [left, right], whose value on a word is value(word)."""
+    return BlockCode(x, x, left, right, {w: value(w) for w in x.words(right - left + 1)})
+
+
+@pytest.mark.parametrize(
+    "make, window, table, asked",
+    [
+        # a rule on [0, 199] that reads its first symbol shrinks to it
+        (lambda: _rule(CYCLE3, 0, 199, lambda w: w[0]), (0, 0), {(0,): 0, (1,): 1, (2,): 2}, []),
+        # a one-symbol rule on a cycle slides to [0, 0], one step at a time
+        (lambda: _rule(CYCLE3, -2, -2, lambda w: w[0]), (0, 0), {(0,): 1, (1,): 2, (2,): 0}, [2, 2]),
+        # a one-symbol rule that cannot slide stays
+        (lambda: _rule(GM, 1, 1, lambda w: w[0]), (1, 1), {(0,): 0, (1,): 1}, [2]),
+        # a rule of width 2 off the origin never slides, so it is not tried
+        (
+            lambda: _rule(FULL2, 1, 2, lambda w: w[0] ^ w[1]),
+            (1, 2),
+            {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
+            [],
+        ),
+    ],
+    ids=["cycle-3-long-window", "cycle-3-slide", "golden-mean-no-slide", "full-2-width-2"],
+)
+def test_normalize_reads_no_word_lists(monkeypatch, make, window, table, asked):
+    f = make()
+    lengths = []
+    packed_words = VertexShift.packed_words
+
+    def counted(x, length):
+        lengths.append(length)
+        return packed_words(x, length)
+
+    monkeypatch.setattr(VertexShift, "packed_words", counted)
+    n = normalize(f)
+    assert lengths == asked
+    monkeypatch.undo()
+    assert n.window == window and n.table == table
+    assert (n is f) == (window == f.window)
+
+
 def test_shift_code_table():
     tau = shift_code(GM, 1)
     assert tau.window == (1, 1)

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from ssecalc.codes import equal_codes
-from ssecalc.complexes import SSEPath, compose_path, path_from_json, path_to_json
+from ssecalc.complexes import SSEPath, homotopic, path_from_json, path_to_json
 from ssecalc.degenerate import (
     DegSSEEdge,
     cancel_backtracks,
@@ -183,9 +182,7 @@ def test_single_degenerate_midpoint_two_steps():
     q = normalize_path(p)
     assert len(q.steps) == 2
     assert all(is_nondegenerate(v) for v in q.vertices())
-    f_in = compose_path(to_strict_path(restrict_path_to_cores(p)))
-    f_out = compose_path(to_strict_path(q))
-    assert equal_codes(f_in, f_out)
+    assert homotopic(to_strict_path(restrict_path_to_cores(p)), to_strict_path(q))
 
 
 def test_normalize_path_bound_must_be_a_nonnegative_int():
@@ -210,9 +207,7 @@ def test_normalize_path_random_composites_agree():
         p = sample_deg_path(rng)
         q = normalize_path(p)
         assert all(is_nondegenerate(v) for v in q.vertices())
-        f_in = compose_path(to_strict_path(restrict_path_to_cores(p)))
-        f_out = compose_path(to_strict_path(q))
-        assert equal_codes(f_in, f_out)
+        assert homotopic(to_strict_path(restrict_path_to_cores(p)), to_strict_path(q))
 
 
 def test_cancel_backtracks():
