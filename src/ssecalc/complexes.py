@@ -88,11 +88,15 @@ class SSEPath:
 def _fold(p: SSEPath) -> BlockCode:
     """The normal form of phi_n^{e_n} ∘ ... ∘ phi_1^{e_1}, the forward code
     of the strict path p, composed one step at a time with no inverse: a
-    step builds only the rule it traverses its edge by.  An empty path
-    gives the identity, which carries its inverse."""
-    cur = identity_code(VertexShift(p.base))
-    for edge, sign in p.steps:
-        cur = normalize(_compose_raw(BlockCode._trusted(*_edge_rule(edge, sign)), cur))
+    step builds only the rule it traverses its edge by, and the fold
+    starts from the first step's rule.  An empty path gives the identity,
+    which carries its inverse."""
+    if not p.steps:
+        return identity_code(VertexShift(p.base))
+    rules = (BlockCode._trusted(*_edge_rule(edge, sign)) for edge, sign in p.steps)
+    cur = normalize(next(rules))
+    for rule in rules:
+        cur = normalize(_compose_raw(rule, cur))
     return cur
 
 
@@ -141,17 +145,24 @@ def explore(
 
     Every edge (R,S): V -> W found is recorded together with its reverse
     (S,R): W -> V; triangles are all triples of recorded edges passing the
-    triangle equations.  The first equation forces R3 = R1·R2, so for each
-    chained pair e1: A -> B, e2: B -> C the candidates e3 are looked up
-    among the recorded edges A -> C with that R, in recording order, and
-    each candidate is then checked against all three equations of
-    check_triangle.  The products are read from a table local to the call,
-    so each distinct product is computed once.  Every distinct matrix of
-    the call gets a serial when it is found, the tables are keyed by
-    serials, and the scan compares serials.  The edges out of a
+    triangle equations, listed in lexicographic order of their positions.
+    The edges are indexed by (source, target), so the e2 of an e1: A -> B
+    are the edges B -> C for the C that A and B both have edges to.  The
+    first equation forces R3 = R1·R2, so the candidates e3 are looked up
+    among the recorded edges A -> C with that R, and each candidate is
+    then checked against the other two equations of check_triangle.
+    (e1, e2, e3) is a triangle exactly when (e2, ē3, ē1) is, for ē the
+    reverse of e, as the three equations of the one are those of the
+    other; so only triples least in their orbit under that rotation are
+    scanned, and each is emitted with its orbit of 1 or 3 triangles.
+    An edge's reverse is recorded right after it, or it is its own
+    reverse when R = S.  The products are read from a table local to the
+    call, so each distinct product is computed once.  Every distinct
+    matrix of the call gets a serial when it is found, the tables are
+    keyed by serials, and the scan compares serials.  The edges out of a
     nondegenerate vertex are built without their checks, which the exact
-    covers already guarantee; a degenerate base gets checked edges.  Caps raise
-    ResourceBoundError, they never silently truncate.
+    covers already guarantee; a degenerate base gets checked edges.  Caps
+    raise ResourceBoundError, they never silently truncate.
 
     experimental_counts switches to the much slower search over all
     nonnegative integer entries (matrices over Z>=0 instead of {0,1});
@@ -193,8 +204,9 @@ def explore(
     seen = {0}  # their serials
     recorded: set[tuple[int, int]] = set()  # the (R, S) of every edge
     edge_list: list[DegSSEEdge] = []
-    # (position, A, B, R, S) of each edge, in edge_list order
-    rows: list[tuple[int, int, int, int, int]] = []
+    # (position, A, B, R, S, position of the reverse) of each edge, in
+    # edge_list order
+    rows: list[tuple[int, int, int, int, int, int]] = []
     frontier = [0]
     for _ in range(depth):
         if not frontier:
@@ -218,12 +230,16 @@ def explore(
                         r, s, b = mats[rk], mats[sk], mats[bk]
                         recorded.add((rk, sk))
                         edge_list.append(make_edge(v, b, r, s))
-                        rows.append((len(rows), vk, bk, rk, sk))
-                        # with R = S the edge is its own reverse
-                        if rk != sk:
+                        pos = len(rows)
+                        # with R = S the edge is its own reverse, else
+                        # its reverse is recorded right after it
+                        if rk == sk:
+                            rows.append((pos, vk, bk, rk, sk, pos))
+                        else:
+                            rows.append((pos, vk, bk, rk, sk, pos + 1))
                             recorded.add((sk, rk))
                             edge_list.append(make_edge(b, v, s, r))
-                            rows.append((len(rows), bk, vk, sk, rk))
+                            rows.append((pos + 1, bk, vk, sk, rk, pos))
                         if len(edge_list) > max_edges:
                             raise ResourceBoundError(
                                 f"more than {max_edges} edges; tighten the bounds"
@@ -233,15 +249,18 @@ def explore(
                         vertices.append(mats[bk])
                         next_frontier.append(bk)
         frontier = next_frontier
-    # the rows by source and by (source, target, R), each list in
-    # edge_list order
-    out_of: dict[int, list] = {}
-    e3_at: dict[tuple[int, int, int], list] = {}
-    for row in rows:
-        _, ak, bk, rk, _ = row
-        out_of.setdefault(ak, []).append(row)
-        e3_at.setdefault((ak, bk, rk), []).append(row)
-    targets = {ak: {row[2] for row in out} for ak, out in out_of.items()}
+    # the rows by (source, target), and those again by R, each list in
+    # edge_list order; the targets of each source.  at[pos] collects the
+    # triangles whose first edge is at pos; a row carries the list of its
+    # own position, or for an e3 the list of its reverse's.
+    between: dict[tuple[int, int], list] = {}
+    by_r: dict[tuple[int, int], dict[int, list]] = {}
+    targets: dict[int, set[int]] = {}
+    at: list[list] = [[] for _ in rows]
+    for pos, ak, bk, rk, sk, rev in rows:
+        between.setdefault((ak, bk), []).append((pos, rk, sk, rev, at[pos]))
+        by_r.setdefault((ak, bk), {}).setdefault(rk, []).append((pos, sk, rev, at[rev]))
+        targets.setdefault(ak, set()).add(bk)
     # x·n + y -> the serial of X·Y, or -1 when X·Y is no matrix of the
     # call (then it equals no R or S); few distinct R and S occur, so
     # most products repeat
@@ -265,37 +284,54 @@ def explore(
             return p
 
     # the three triangle equations of check_triangle; the first,
-    # R1·R2 = R3, is the lookup of e3 by its R
+    # R1·R2 = R3, is the lookup of e3 by its R.  A triple t = (e1, e2, e3)
+    # is scanned only when pos2 >= pos1 and rev3 >= pos1, so that no
+    # member of its orbit t, u, w starts lower; it is emitted with its
+    # orbit when it is also the least by tuple order (t == u == w, or all
+    # three differ).
+    for (ak, bk), e1s in between.items():
+        # e1: A -> B, e2: B -> C and e3: A -> C
+        for ck in targets[ak] & targets[bk]:
+            e3_by_r = by_r[ak, ck]
+            for pos2, r2, s2, rev2, at2 in between[bk, ck]:
+                r2n = r2 * n
+                for pos1, r1, s1, rev1, at1 in e1s:
+                    if pos1 > pos2:
+                        break
+                    key = r1 * n + r2
+                    r3 = products.get(key)
+                    if r3 is None:
+                        r3 = product(key)
+                    e3s = e3_by_r.get(r3)
+                    if e3s is None:
+                        continue
+                    for pos3, s3, rev3, at3 in e3s:
+                        if rev3 < pos1:
+                            continue
+                        key = r2n + s3
+                        p = products.get(key)
+                        if p is None:
+                            p = product(key)
+                        if p != s1:
+                            continue
+                        key = s3 * n + r1
+                        p = products.get(key)
+                        if p is None:
+                            p = product(key)
+                        if p != s2:
+                            continue
+                        t, u, w = (pos1, pos2, pos3), (pos2, rev3, rev1), (rev3, pos1, rev2)
+                        if t == u:
+                            at1.append(t)
+                        elif t < u and t < w:
+                            at1.append(t)
+                            at2.append(u)
+                            at3.append(w)
     triangles = []
-    follow: dict[tuple[int, int], list] = {}  # (A, B) -> the e2 of an e1: A -> B
-    for pos1, a1, b1, r1, s1 in rows:
-        # the e2 out of B into the targets A has edges to, in edge_list order
-        e2s = follow.get((a1, b1))
-        if e2s is None:
-            reach = targets[a1]
-            e2s = follow[a1, b1] = [row for row in out_of[b1] if row[2] in reach]
-        r1n = r1 * n
-        for pos2, _, c, r2, s2 in e2s:
-            key = r1n + r2
-            r3 = products.get(key)
-            if r3 is None:
-                r3 = product(key)
-            if r3 < 0:
-                continue
-            r2n = r2 * n
-            for pos3, _, _, _, s3 in e3_at.get((a1, c, r3), ()):
-                key = r2n + s3
-                p = products.get(key)
-                if p is None:
-                    p = product(key)
-                if p != s1:
-                    continue
-                key = s3 * n + r1
-                p = products.get(key)
-                if p is None:
-                    p = product(key)
-                if p == s2:
-                    triangles.append((pos1, pos2, pos3))
+    for ts in at:
+        ts.sort()
+        triangles += ts
+        ts.clear()
     return ComplexFragment(vertices, edge_list, triangles, depth, max_inner)
 
 

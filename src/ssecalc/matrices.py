@@ -11,7 +11,8 @@ multiply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -241,10 +242,21 @@ _SET_BITS = tuple(tuple(j for j in range(8) if v >> j & 1) for v in range(256))
 
 def _boolean_rows(arows: Sequence[int], brows: Sequence[int]) -> Optional[tuple[int, ...]]:
     """The row masks of the product of the {0,1} matrices with row masks
-    arows and brows, or None when some entry is >= 2.  Each mask of arows
-    is read a byte at a time, so any width takes one table lookup per
-    byte."""
+    arows and brows, or None when some entry is >= 2.  When brows has at
+    most 8 rows, each mask of arows is one byte and takes one table
+    lookup; a wider one is read a byte at a time, one lookup per byte."""
     out = []
+    if len(brows) <= 8:
+        for sel in arows:
+            acc = dup = 0
+            for k in _SET_BITS[sel]:
+                brow = brows[k]
+                dup |= acc & brow
+                acc |= brow
+            if dup:
+                return None
+            out.append(acc)
+        return tuple(out)
     for sel in arows:
         acc = dup = 0
         base = 0
@@ -281,13 +293,11 @@ def _product_is(a: NonnegMatrix, b: NonnegMatrix, c: NonnegMatrix) -> bool:
 
 
 def is_nondegenerate(a: NonnegMatrix) -> bool:
-    """True iff every row and every column has a positive entry."""
-    colacc = 0
-    for m in a.support_rows():
-        if m == 0:
-            return False
-        colacc |= m
-    return colacc == (1 << a.cols) - 1
+    """True iff every row and every column has a positive entry: no row
+    mask is 0 and their union is every column.  A {0,1} matrix's packed
+    rows are its row masks and are read as they are."""
+    rows = a._rows if a._width == 1 else a.support_rows()
+    return 0 not in rows and reduce(or_, rows) == (1 << a.cols) - 1
 
 
 @dataclass(frozen=True)

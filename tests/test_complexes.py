@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -322,6 +324,41 @@ def test_explore_experimental_counts_triangles_match_reference_scan(a, max_inner
     assert frag.triangles == want
 
 
+@pytest.mark.parametrize(
+    "a, max_inner, depth, counts",
+    [(GM, 3, 1, False), (GM, 3, 2, False), (FULL2, 4, 1, False), (FULL2, 3, 2, False)]
+    + [(_random_base(random.Random(seed), 3), 4, 1, False) for seed in range(4)]
+    + [(I2, 2, 1, False), (NonnegMatrix.identity(3), 3, 1, False)]
+    + [(NonnegMatrix([[2]]), 1, 1, True), (NonnegMatrix([[2]]), 2, 1, True), (FULL2, 2, 1, True)],
+    ids=["gm-d1", "gm-d2", "full2-d1", "full2-d2", "rand0", "rand1", "rand2", "rand3",
+         "identity2", "identity3", "counts-two", "counts-two-inner2", "counts-full2"],
+)
+def test_explore_triangles_are_closed_under_rotation(a, max_inner, depth, counts):
+    """(x, y, z) is a triangle exactly when (y, r(z), r(x)) is, where r(e)
+    is the edge (e.s, e.r), so every orbit of that rotation has 1 or 3
+    members.  r is looked up by (S, R) here, and explore's positional rule
+    (an edge's reverse is recorded right after it, or the edge is its own
+    reverse) is checked against the lookup."""
+    frag = explore(a, max_inner, depth=depth, experimental_counts=counts)
+    position = {(e.r, e.s): pos for pos, e in enumerate(frag.edges)}
+    r = [position[e.s, e.r] for e in frag.edges]
+    positional = []
+    while len(positional) < len(frag.edges):
+        pos = len(positional)
+        e = frag.edges[pos]
+        positional += [pos] if e.r == e.s else [pos + 1, pos]
+    assert positional == r
+    triangles = set(frag.triangles)
+    assert triangles and len(triangles) == len(frag.triangles)
+    orbits = set()
+    for x, y, z in frag.triangles:
+        assert (y, r[z], r[x]) in triangles
+        orbit = frozenset({(x, y, z), (y, r[z], r[x]), (r[z], x, r[y])})
+        assert len(orbit) in (1, 3)
+        orbits.add(orbit)
+    assert sum(map(len, orbits)) == len(triangles)
+
+
 # (base, max_inner, depth, experimental_counts) of the encoded fragments
 _FRAGMENTS = {
     "gm-d1": (GM, 3, 1, False),
@@ -443,3 +480,20 @@ def test_deep_explore_counts(a, max_inner, depth, counts):
     frag = explore(a, max_inner, depth=depth)
     assert (len(frag.vertices), len(frag.edges), len(frag.triangles)) == counts
     _assert_report_matches_oracle(a, frag)
+
+
+def test_golden_mean_at_depth_three_is_pinned():
+    """The golden mean at depth 3 and max-inner 4: its counts, the sha256
+    of its triangle list, and a bound on the memory the call allocates:
+    the 76.2 MB tracemalloc peak of the scan before the edge index, plus
+    5%.  The scan with the edge index peaks at 73.0 MB (CPython 3.11)."""
+    tracemalloc.start()
+    try:
+        frag = explore(GM, 4, depth=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(frag.vertices), len(frag.edges), len(frag.triangles)) == (104, 10472, 591936)
+    digest = hashlib.sha256(repr(frag.triangles).encode()).hexdigest()
+    assert digest == "8788771adb8c95f8f88d576a17308a89dd41fa7e2677aba834a3649c0bc43045"
+    assert peak < 80_000_000

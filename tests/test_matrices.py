@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssecalc.errors import DimensionMismatchError, InvalidIndexSetError, InvalidMatrixError
@@ -124,6 +124,34 @@ def test_boolean_mul_reads_every_byte_of_a_wide_row():
     assert _boolean_mul(a, NonnegMatrix([[1]] * 20)) is None
 
 
+@pytest.mark.parametrize("k", [8, 9], ids=["8-rows", "9-rows"])
+def test_boolean_mul_at_the_one_byte_boundary(k):
+    """A b of 8 rows is read one byte per row of a, a b of 9 rows byte by
+    byte; the selectors read row 7, the last bit of the first byte, and
+    row k - 1."""
+    ident = NonnegMatrix.identity(k)
+    ones = NonnegMatrix([[1, 1, 1]] * k)  # any two rows selected give a 2
+    cycle = NonnegMatrix.from_bool_rows(3, [1 << (j % 3) for j in range(k)])
+    selectors = NonnegMatrix(
+        [
+            [int(j == 7) for j in range(k)],
+            [int(j == k - 1) for j in range(k)],
+            [int(j in (0, 7)) for j in range(k)],
+            [int(j in (7, k - 1)) for j in range(k)],
+            [1] * k,
+        ]
+    )
+    rng = random.Random(k)
+    pairs = [(selectors, b) for b in (ident, ones, cycle)]
+    pairs += [(rand_bool(rng, 3, k), rand_bool(rng, k, 4)) for _ in range(40)]
+    products = [naive_mul(a, b) for a, b in pairs]
+    assert any(p.is_boolean for p in products)
+    assert any(not p.is_boolean for p in products)
+    for (a, b), want in zip(pairs, products):
+        got = _boolean_mul(a, b)
+        assert got == (want if want.is_boolean else None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(bool_pair(), st.data())
 def test_product_is_agrees_with_mul(pair, data):
@@ -156,6 +184,40 @@ def test_product_is_refuses_a_shape_mismatch_as_mul_does():
     two = NonnegMatrix([[2, 0]])
     with pytest.raises(DimensionMismatchError):
         _product_is(two, b, NonnegMatrix([[1]]))
+
+
+def _nondegenerate_by_loop(a):
+    """The row-by-row loop is_nondegenerate replaced, kept as the oracle."""
+    colacc = 0
+    for m in a.support_rows():
+        if m == 0:
+            return False
+        colacc |= m
+    return colacc == (1 << a.cols) - 1
+
+
+@st.composite
+def small_matrix(draw):
+    """One column or more, and {0,1} entries or entries to 3, whose packed
+    rows are wider than one bit per column."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    top = draw(st.sampled_from([1, 3]))
+    row = st.lists(st.integers(0, top), min_size=cols, max_size=cols)
+    return NonnegMatrix(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrix())
+@example(NonnegMatrix([[0]]))
+@example(NonnegMatrix([[1, 0, 1], [1, 0, 1]]))  # a zero column
+@example(NonnegMatrix([[2, 0, 1], [1, 0, 3]]))
+@example(NonnegMatrix([[1, 1, 1]]))
+@example(NonnegMatrix([[1, 0, 1]]))
+@example(NonnegMatrix([[1], [1], [1]]))
+@example(NonnegMatrix([[1], [0], [1]]))
+@example(NonnegMatrix([[2], [5]]))
+def test_is_nondegenerate_matches_the_row_loop(a):
+    assert is_nondegenerate(a) is _nondegenerate_by_loop(a)
 
 
 def test_is_nondegenerate():

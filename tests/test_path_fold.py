@@ -159,7 +159,7 @@ def test_homotopic_composes_once_per_step(monkeypatch):
     for p, q in pairs + _loop_pairs(24, 5):
         calls.clear()
         homotopic(p, q)
-        assert len(calls) == len(p.steps) + len(q.steps)
+        assert len(calls) == max(0, len(p.steps) - 1) + max(0, len(q.steps) - 1)
 
 
 # -- reports pinned byte for byte ---------------------------------------
