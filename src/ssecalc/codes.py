@@ -274,22 +274,24 @@ def _images(f: BlockCode, width: int) -> tuple[tuple[int, ...], list[int]]:
 
     Built level by level: the image of a word one symbol longer is its
     prefix's image, shifted by one codomain symbol, OR'd with f's value on
-    the word's last f.width symbols."""
+    the word's last f.width symbols.  Only those last symbols (the tails)
+    are stepped through the levels, in word order; the words themselves
+    are asked of the shift once, for the final length, so a long width
+    leaves no intermediate length in the shift's word cache."""
     x, tab, length = f.domain, f._table, f.width
-    words = x.packed_words(length)
-    images = list(map(tab.__getitem__, words))
-    if width > 1:
-        b, by, succ = x.symbol_bits, f.codomain.symbol_bits, x.succ
-        last, window = (1 << b) - 1, (1 << b * length) - 1
-        for _ in range(width - 1):
-            images = [
-                i << by | tab[(w << b | a) & window]
-                for w, i in zip(words, images)
-                for a in succ[w & last]
-            ]
-            length += 1
-            words = x.packed_words(length)
-    return words, images
+    tails = x.packed_words(length)
+    images = list(map(tab.__getitem__, tails))
+    b, by, succ = x.symbol_bits, f.codomain.symbol_bits, x.succ
+    last, window = (1 << b) - 1, (1 << b * length) - 1
+    for level in range(width - 1, 0, -1):
+        images = [
+            i << by | tab[(s << b | a) & window]
+            for s, i in zip(tails, images)
+            for a in succ[s & last]
+        ]
+        if level > 1:
+            tails = [(s << b | a) & window for s in tails for a in succ[s & last]]
+    return x.packed_words(length + width - 1), images
 
 
 def _compose_data(g: BlockCode, f: BlockCode) -> tuple[int, int, dict]:

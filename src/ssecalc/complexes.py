@@ -27,6 +27,7 @@ from .matrices import (
     is_nondegenerate,
     matrix_from_json,
     matrix_to_json,
+    matrix_value,
     mul,
 )
 from .shifts import VertexShift
@@ -158,11 +159,13 @@ def explore(
     An edge's reverse is recorded right after it, or it is its own
     reverse when R = S.  The products are read from a table local to the
     call, so each distinct product is computed once.  Every distinct
-    matrix of the call gets a serial when it is found, the tables are
-    keyed by serials, and the scan compares serials.  The edges out of a
-    nondegenerate vertex are built without their checks, which the exact
-    covers already guarantee; a degenerate base gets checked edges.  Caps
-    raise ResourceBoundError, they never silently truncate.
+    matrix of the call gets a serial when it is found, looked up by its
+    matrix_value, and the fragment holds the first object of each; the
+    tables are keyed by serials, and the scan compares serials.  The
+    edges out of a nondegenerate vertex are built without their checks,
+    which the exact covers already guarantee; a degenerate base gets
+    checked edges.  Caps raise ResourceBoundError, they never silently
+    truncate.
 
     experimental_counts switches to the much slower search over all
     nonnegative integer entries (matrices over Z>=0 instead of {0,1});
@@ -190,12 +193,13 @@ def explore(
             )
         find, checked_edge = factorizations, SSEEdge
     # every distinct matrix of the call gets a serial, its position in
-    # mats, when it is found; every table below is keyed by serials
+    # mats, when it is found; serial is keyed by matrix_value, which
+    # hashes in C, and every table below is keyed by serials
     mats: list[NonnegMatrix] = [a]
-    serial: dict[NonnegMatrix, int] = {a: 0}
+    serial: dict[tuple, int] = {matrix_value(a): 0}
 
     def number(m: NonnegMatrix) -> int:
-        k = serial.setdefault(m, len(mats))
+        k = serial.setdefault(matrix_value(m), len(mats))
         if k == len(mats):
             mats.append(m)
         return k
@@ -269,18 +273,19 @@ def explore(
     if experimental_counts:
         def product(key: int) -> int:
             x, y = divmod(key, n)
-            products[key] = p = serial.get(mul(mats[x], mats[y]), -1)
+            products[key] = p = serial.get(matrix_value(mul(mats[x], mats[y])), -1)
             return p
     else:
-        # every matrix of the call is {0,1}, so its column count and row
-        # masks name it; a product with an entry >= 2 equals none of them
-        masks = [tuple(m.support_rows()) for m in mats]
-        by_masks = {(m.cols, mk): k for k, (m, mk) in enumerate(zip(mats, masks))}
+        # every matrix of the call is {0,1}, so its value is its column
+        # count, width 1 and row masks; a product with an entry >= 2
+        # equals none of them
+        masks = [m._rows for m in mats]
+        cols = [m.cols for m in mats]
 
         def product(key: int) -> int:
             x, y = divmod(key, n)
             pm = _boolean_rows(masks[x], masks[y])
-            products[key] = p = -1 if pm is None else by_masks.get((mats[y].cols, pm), -1)
+            products[key] = p = -1 if pm is None else serial.get((cols[y], 1, pm), -1)
             return p
 
     # the three triangle equations of check_triangle; the first,

@@ -17,11 +17,14 @@ both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .codes import BlockCode, _fits, _packed_at, normalize, verify_inverse
 from .errors import InvalidEdgeError, NotElementaryError, VerificationError, json_fields
 from .matrices import (
     NonnegMatrix,
+    _boolean_rows,
     _product_is,
     is_nondegenerate,
     matrix_from_json,
@@ -88,25 +91,27 @@ class SSEEdge(DegSSEEdge):
     with A and B nondegenerate: a nonzero row i of A = RS needs a nonzero
     row i of R and a nonzero column j of A a nonzero column j of S, and
     B = SR gives the rows of S and the columns of R alike.  So a valid edge
-    passes one conjunction of the remaining checks; only an edge that fails
-    it runs every check in order, for the message of the first that fails.
+    passes one conjunction of the remaining checks, read off the packed
+    fields with no property call: the four widths are 1, the shapes fit,
+    A's and B's row masks hold no 0 and their unions are every column,
+    and the row masks of R·S and S·R are A's and B's.  Only an edge that
+    fails it runs every check in order, for the message of the first that
+    fails.
     """
 
     def __post_init__(self):
         a, b, r, s = self.a, self.b, self.r, self.s
+        na, nb = a.rows, b.rows
         if (
-            a.is_boolean
-            and b.is_boolean
-            and r.is_boolean
-            and s.is_boolean
-            and a.is_square
-            and b.is_square
-            and r.rows == a.rows == s.cols
-            and r.cols == b.rows == s.rows
-            and is_nondegenerate(a)
-            and is_nondegenerate(b)
-            and _product_is(r, s, a)
-            and _product_is(s, r, b)
+            a._width == b._width == r._width == s._width == 1
+            and na == a.cols == r.rows == s.cols
+            and nb == b.cols == r.cols == s.rows
+            and 0 not in a._rows
+            and 0 not in b._rows
+            and reduce(or_, a._rows) == (1 << na) - 1
+            and reduce(or_, b._rows) == (1 << nb) - 1
+            and _boolean_rows(r._rows, s._rows) == a._rows
+            and _boolean_rows(s._rows, r._rows) == b._rows
         ):
             return
         for name, m in (("A", a), ("B", b), ("R", r), ("S", s)):

@@ -10,7 +10,10 @@ once; orderings of the rectangle list are emitted as separate (R, S)
 pairs since they are distinct edges of the complex.
 
 Three things keep the work per cover small.  The last two rectangles
-are closed directly.  The first of them, (rho, gamma), holds the first
+are closed directly, and only when the uncovered rows take at most
+three distinct nonzero values: two rectangles with column sets gamma1
+and gamma2 cover a row exactly when it is gamma1, gamma2 or
+gamma1 | gamma2.  The first of them, (rho, gamma), holds the first
 uncovered entry; the rows gamma does not fit must share one value.  If
 gamma leaves part of its row uncovered, rho is every row gamma fits; if
 gamma is the whole row, rho is that set or the rows equal to gamma,
@@ -27,17 +30,21 @@ with max_results stops at max_results // inner! covers, since every
 cover has inner! orderings, with the message "more than max_results
 ordered factorizations".
 
-The triples are built once per cover: the row masks of R, S and B are
-read off the rectangles, and each ordering π is a relabeling of them (S's
-rows permuted by π, R's columns and B's rows and columns relabeled).  A
-call builds each π's relabeling once and shares it among its covers: a
-table over all 2^m masks, each bit doubling it, when those entries cost
-no more than the covers' lookups, and otherwise a dict filled on lookup,
-so a large m with few covers never pays m!·2^m.
+The triples are built once per cover: the row masks of R and S are
+read off the rectangles, B's are the product S·R, and each ordering π
+is a relabeling of them (S's and B's rows gathered in the order π, R's
+and B's columns relabeled).  A call builds each π's gather (an
+itemgetter) and relabeling once and shares them among its covers, so
+an ordering costs one gather of S, one of B and a relabeling mapped
+over R and B.  The relabeling is a table over all 2^m masks, each bit
+doubling it, when those entries cost no more than the covers' lookups,
+and otherwise a dict filled on lookup, so a large m with few covers
+never pays m!·2^m.
 EdgeSpace keeps only the covers and decodes the SSEEdge at an index on
 access, for callers that draw a few edges out of many.
-Inner dimension 0 has no factorization.  max_results is None or an int
->= 0; anything else is a ValueError, not a bound.
+Inner dimension 0 has no factorization.  An inner dimension or an
+EdgeSpace max_inner is an int >= 0 and max_results None or an int >= 0;
+anything else is a ValueError, not a bound.
 """
 
 from __future__ import annotations
@@ -45,12 +52,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import permutations, product
 from math import factorial
-from operator import index
+from operator import index, itemgetter
 from typing import Iterator, Optional
 
 from .elementary import SSEEdge
 from .errors import ResourceBoundError
-from .matrices import NonnegMatrix, is_nondegenerate, mul
+from .matrices import NonnegMatrix, _boolean_rows, is_nondegenerate, mul
 
 _from_packed = NonnegMatrix._from_packed
 
@@ -66,9 +73,9 @@ def _subsets_containing(mask: int, forced: int) -> Iterator[int]:
         sub = (sub - 1) & rest
 
 
-def _check_inner(inner) -> None:
+def _check_inner(inner, name: str = "inner dimension") -> None:
     if type(inner) is not int or inner < 0:
-        raise ValueError(f"inner dimension must be an int >= 0, not {inner!r}")
+        raise ValueError(f"{name} must be an int >= 0, not {inner!r}")
 
 
 def _check_cap(max_results) -> None:
@@ -191,6 +198,11 @@ def _covers(
     # if none is, rho may be any candidate set.  Each choice is closed in
     # one pass, in the order of _subsets_containing(rho_cand, 1 << i).
     def close_two(rows: list[int], i: int, row: int, row_pairs: int, col_pairs: int):
+        # the two rectangles cover a nonzero row only when it is gamma,
+        # last or gamma | last, so more than three values have no cover
+        values = set(rows)
+        if len(values) - (0 in values) > 3:
+            return
         for gamma in _subsets_containing(row, row & -row):
             gamma_pairs = pairs[gamma]
             if gamma_pairs & row_pairs:
@@ -362,10 +374,10 @@ def _relabeling(perm: tuple[int, ...], lookups: int):
     return table
 
 
-def _cover_masks(cover: list[tuple[int, int]], n: int) -> tuple[list[int], list[int], list[int]]:
+def _cover_masks(cover: list[tuple[int, int]], n: int) -> tuple[list[int], list[int], tuple[int, ...]]:
     """The row masks of R, S and B of a cover, rectangles in cover order:
     bit t of row k of R says k is in row set t, row t of S is column set
-    t, and bit u of row t of B says column set t meets row set u."""
+    t, and B is S·R.  The rectangles are compatible, so B is {0,1}."""
     r_masks = [0] * n
     for t, (rho, _gamma) in enumerate(cover):
         while rho:
@@ -373,25 +385,37 @@ def _cover_masks(cover: list[tuple[int, int]], n: int) -> tuple[list[int], list[
             rho &= rho - 1
             r_masks[k] |= 1 << t
     s_masks = [gamma for _rho, gamma in cover]
-    b_masks = [
-        sum(1 << u for u, (rho, _g) in enumerate(cover) if gamma & rho) for gamma in s_masks
+    return r_masks, s_masks, _boolean_rows(s_masks, r_masks)
+
+
+def _orderings(perms, lookups: int) -> list[tuple]:
+    """The gather and the relabeling of each permutation perm of
+    range(m): itemgetter(*perm) takes rows in the order perm (tuple, for
+    m = 1, where itemgetter of one index would return a bare item), and
+    the relabeling's __getitem__ maps a mask to perm's relabeling of it
+    (_relabeling, sized for lookups)."""
+    return [
+        (itemgetter(*perm) if len(perm) > 1 else tuple, _relabeling(perm, lookups).__getitem__)
+        for perm in perms
     ]
-    return r_masks, s_masks, b_masks
 
 
-def _ordering(
-    masks: tuple[list[int], list[int], list[int]], perm: tuple[int, ...], relabel
-) -> tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]:
-    """(R, S, B) of a cover with its rectangles taken in the order perm:
-    S's rows are permuted, R's columns and B's rows and columns relabeled
-    by relabel, perm's _relabeling, which may be shared by many covers."""
+def _ordered(
+    masks: tuple[list[int], list[int], tuple[int, ...]], orderings: list[tuple]
+) -> list[tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]]:
+    """(R, S, B) of a cover for each of the orderings: S's and B's rows
+    gathered, R's columns and B's columns relabeled.  The orderings may
+    be shared by many covers."""
     r_masks, s_masks, b_masks = masks
-    n, m = len(r_masks), len(perm)
-    return (
-        _from_packed(n, m, 1, tuple(map(relabel.__getitem__, r_masks))),
-        _from_packed(m, n, 1, tuple([s_masks[p] for p in perm])),
-        _from_packed(m, m, 1, tuple([relabel[b_masks[p]] for p in perm])),
-    )
+    n, m = len(r_masks), len(s_masks)
+    return [
+        (
+            _from_packed(n, m, 1, tuple(map(relabel, r_masks))),
+            _from_packed(m, n, 1, gather(s_masks)),
+            _from_packed(m, m, 1, tuple(map(relabel, gather(b_masks)))),
+        )
+        for gather, relabel in orderings
+    ]
 
 
 def _unrank(rank: int, m: int) -> tuple[int, ...]:
@@ -407,22 +431,19 @@ def _unrank(rank: int, m: int) -> tuple[int, ...]:
 
 def _triples(
     covers: list[list[tuple[int, int]]], n: int, m: int, ordered: bool
-) -> Iterator[tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]]:
+) -> list[tuple[NonnegMatrix, NonnegMatrix, NonnegMatrix]]:
     """(R, S, B) of every cover, one per ordering of its rectangles in
     itertools.permutations order, or in cover order only when unordered."""
     if not covers:
-        return
-    def orderings():
-        return permutations(range(m)) if ordered else [tuple(range(m))]
-
+        return []
     # each relabeling is looked up for the n rows of R and m rows of B of
     # every cover
-    lookups = len(covers) * (n + m)
-    relabels = [_relabeling(perm, lookups) for perm in orderings()]
+    perms = permutations(range(m)) if ordered else [tuple(range(m))]
+    orderings = _orderings(perms, len(covers) * (n + m))
+    out = []
     for cover in covers:
-        masks = _cover_masks(cover, n)
-        for perm, relabel in zip(orderings(), relabels):
-            yield _ordering(masks, perm, relabel)
+        out += _ordered(_cover_masks(cover, n), orderings)
+    return out
 
 
 class EdgeSpace:
@@ -445,6 +466,7 @@ class EdgeSpace:
     __slots__ = ("a", "_edge", "_starts", "_blocks", "_len")
 
     def __init__(self, a: NonnegMatrix, max_inner: int, max_results: Optional[int]):
+        _check_inner(max_inner, "max_inner")
         _check_cap(max_results)
         self.a = a
         self._edge = SSEEdge._trusted if is_nondegenerate(a) else SSEEdge
@@ -473,8 +495,8 @@ class EdgeSpace:
         m, covers, ordered = self._blocks[block]
         c, rank = divmod(i - self._starts[block], factorial(m) if ordered else 1)
         a = self.a
-        perm = _unrank(rank, m)
-        r, s, b = _ordering(_cover_masks(covers[c], a.rows), perm, _relabeling(perm, a.rows + m))
+        orderings = _orderings([_unrank(rank, m)], a.rows + m)
+        (r, s, b), = _ordered(_cover_masks(covers[c], a.rows), orderings)
         return self._edge(a, b, r, s)
 
 
@@ -491,4 +513,4 @@ def factorizations(
     silent truncation).  Inner dimension 0 has no factorization.
     """
     covers = _search(a, inner, ordered, max_results)
-    return list(_triples(covers, a.rows, inner, ordered))
+    return _triples(covers, a.rows, inner, ordered)

@@ -1,9 +1,11 @@
 import copy
 import functools
+import hashlib
 import io
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1294,3 +1296,57 @@ def test_report_builders_give_plain_json_by_default():
         assert obj == json.loads(json.dumps(obj))
     assert built[1]["A"] == {"rows": 2, "cols": 2, "entries": [[1, 1], [1, 0]]}
     assert built[5]["steps"][0]["edge"]["B"]["entries"][2] == [0, 0, 0]  # a zero row
+
+
+# the child that runs one command in-process and prints its own peak RSS
+# in KiB on stderr: VmHWM, which starts afresh at exec (ru_maxrss keeps
+# the forking process's peak across exec)
+_PEAK_CHILD = """
+import sys
+from ssecalc.cli import main
+status = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def _long_window_code() -> dict:
+    """A 3-cycle code on the window [0, 19999] that reads its first
+    symbol, with its identity inverse on [0, 0]: about 180 KB of JSON."""
+    cycle = matrix_to_json(NonnegMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    length = 20000
+    table = [[[(s + k) % 3 + 1 for k in range(length)], s + 1] for s in range(3)]
+    inverse = {"domain": cycle, "codomain": cycle, "window": [0, 0],
+               "table": [[[s + 1], s + 1] for s in range(3)]}
+    return {"domain": cycle, "codomain": cycle, "window": [0, length - 1], "table": table,
+            "inverse": inverse}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("extract", "782037cf64b23f4edaebdebf44dde5795be49a756655bc83a4df08de8faa2a66"),
+        ("decompose", "875e55d76c853a219761526b619186c82de9f0eeaf9070b1bc9930e8b2312a69"),
+    ],
+    ids=["extract", "decompose"],
+)
+def test_a_long_window_runs_in_bounded_memory(tmp_path, command, digest):
+    """Checking the stored inverse steps the code's words through all
+    20,000 lengths; only the last one may stay in the shift's word cache.
+    Keeping every length peaked at about 183 MB; the child now peaks
+    near 25 MB.  The report is pinned by the sha256 of its bytes without the
+    elapsed_seconds line."""
+    path = write(tmp_path, "code.json", _long_window_code())
+    out = tmp_path / "out.json"
+    src = os.path.dirname(os.path.dirname(ssecalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, command, "--input", path, "--output", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    assert peak_mb < 60, peak_mb
+    text = re.sub(r'\n  "elapsed_seconds": [^\n]*', "", out.read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

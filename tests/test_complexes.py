@@ -26,7 +26,7 @@ from ssecalc.elementary import (
     edge_from_code,
 )
 from ssecalc.errors import InvalidEdgeError, ResourceBoundError
-from ssecalc.matrices import NonnegMatrix, is_nondegenerate, matrix_to_json
+from ssecalc.matrices import NonnegMatrix, is_nondegenerate, matrix_to_json, matrix_value
 from ssecalc.shifts import VertexShift
 
 GM = NonnegMatrix([[1, 1], [1, 0]])
@@ -357,6 +357,23 @@ def test_explore_triangles_are_closed_under_rotation(a, max_inner, depth, counts
         assert len(orbit) in (1, 3)
         orbits.add(orbit)
     assert sum(map(len, orbits)) == len(triangles)
+
+
+@pytest.mark.parametrize(
+    "a, max_inner, depth, counts",
+    [(GM, 3, 2, False), (FULL2, 3, 2, False),
+     (NonnegMatrix([[1, 1, 0], [0, 1, 1], [1, 1, 1]]), 4, 1, False),
+     (NonnegMatrix([[2]]), 2, 1, True), (GM, 2, 1, True)],
+    ids=["gm-d2", "full2-d2", "3x3-d1", "counts-two", "counts-gm"],
+)
+def test_explore_holds_one_object_per_matrix(a, max_inner, depth, counts):
+    """Equal matrices among the vertices and the edges' A, B, R and S are
+    one object, so a fragment holds each distinct matrix once."""
+    frag = explore(a, max_inner, depth=depth, experimental_counts=counts)
+    first = {}
+    for m in frag.vertices + [x for e in frag.edges for x in (e.a, e.b, e.r, e.s)]:
+        assert first.setdefault(matrix_value(m), m) is m
+    assert frag.edges and len(first) > len(frag.vertices)
 
 
 # (base, max_inner, depth, experimental_counts) of the encoded fragments

@@ -269,6 +269,22 @@ def test_bad_cap_is_an_input_error(search, cap):
     assert str(exc.value) == f"max_results must be None or an int >= 0, not {cap!r}"
 
 
+@pytest.mark.parametrize("max_inner", [-1, True, 2.0, "3"], ids=["negative", "bool", "float", "str"])
+def test_bad_max_inner_is_an_input_error(max_inner):
+    # the rule factorizations applies to inner: an int >= 0, else a
+    # ValueError, never an empty pool or a TypeError
+    with pytest.raises(ValueError) as exc:
+        EdgeSpace(GM, max_inner, None)
+    assert str(exc.value) == f"max_inner must be an int >= 0, not {max_inner!r}"
+
+
+@pytest.mark.parametrize("cap", [None, 0, 3000])
+@pytest.mark.parametrize("a", [GM, NonnegMatrix([[0, 1], [0, 1]])], ids=["gm", "degenerate"])
+def test_pool_of_max_inner_zero_is_empty(a, cap):
+    pool = EdgeSpace(a, 0, cap)
+    assert len(pool) == 0 and list(pool) == []
+
+
 def test_pool_without_cap_is_ordered():
     assert list(EdgeSpace(GM, 3, None)) == list(EdgeSpace(GM, 3, 10**6))
 
@@ -618,6 +634,24 @@ def test_strict_edge_is_checked_degenerate_edge():
         "RS != A",
         "SR != B",
     }
+
+
+@pytest.mark.parametrize(
+    "a, b, r, s, message",
+    [
+        # S has a zero row, so B = SR has one; the rest holds
+        (NonnegMatrix([[1]]), NonnegMatrix([[1, 1], [0, 0]]), NonnegMatrix([[1, 1]]),
+         NonnegMatrix([[1], [0]]), "B must be nondegenerate"),
+        # a 2x3 A or B whose last column is zero has the row masks of a
+        # square matrix that passes every other check
+        (NonnegMatrix([[1, 1, 0], [1, 0, 0]]), GM, GM, I2, "A must be nondegenerate"),
+        (GM, NonnegMatrix([[1, 1, 0], [1, 0, 0]]), GM, I2, "B must be nondegenerate"),
+    ],
+    ids=["zero-row-of-b", "wide-a", "wide-b"],
+)
+def test_edges_that_pass_all_but_one_check_are_refused(a, b, r, s, message):
+    assert _strict_reference_error(a, b, r, s) == message
+    assert _refusal(SSEEdge, a, b, r, s) == message
 
 
 def test_checked_edge_is_the_trusted_edge_on_random_pools():
