@@ -276,9 +276,11 @@ def _parts(v, pad: str, texts: _Texts, parts: list):
 
 def _encode(report: dict) -> str:
     """json.dumps(report, indent=2, sort_keys=True), written by _text:
-    json's C encoder runs only without indent, and its Python encoder is
-    several times slower.  One table of matrix texts serves the whole
-    report, so a matrix that recurs at the same indent is written once."""
+    before Python 3.13 json's C encoder runs only without indent, and its
+    Python encoder is several times slower; on 3.13 json.dumps of the
+    report's plain JSON objects, once built, is still slower.  One table
+    of matrix texts serves the whole report, so a matrix that recurs at
+    the same indent is written once."""
     return _text(report, "")
 
 

@@ -9,17 +9,25 @@ the first uncovered 1-entry, which yields every unordered cover exactly
 once; orderings of the rectangle list are emitted as separate (R, S)
 pairs since they are distinct edges of the complex.
 
-Three things keep the work per cover small.  The last two rectangles
-are closed directly, and only when the uncovered rows take at most
-three distinct nonzero values: two rectangles with column sets gamma1
-and gamma2 cover a row exactly when it is gamma1, gamma2 or
-gamma1 | gamma2.  The first of them, (rho, gamma), holds the first
-uncovered entry; the rows gamma does not fit must share one value.  If
-gamma leaves part of its row uncovered, rho is every row gamma fits; if
-gamma is the whole row, rho is that set or the rows equal to gamma,
-unless every row gamma fits equals it.  Each such rho leaves one
-rectangle, whose rows must all equal the first uncovered one, checked
-in O(n) with at most one cover.  Compatibility is checked by pair
+Four things keep the work per cover small.  A node with k >= 2
+rectangles left is cut when the uncovered rows have rank above k over
+GF(2).  Rectangles that cover those rows exactly are disjoint, so the
+uncovered part is their sum without carries, a sum of k matrices of
+rank 1 over GF(2), and its rank is at most k (the rank bound on
+rectangle partitions, Mehlhorn and Schmidt, STOC 1982).  So the cut
+drops only subtrees that hold no cover: the covers, their order and
+the cover at which a cap is exceeded stay those of the search without
+it.  The elimination stops at the (k+1)-th independent row, and runs
+only when more than k rows remain from the first uncovered one on,
+since r rows have rank at most r.  At k = 2 the rank bound leaves at
+most three distinct nonzero rows, g1, g2 and g1 ^ g2.  The last two
+rectangles are closed directly: the first of them, (rho, gamma), holds
+the first uncovered entry; the rows gamma does not fit must share one
+value.  If gamma leaves part of its row uncovered, rho is every row
+gamma fits; if gamma is the whole row, rho is that set or the rows
+equal to gamma, unless every row gamma fits equals it.  Each such rho
+leaves one rectangle, whose rows must all equal the first uncovered
+one, checked in O(n) with at most one cover.  Compatibility is checked by pair
 masks: the set of pairs {a < b} inside a row or column set is a bit mask, two sets share at most
 one index iff their pair masks are disjoint, and the search carries the
 OR of the pair masks of the row sets and of the column sets on its
@@ -71,6 +79,24 @@ def _subsets_containing(mask: int, forced: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & rest
+
+
+def _gf2_rank(masks: list[int], limit: int) -> int:
+    """The rank over GF(2) of the masks as rows, or limit + 1 when it is
+    larger: elimination pivoting on each row's highest bit, stopped at the
+    (limit + 1)-th independent row."""
+    pivots: dict[int, int] = {}  # highest bit -> the pivot row that has it
+    for x in masks:
+        while x:
+            top = x.bit_length()
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = x
+                if len(pivots) > limit:
+                    return len(pivots)
+                break
+            x ^= p
+    return len(pivots)
 
 
 def _check_inner(inner, name: str = "inner dimension") -> None:
@@ -132,7 +158,8 @@ def _covers(
     # row_pairs / col_pairs: OR of the pair masks of the row sets / column
     # sets on the stack.  A rectangle (rho, gamma) is compatible with the
     # stack iff pairs[gamma] misses row_pairs, pairs[rho] misses col_pairs
-    # and |gamma ∩ rho| <= 1.  Rows before i are covered.
+    # and |gamma ∩ rho| <= 1.  Rows before i are covered.  With k >= 2
+    # rectangles left, rows of GF(2) rank above k have no cover.
     def rec(rows: list[int], i: int, used: int, row_pairs: int, col_pairs: int):
         while i < n and not rows[i]:
             i += 1
@@ -143,6 +170,10 @@ def _covers(
         if used == m:
             return
         row = rows[i]
+        # rows i.. have rank at most n - i, so fewer rectangles than that
+        # are the only ones the rank can exceed
+        if 2 <= m - used < n - i and _gf2_rank(rows, m - used) > m - used:
+            return
         if used == m - 2:
             close_two(rows, i, row, row_pairs, col_pairs)
             return
@@ -187,6 +218,8 @@ def _covers(
 
     # The last two rectangles: (rho, gamma) through the first uncovered
     # entry, then the one rectangle (rho2, last) that must cover the rest.
+    # rec has cut rows of GF(2) rank above 2, so the nonzero rows take at
+    # most three values.
     # The nonzero rows gamma does not fit stay as they are, so they must
     # share one value, other, and last is other.  A row that fits gamma
     # but stays out of rho keeps a superset of gamma, so it must be last.
@@ -198,11 +231,6 @@ def _covers(
     # if none is, rho may be any candidate set.  Each choice is closed in
     # one pass, in the order of _subsets_containing(rho_cand, 1 << i).
     def close_two(rows: list[int], i: int, row: int, row_pairs: int, col_pairs: int):
-        # the two rectangles cover a nonzero row only when it is gamma,
-        # last or gamma | last, so more than three values have no cover
-        values = set(rows)
-        if len(values) - (0 in values) > 3:
-            return
         for gamma in _subsets_containing(row, row & -row):
             gamma_pairs = pairs[gamma]
             if gamma_pairs & row_pairs:

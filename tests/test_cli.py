@@ -1150,18 +1150,31 @@ def test_every_input_reader_refuses_a_non_object_and_a_missing_key(tmp_path, com
     assert rep["error"] == error
 
 
+_TOO_DEEP = "input nests deeper than the JSON decoder allows"
+
+
 @pytest.mark.parametrize("command", _INPUT_COMMANDS)
 @pytest.mark.parametrize(
-    "text",
-    ["[" * 5000 + "]" * 5000, '{"a": ' * 3000 + "1" + "}" * 3000],
-    ids=["5000-deep-list", "3000-deep-object"],
+    "text, error",
+    [
+        ("[" * 5000 + "]" * 5000, None),
+        ('{"a": ' * 3000 + "1" + "}" * 3000, None),
+        ("[" * 100_000 + "]" * 100_000, _TOO_DEEP),
+        ('{"a": ' * 100_000 + "1" + "}" * 100_000, _TOO_DEEP),
+    ],
+    ids=["5000-deep-list", "3000-deep-object", "100000-deep-list", "100000-deep-object"],
 )
-def test_deeply_nested_input_is_an_input_error(tmp_path, command, text):
+def test_deeply_nested_input_is_an_input_error(tmp_path, command, text, error):
+    """Deep nesting is an input error on every Python.  Whether the decoder
+    or the reader refuses it depends on the version (3.13's C decoder takes
+    5,000 levels, earlier ones raise RecursionError), but every version's
+    decoder refuses 100,000 levels with the one message for it."""
     path = tmp_path / "deep.json"
     path.write_text(text)
     code, rep = run(tmp_path, command, "--input", str(path))
     assert code == 2 and rep["kind"] == "input", rep
-    assert rep["error"] == "input nests deeper than the JSON decoder allows"
+    if error is not None:
+        assert rep["error"] == error
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
