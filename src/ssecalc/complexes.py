@@ -4,7 +4,9 @@ composition, homotopy decision, and bounded neighborhood exploration.
 Two paths with the same endpoints are homotopic exactly when their signed
 compositions agree as block codes, so homotopy is decided by composing
 and comparing normal forms.  explore materializes the depth-bounded
-2-skeleton around a matrix by exhaustive factorization search.
+2-skeleton around a matrix in two stages: _closure, the exhaustive
+factorization search that numbers the matrices and records the edges,
+and _triangles, which finds the 2-cells from the edge rows alone.
 """
 
 from __future__ import annotations
@@ -142,30 +144,16 @@ def explore(
     max_edges: int = 20000,
     experimental_counts: bool = False,
 ) -> ComplexFragment:
-    """All edges within depth rounds of factorization search from a.
+    """All edges within depth rounds of factorization search from a
+    (_closure), and the triangles among them (_triangles).
 
     Every edge (R,S): V -> W found is recorded together with its reverse
     (S,R): W -> V; triangles are all triples of recorded edges passing the
     triangle equations, listed in lexicographic order of their positions.
-    The edges are indexed by (source, target), so the e2 of an e1: A -> B
-    are the edges B -> C for the C that A and B both have edges to.  The
-    first equation forces R3 = R1·R2, so the candidates e3 are looked up
-    among the recorded edges A -> C with that R, and each candidate is
-    then checked against the other two equations of check_triangle.
-    (e1, e2, e3) is a triangle exactly when (e2, ē3, ē1) is, for ē the
-    reverse of e, as the three equations of the one are those of the
-    other; so only triples least in their orbit under that rotation are
-    scanned, and each is emitted with its orbit of 1 or 3 triangles.
-    An edge's reverse is recorded right after it, or it is its own
-    reverse when R = S.  The products are read from a table local to the
-    call, so each distinct product is computed once.  Every distinct
-    matrix of the call gets a serial when it is found, looked up by its
-    matrix_value, and the fragment holds the first object of each; the
-    tables are keyed by serials, and the scan compares serials.  The
-    edges out of a nondegenerate vertex are built without their checks,
-    which the exact covers already guarantee; a degenerate base gets
-    checked edges.  Caps raise ResourceBoundError, they never silently
-    truncate.
+    The edges of a nondegenerate {0,1} base are built without their
+    checks, which the exact covers already guarantee; a degenerate base
+    gets checked edges.  Caps raise ResourceBoundError, they never
+    silently truncate.
 
     experimental_counts switches to the much slower search over all
     nonnegative integer entries (matrices over Z>=0 instead of {0,1});
@@ -185,16 +173,27 @@ def explore(
     if a.rows > max_size:
         raise ResourceBoundError(f"matrix size {a.rows} exceeds cap {max_size}")
     if experimental_counts:
-        find, checked_edge = factorizations_general, DegSSEEdge
+        find, make_edge = factorizations_general, DegSSEEdge
+    elif not a.is_boolean:
+        raise ResourceBoundError("entries above 1 need the experimental_counts flag")
     else:
-        if not a.is_boolean:
-            raise ResourceBoundError(
-                "entries above 1 need the experimental_counts flag"
-            )
-        find, checked_edge = factorizations, SSEEdge
-    # every distinct matrix of the call gets a serial, its position in
-    # mats, when it is found; serial is keyed by matrix_value, which
-    # hashes in C, and every table below is keyed by serials
+        # an exact cover of a nondegenerate {0,1} A makes R, S and B
+        # nondegenerate {0,1} with RS = A and SR = B, so every vertex
+        # found from a is nondegenerate too, and no edge needs a check
+        find = factorizations
+        make_edge = SSEEdge._trusted if is_nondegenerate(a) else SSEEdge
+    vertices, edges, *tables = _closure(a, max_inner, depth, max_size, max_edges, find, make_edge)
+    return ComplexFragment(vertices, edges, _triangles(*tables), depth, max_inner)
+
+
+def _closure(a, max_inner, depth, max_size, max_edges, find, make_edge):
+    """The vertices and edges within depth rounds of find from a, edges
+    made by make_edge(A, B, R, S), and the tables the triangle stage reads:
+    the rows (position, A, B, R, S, position of the reverse) in edge order,
+    mats and serial.  Every distinct matrix of the call gets a serial, its
+    position in mats, when it is found, looked up by its matrix_value,
+    which hashes in C; the fragment holds the first object of each.  An
+    edge's reverse is recorded right after it, or is itself when R = S."""
     mats: list[NonnegMatrix] = [a]
     serial: dict[tuple, int] = {matrix_value(a): 0}
 
@@ -208,8 +207,6 @@ def explore(
     seen = {0}  # their serials
     recorded: set[tuple[int, int]] = set()  # the (R, S) of every edge
     edge_list: list[DegSSEEdge] = []
-    # (position, A, B, R, S, position of the reverse) of each edge, in
-    # edge_list order
     rows: list[tuple[int, int, int, int, int, int]] = []
     frontier = [0]
     for _ in range(depth):
@@ -220,13 +217,6 @@ def explore(
             v = mats[vk]
             if v.rows > max_size:
                 continue
-            # an exact cover of a nondegenerate {0,1} A makes R, S and B
-            # nondegenerate {0,1} with RS = A and SR = B, so its edges and
-            # their reverses need no check
-            if experimental_counts or not is_nondegenerate(v):
-                make_edge = checked_edge
-            else:
-                make_edge = SSEEdge._trusted
             for m in range(1, max_inner + 1):
                 for r, s, b in find(v, m, max_results=max_edges):
                     rk, sk, bk = number(r), number(s), number(b)
@@ -235,8 +225,6 @@ def explore(
                         recorded.add((rk, sk))
                         edge_list.append(make_edge(v, b, r, s))
                         pos = len(rows)
-                        # with R = S the edge is its own reverse, else
-                        # its reverse is recorded right after it
                         if rk == sk:
                             rows.append((pos, vk, bk, rk, sk, pos))
                         else:
@@ -253,8 +241,27 @@ def explore(
                         vertices.append(mats[bk])
                         next_frontier.append(bk)
         frontier = next_frontier
+    return vertices, edge_list, rows, mats, serial
+
+
+def _triangles(rows, mats, serial) -> list[tuple[int, int, int]]:
+    """The triangles among the edges of rows, in lexicographic order of
+    their positions, read off the rows and the numbering of their matrices.
+
+    The edges are indexed by (source, target), so the e2 of an e1: A -> B
+    are the edges B -> C for the C that A and B both have edges to.  The
+    first equation forces R3 = R1·R2, so the candidates e3 are looked up
+    among the recorded edges A -> C with that R, and each candidate is
+    then checked against the other two equations of check_triangle.
+    (e1, e2, e3) is a triangle exactly when (e2, ē3, ē1) is, for ē the
+    reverse of e, as the three equations of the one are those of the
+    other; so only triples least in their orbit under that rotation are
+    scanned, and each is emitted with its orbit of 1 or 3 triangles.  The
+    products are read from a table local to the call, so each distinct
+    product is computed once, by the row-mask kernel when every matrix is
+    {0,1} and by mul otherwise."""
     # the rows by (source, target), and those again by R, each list in
-    # edge_list order; the targets of each source.  at[pos] collects the
+    # edge order; the targets of each source.  at[pos] collects the
     # triangles whose first edge is at pos; a row carries the list of its
     # own position, or for an e3 the list of its reverse's.
     between: dict[tuple[int, int], list] = {}
@@ -270,15 +277,10 @@ def explore(
     # most products repeat
     n = len(mats)
     products: dict[int, int] = {}
-    if experimental_counts:
-        def product(key: int) -> int:
-            x, y = divmod(key, n)
-            products[key] = p = serial.get(matrix_value(mul(mats[x], mats[y])), -1)
-            return p
-    else:
-        # every matrix of the call is {0,1}, so its value is its column
-        # count, width 1 and row masks; a product with an entry >= 2
-        # equals none of them
+    if all(m.is_boolean for m in mats):
+        # a {0,1} matrix's value is its column count, width 1 and row
+        # masks; a product with an entry >= 2 equals none of the matrices,
+        # and any other has the same value under mul
         masks = [m._rows for m in mats]
         cols = [m.cols for m in mats]
 
@@ -286,6 +288,11 @@ def explore(
             x, y = divmod(key, n)
             pm = _boolean_rows(masks[x], masks[y])
             products[key] = p = -1 if pm is None else serial.get((cols[y], 1, pm), -1)
+            return p
+    else:
+        def product(key: int) -> int:
+            x, y = divmod(key, n)
+            products[key] = p = serial.get(matrix_value(mul(mats[x], mats[y])), -1)
             return p
 
     # the three triangle equations of check_triangle; the first,
@@ -337,7 +344,7 @@ def explore(
         ts.sort()
         triangles += ts
         ts.clear()
-    return ComplexFragment(vertices, edge_list, triangles, depth, max_inner)
+    return triangles
 
 
 # -- JSON formats ------------------------------------------------------

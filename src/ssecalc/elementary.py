@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import attrgetter, or_
 
 from .codes import BlockCode, _fits, _packed_at, normalize, verify_inverse
 from .errors import InvalidEdgeError, NotElementaryError, VerificationError, json_fields
@@ -206,29 +206,25 @@ def edge_from_code(f: BlockCode) -> SSEEdge:
     return SSEEdge(f.domain.matrix, f.codomain.matrix, _rule_matrix(fn, 0), _rule_matrix(gn, -1))
 
 
+# the triangle equations x·y = z as (name, x, y, z), read off a Triangle;
+# checks stop at the first that fails, before a later product is formed
+_TRIANGLE_EQUATIONS = (
+    ("R1R2=R3", attrgetter("e1.r"), attrgetter("e2.r"), attrgetter("e3.r")),
+    ("R2S3=S1", attrgetter("e2.r"), attrgetter("e3.s"), attrgetter("e1.s")),
+    ("S3R1=S2", attrgetter("e3.s"), attrgetter("e1.r"), attrgetter("e2.s")),
+)
+
+
 def check_triangle(t: Triangle) -> bool:
     """The three triangle equations R1R2=R3, R2S3=S1, S3R1=S2, exactly."""
-    return (
-        _product_is(t.e1.r, t.e2.r, t.e3.r)
-        and _product_is(t.e2.r, t.e3.s, t.e1.s)
-        and _product_is(t.e3.s, t.e1.r, t.e2.s)
-    )
+    return all(_product_is(x(t), y(t), z(t)) for _, x, y, z in _TRIANGLE_EQUATIONS)
 
 
 def failed_triangle_equations(t: Triangle) -> list[str]:
     """The names of the triangle equations that t fails, of "R1R2=R3",
     "R2S3=S1" and "S3R1=S2" in that order; empty exactly when
     check_triangle(t) holds."""
-    e1, e2, e3 = t.e1, t.e2, t.e3
-    return [
-        name
-        for name, x, y, z in (
-            ("R1R2=R3", e1.r, e2.r, e3.r),
-            ("R2S3=S1", e2.r, e3.s, e1.s),
-            ("S3R1=S2", e3.s, e1.r, e2.s),
-        )
-        if not _product_is(x, y, z)
-    ]
+    return [name for name, x, y, z in _TRIANGLE_EQUATIONS if not _product_is(x(t), y(t), z(t))]
 
 
 # -- JSON format ------------------------------------------------------

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .elementary import DegSSEEdge, Triangle, check_triangle
+from .elementary import _TRIANGLE_EQUATIONS, DegSSEEdge, Triangle, check_triangle
 from .errors import (
     GStarOverflowError,
     InvalidEdgeError,
@@ -260,11 +260,7 @@ def equivariant_triangle(t: Triangle) -> bool:
     The verdict is cross-checked against the triangle equations of the
     barred matrices, which must agree by multiplicativity; these are
     DegSSEEdges, since a matrix over G* may have a zero row."""
-    verdict = (
-        mul_gstar(t.e1.r, t.e2.r) == t.e3.r
-        and mul_gstar(t.e2.r, t.e3.s) == t.e1.s
-        and mul_gstar(t.e3.s, t.e1.r) == t.e2.s
-    )
+    verdict = all(mul_gstar(x(t), y(t)) == z(t) for _, x, y, z in _TRIANGLE_EQUATIONS)
     barred = Triangle(
         *(DegSSEEdge(bar(e.a), bar(e.b), bar(e.r), bar(e.s)) for e in (t.e1, t.e2, t.e3))
     )

@@ -314,8 +314,8 @@ def test_explore_records_a_self_reverse_edge_once(a, max_inner, counts):
 
 @pytest.mark.parametrize(
     "a, max_inner",
-    [(NonnegMatrix([[2]]), 1), (NonnegMatrix([[2]]), 2), (FULL2, 2)],
-    ids=["two", "two-inner2", "full2"],
+    [(NonnegMatrix([[2]]), 1), (NonnegMatrix([[2]]), 2), (FULL2, 2), (GM, 3)],
+    ids=["two", "two-inner2", "full2", "gm"],
 )
 def test_explore_experimental_counts_triangles_match_reference_scan(a, max_inner):
     frag = explore(a, max_inner, experimental_counts=True)
@@ -329,9 +329,11 @@ def test_explore_experimental_counts_triangles_match_reference_scan(a, max_inner
     [(GM, 3, 1, False), (GM, 3, 2, False), (FULL2, 4, 1, False), (FULL2, 3, 2, False)]
     + [(_random_base(random.Random(seed), 3), 4, 1, False) for seed in range(4)]
     + [(I2, 2, 1, False), (NonnegMatrix.identity(3), 3, 1, False)]
-    + [(NonnegMatrix([[2]]), 1, 1, True), (NonnegMatrix([[2]]), 2, 1, True), (FULL2, 2, 1, True)],
+    + [(NonnegMatrix([[2]]), 1, 1, True), (NonnegMatrix([[2]]), 2, 1, True), (FULL2, 2, 1, True)]
+    + [(GM, 3, 1, True)],
     ids=["gm-d1", "gm-d2", "full2-d1", "full2-d2", "rand0", "rand1", "rand2", "rand3",
-         "identity2", "identity3", "counts-two", "counts-two-inner2", "counts-full2"],
+         "identity2", "identity3", "counts-two", "counts-two-inner2", "counts-full2",
+         "counts-gm"],
 )
 def test_explore_triangles_are_closed_under_rotation(a, max_inner, depth, counts):
     """(x, y, z) is a triangle exactly when (y, r(z), r(x)) is, where r(e)

@@ -180,6 +180,15 @@ def test_equivariant_triangle_identity():
     assert equivariant_triangle(Triangle(e, e, e))
 
 
+def test_equivariant_triangle_reports_a_product_leaving_gstar():
+    # R = e + a and S = e over Z/2 give A = B = e + a, and R1·R2 = 2e + 2a
+    # leaves G*: the first equation reports it before any later product
+    ea = GroupRingMatrix(Z2, [[{0, 1}]])
+    e = GsftEdge(ea, ea, ea, GroupRingMatrix(Z2, [[{0}]]))
+    with pytest.raises(GStarOverflowError, match=r"coefficient >= 2 at cell \(1,1\)"):
+        equivariant_triangle(Triangle(e, e, e))
+
+
 def test_equivariant_triangle_matches_barred_verdict():
     e = _identity_gsft_edge(A_EXAMPLE)
     t = Triangle(e, e, e)
