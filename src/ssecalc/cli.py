@@ -419,7 +419,7 @@ def _run_gsft_hat(args) -> tuple[int, dict]:
 
 def _run_freudenthal_check(args) -> tuple[int, dict]:
     check = check_subdivision(args.dimension, args.trials, args.seed)
-    return (0 if check.ok else 1), {
+    report = {
         "command": "freudenthal-check",
         "dimension": args.dimension,
         "cells": check.cells,
@@ -430,6 +430,12 @@ def _run_freudenthal_check(args) -> tuple[int, dict]:
         "trials": args.trials,
         "seed": args.seed,
     }
+    # a witness only on the false branch, so a true report is unchanged
+    if check.chain_map_witness is not None:
+        report["chain_map_witness"] = check.chain_map_witness
+    if check.homotopy_witness is not None:
+        report["homotopy_witness"] = check.homotopy_witness
+    return (0 if check.ok else 1), report
 
 
 def _run_refine_axioms(args) -> tuple[int, dict]:

@@ -57,6 +57,25 @@ class EmptyCoreError(SseError):
     """A matrix core (indices on bi-infinite paths) is empty where one is required."""
 
 
+# -- random suites ----------------------------------------------------
+
+
+# The most trials of a random suite (freudenthal-check, refine-axioms):
+# a larger count is refused before any work, not run until it is killed.
+# A freudenthal-check trial at dimension 10 takes about 6 ms on a 2-core
+# Xeon, so the cap keeps that run to seconds.
+MAX_TRIALS = 1000
+
+
+def check_trials(trials) -> None:
+    """Refuse a trial count that is not an int >= 0 (ValueError) or that
+    exceeds MAX_TRIALS (ResourceBoundError)."""
+    if type(trials) is not int or trials < 0:
+        raise ValueError(f"trials must be an integer >= 0, not {trials!r}")
+    if trials > MAX_TRIALS:
+        raise ResourceBoundError(f"trials {trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
+
+
 # -- JSON input -------------------------------------------------------
 
 

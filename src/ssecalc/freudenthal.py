@@ -12,17 +12,27 @@ a first component.  chain_f and chain_rho take any vertices and make
 PairVertex pairs; check_subdivision numbers its vertices, so that every
 simplex it hashes is a tuple of small ints: a lattice point is its slot,
 and the pair of trial vertices v != w is one int past them.
+
+F is one loop over a table of (slots, sign) rows: each simplex makes its
+pairs once, in slot order, and reads every row's vertices from that list.
+F's rows are the cells.  check_subdivision's homotopy trials read another
+table through the same loop, T_n = d rho F(sigma) + rho F(d sigma) on the
+numbered n-simplex sigma = 0..n, built once per call by the F, rho and
+boundary kernels on slots (slot (i, i) is the plain vertex i).  Reading
+slots as the pairs of a simplex that repeats no vertex is injective, and
+an injective vertex map commutes with F, rho, the boundary and the merging
+of equal keys, so a trial's left side is the one the kernels would give.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .errors import ResourceBoundError, SseError
+from .errors import ResourceBoundError, SseError, check_trials
 from .frozen import Frozen, slot_setters
 
 
@@ -273,22 +283,42 @@ def _first(x):
     return x[1] if type(x) is PairVertex else x
 
 
-def _f(c: Chain, pair: Callable[[Hashable, Hashable], Hashable]) -> Chain:
-    """F with the pair vertex of (v, w) made by pair(v, w); pair(v, v) is v."""
+def _substitute(
+    c: Chain,
+    pair: Callable[[Hashable, Hashable], Hashable],
+    table: Callable[[int], list[tuple[tuple[int, ...], int]]],
+) -> Chain:
+    """The sum over the simplices s of c of coeff(s) times the (slots,
+    sign) rows of table(dim s), slot (i, j) read as pair(s_i, s_j).
+
+    Each row's vertices are read from the list of the pairs of s, made once
+    per simplex, and each dimension's rows are asked for once per call."""
     out: dict[tuple, int] = {}
     get = out.get
-    # a cell's (i, j) rise in both coordinates, and its every i is at most
-    # its every j; so a diagonal v_k and a pair (v_i, v_j) of one cell
-    # have k = i or k = j, and since a simplex repeats no vertex, no image
-    # repeats one either
+    tables: dict[int, list] = {}
     for simplex, coeff in c.coeffs.items():
-        # each pair vertex is made once per simplex, not once per cell
+        m = len(simplex) - 1
+        rows = tables.get(m)
+        if rows is None:
+            rows = tables[m] = table(m)
         pairs = [pair(v, w) for i, v in enumerate(simplex) for w in simplex[i:]]
         take = pairs.__getitem__
-        for cell in _subdivision_cells(len(simplex) - 1):
-            image = tuple(map(take, cell.slots))
-            out[image] = get(image, 0) + coeff * cell.sign
+        for slots, sign in rows:
+            image = tuple(map(take, slots))
+            out[image] = get(image, 0) + coeff * sign
     return _chain(out)
+
+
+def _f(c: Chain, pair: Callable[[Hashable, Hashable], Hashable]) -> Chain:
+    """F with the pair vertex of (v, w) made by pair(v, w); pair(v, v) is v.
+
+    A cell's (i, j) rise in both coordinates, and its every i is at most
+    its every j; so a diagonal v_k and a pair (v_i, v_j) of one cell have
+    k = i or k = j, and since a simplex repeats no vertex, no image repeats
+    one either."""
+    return _substitute(
+        c, pair, lambda m: [(cell.slots, cell.sign) for cell in _subdivision_cells(m)]
+    )
 
 
 def _rho(c: Chain, first: Callable[[Hashable], Hashable]) -> Chain:
@@ -339,31 +369,82 @@ def _face_slots(n: int, k: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SubdivisionCheck:
-    """The identities of the subdivided n-simplex, each checked exactly."""
+    """The identities of the subdivided n-simplex, each checked exactly.
+
+    A false identity carries a witness, left out of ==, so two checks
+    compare by their verdicts.  chain_map_witness is the first slot
+    simplex, in sorted order, on which the boundary of the cells ("lhs")
+    and the faces of the (n-1)-cells ("rhs") differ, with both
+    coefficients.  homotopy_witness is the index of the first failing
+    trial, its chain as [simplex, coeff] items, and the first simplex where
+    d rho F + rho F d ("lhs") and F - id ("rhs") differ, with both
+    coefficients; a vertex there is v in 0..n+2 or the pair [v, w]."""
 
     cells: int
     vertices: int
     counts_ok: bool  # 2^n cells on (n+1)(n+2)/2 lattice points
     chain_map_identity: bool  # boundary of the cells = faces of the (n-1)-cells
     chain_homotopy: bool  # d rho F + rho F d = F - id on random chains
+    chain_map_witness: Optional[dict] = field(default=None, compare=False)
+    homotopy_witness: Optional[dict] = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.counts_ok and self.chain_map_identity and self.chain_homotopy
 
 
+def _first_difference(lhs: Chain, rhs: Chain) -> tuple[tuple, int, int]:
+    """The first simplex in sorted order where two unequal chains differ,
+    with its coefficient in each."""
+    a, b = lhs.coeffs, rhs.coeffs
+    simplex = min(s for s in a.keys() | b.keys() if a.get(s, 0) != b.get(s, 0))
+    return simplex, a.get(simplex, 0), b.get(simplex, 0)
+
+
+def _homotopy_table(n: int) -> Chain:
+    """T_n = d rho F(sigma) + rho F(d sigma) on the numbered n-simplex
+    sigma = 0..n, in slots: the pair (i, j) is its slot, so slot (i, i) is
+    the plain vertex i and the first component of slot (i, j) is slot
+    (i, i).  F of face k of sigma is F of the numbered (n-1)-simplex with
+    its slots sent through _face_slots(n, k), and rho commutes with that
+    injective map, so rho F(d sigma) is the faces of the (n-1)-table."""
+
+    def rho_f(m: int) -> Chain:
+        firsts = [_slot(i, i, m) for i in range(m + 1) for _j in range(i, m + 1)]
+        fc = _f(Chain({tuple(range(m + 1)): 1}), lambda v, w: _slot(v, w, m))
+        return _rho(fc, firsts.__getitem__)
+
+    out = dict(boundary(rho_f(n)).coeffs)
+    get = out.get
+    below = rho_f(n - 1).coeffs.items()
+    for k in range(n + 1):
+        take = _face_slots(n, k).__getitem__
+        sign = (-1) ** k
+        for simplex, coeff in below:
+            face = tuple(map(take, simplex))
+            out[face] = get(face, 0) + sign * coeff
+    return _chain(out)
+
+
 def check_subdivision(n: int, trials: int, seed: int) -> SubdivisionCheck:
     """Check the counts and the chain-map identity of the subdivided
     n-simplex, and the chain homotopy on `trials` random chains of
     n-simplices drawn with random.Random(seed); `trials` must be an
-    integer >= 0.
+    integer in 0..MAX_TRIALS.
 
     Both identities run on numbered vertices.  A lattice point is its
     slot.  The random chains are on the vertices 0..size-1, size = n + 3,
-    and the pair of v != w is the number size + v·size + w, whose first
-    component is read from a table."""
-    if type(trials) is not int or trials < 0:
-        raise ValueError(f"trials must be an integer >= 0, not {trials!r}")
+    and the pair of v != w is the number size + v·size + w.
+
+    A trial's left side is read from one table per call, T_n (see
+    _homotopy_table), through the loop of F: each simplex s of the chain
+    adds coeff(s) times T_n with slot (i, j) read as the pair of s_i and
+    s_j.  That is exact: s repeats no vertex, so reading slots as its
+    pairs is injective, and an injective vertex map commutes with F, with
+    rho's repeated-first test, with the boundary and with the merging of
+    equal keys; all the maps are linear.  The right side, F(c) - c, is
+    read from the cells."""
+    check_trials(trials)
     cells = enumerate_subdivision(n)
     vertices = {v for c in cells for v in c.vertices}
     counts_ok = len(cells) == 2**n and len(vertices) == (n + 1) * (n + 2) // 2
@@ -373,23 +454,46 @@ def check_subdivision(n: int, trials: int, seed: int) -> SubdivisionCheck:
         take = _face_slots(n, k).__getitem__
         for cell in _subdivision_cells(n - 1):
             rhs.add(tuple(map(take, cell.slots)), (-1) ** k * cell.sign)
-    rng = random.Random(seed)
-    simplices = list(combinations(range(n + 3), n + 1))
-    size = n + 3
-    firsts = list(range(size)) + [v for v in range(size) for _w in range(size)]
+    chain_map_witness = None
+    if lhs != rhs:
+        simplex, a, b = _first_difference(lhs, rhs)
+        chain_map_witness = {"simplex": list(simplex), "lhs": a, "rhs": b}
+    homotopy_witness = None
+    if trials:
+        rows = list(_homotopy_table(n).coeffs.items())
+        rng = random.Random(seed)
+        simplices = list(combinations(range(n + 3), n + 1))
+        size = n + 3
 
-    def pair(v: int, w: int) -> int:
-        return v if v == w else size + v * size + w
+        def pair(v: int, w: int) -> int:
+            return v if v == w else size + v * size + w
 
-    first = firsts.__getitem__
-    homotopy_ok = True
-    for _ in range(trials):
-        c = Chain({rng.choice(simplices): rng.randint(-3, 3) for _ in range(4)})
-        fc = _f(c, pair)
-        if boundary(_rho(fc, first)) + _rho(_f(boundary(c), pair), first) != fc - c:
-            homotopy_ok = False
-            break
-    return SubdivisionCheck(len(cells), len(vertices), counts_ok, lhs == rhs, homotopy_ok)
+        def vertex(x: int):
+            return x if x < size else list(divmod(x - size, size))
+
+        for trial in range(trials):
+            c = Chain({rng.choice(simplices): rng.randint(-3, 3) for _ in range(4)})
+            left = _substitute(c, pair, lambda _m: rows)
+            right = _f(c, pair) - c
+            if left != right:
+                simplex, a, b = _first_difference(left, right)
+                homotopy_witness = {
+                    "trial": trial,
+                    "chain": [[list(s), k] for s, k in sorted(c.coeffs.items())],
+                    "simplex": list(map(vertex, simplex)),
+                    "lhs": a,
+                    "rhs": b,
+                }
+                break
+    return SubdivisionCheck(
+        len(cells),
+        len(vertices),
+        counts_ok,
+        chain_map_witness is None,
+        homotopy_witness is None,
+        chain_map_witness,
+        homotopy_witness,
+    )
 
 
 # -- ordered complexes ---------------------------------------------------

@@ -40,6 +40,7 @@ from .errors import (
     NotElementaryError,
     ShiftMismatchError,
     VerificationError,
+    check_trials,
     json_fields,
 )
 from .matrices import NonnegMatrix, matrix_from_json
@@ -277,12 +278,12 @@ def verify_refinement_axioms(
     codes with common domain, plus randomized auxiliary data.
 
     Statements conditioned on delta being defined count as vacuous when
-    the membership hypothesis fails.  `trials` must be an integer >= 0.
+    the membership hypothesis fails.  `trials` must be an integer in
+    0..MAX_TRIALS.
     """
     from .sampling import random_bijection_code
 
-    if type(trials) is not int or trials < 0:
-        raise ValueError(f"trials must be an integer >= 0, not {trials!r}")
+    check_trials(trials)
     codes = [normalize(c) for c in codes]
     for c in codes:
         if not is_elementary(c):

@@ -19,6 +19,7 @@ from ssecalc.cli import _COMMANDS, _encode, _text, build_parser, main
 from ssecalc.codes import code_to_json, shift_code
 from ssecalc.complexes import SSEPath, path_from_json, path_to_json
 from ssecalc.elementary import SSEEdge, Triangle, edge_to_json, triangle_to_json
+from ssecalc.errors import MAX_TRIALS
 from ssecalc.matrices import NonnegMatrix, matrix_to_json, mul
 from ssecalc.shifts import VertexShift, higher_block
 
@@ -445,6 +446,18 @@ def test_negative_trials_are_input_errors(tmp_path):
     path = write(tmp_path, "ax.json", {"base": matrix_to_json(GM), "tuple_size": 2})
     code, rep = run(tmp_path, "refine-axioms", "--input", path, "--trials", "-1")
     assert code == 2 and rep["kind"] == "input" and "trials" in rep["error"]
+
+
+def test_trial_counts_above_the_cap_are_bound_errors(tmp_path):
+    # a count above MAX_TRIALS is refused before any work, not run until killed
+    path = write(tmp_path, "ax.json", {"base": matrix_to_json(GM), "tuple_size": 2})
+    over = str(MAX_TRIALS + 1)
+    for argv in (("freudenthal-check", "--dimension", "3"), ("refine-axioms", "--input", path)):
+        start = time.monotonic()
+        code, rep = run(tmp_path, *argv, "--trials", over)
+        assert time.monotonic() - start < 5
+        assert code == 3 and rep["kind"] == "bound"
+        assert f"MAX_TRIALS = {MAX_TRIALS}" in rep["error"]
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 import ssecalc.freudenthal as freudenthal
 from ssecalc.cli import main
 from ssecalc.codes import identity_code, normalize, shift_code
-from ssecalc.errors import ResourceBoundError
+from ssecalc.errors import MAX_TRIALS, ResourceBoundError
 from ssecalc.freudenthal import (
     MAX_SUBDIVISION_DIMENSION,
     Chain,
@@ -22,6 +22,7 @@ from ssecalc.freudenthal import (
     PairVertex,
     SubdivisionCheck,
     _face_slots,
+    _homotopy_table,
     _subdivision_cells,
     boundary,
     chain_f,
@@ -445,6 +446,22 @@ def test_check_subdivision_matches_the_reference_on_vertex_tuples():
                 assert check_subdivision(n, trials, seed) == want, (n, seed, trials)
 
 
+@pytest.mark.parametrize("n", [9, MAX_SUBDIVISION_DIMENSION])
+def test_check_subdivision_matches_the_reference_up_to_the_bound(n):
+    for trials in range(3):
+        assert check_subdivision(n, trials, n) == reference_check_subdivision(n, trials, n)
+
+
+def test_the_homotopy_table_is_f_minus_the_identity_on_correct_cells():
+    # d rho F + rho F d = F - id on the numbered n-simplex, in slots
+    for n in range(1, MAX_SUBDIVISION_DIMENSION + 1):
+        upper = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+        cells = Chain({cell.slots: cell.sign for cell in _subdivision_cells(n)})
+        identity = Chain({tuple(upper.index((i, i)) for i in range(n + 1)): 1})
+        table = _homotopy_table(n)
+        assert table == cells - identity and len(table.coeffs) == 2**n + 1
+
+
 def test_face_slots_are_face_map_on_theta_points():
     for n in range(1, 7):
         upper = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
@@ -489,6 +506,121 @@ def test_swapped_slots_fail_both_identities(n, monkeypatch):
     assert (check.counts_ok, check.chain_map_identity, check.chain_homotopy) == (True, False, False)
     want = reference_check_subdivision(n, 2, 0)
     assert (want.chain_map_identity, want.chain_homotopy) == (True, False)
+
+
+def _flip_sign(cell):
+    return dataclasses.replace(cell, sign=-cell.sign)
+
+
+def _swap_first_slots(cell):
+    slots = list(cell.slots)
+    slots[0], slots[1] = slots[1], slots[0]
+    return dataclasses.replace(cell, slots=tuple(slots))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_flipped_sign_one_dimension_down_matches_the_reference(n, monkeypatch):
+    # the homotopy table reads the (n-1)-cells through their faces
+    _with_cell_changed(monkeypatch, n - 1, _flip_sign)
+    for trials in range(4):
+        check = check_subdivision(n, trials, 0)
+        assert check == reference_check_subdivision(n, trials, 0), trials
+    assert (check.chain_map_identity, check.chain_homotopy) == (False, False)
+
+
+def oracle_first_difference(lhs, rhs, key):
+    """The simplex, first by key, where two chains differ, with both coefficients."""
+    a, b = lhs.coeffs, rhs.coeffs
+    simplex = min((s for s in set(a) | set(b) if a.get(s, 0) != b.get(s, 0)), key=key)
+    return simplex, a.get(simplex, 0), b.get(simplex, 0)
+
+
+def oracle_chain_map_witness(n):
+    """The boundary of the cells and the faces of the (n-1)-cells, on slot
+    simplices, the faces taken by face_map on theta points."""
+    upper = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+    below = [(i, j) for i in range(n) for j in range(i, n)]
+    lhs = oracle_boundary(Chain({cell.slots: cell.sign for cell in _subdivision_cells(n)}))
+    rhs = Chain()
+    for k in range(n + 1):
+        for cell in _subdivision_cells(n - 1):
+            face = tuple(
+                upper.index(theta_inverse(face_map(k, theta(*below[s], n - 1))))
+                for s in cell.slots
+            )
+            rhs.add(face, (-1) ** k * cell.sign)
+    if lhs == rhs:
+        return None
+    simplex, a, b = oracle_first_difference(lhs, rhs, key=None)
+    return {"simplex": list(simplex), "lhs": a, "rhs": b}
+
+
+def oracle_homotopy_witness(n, trials, seed):
+    """The first failing trial of reference_check_subdivision, its chain,
+    and the first simplex where its two sides differ: plain vertices
+    before pairs, pairs by (lo, hi)."""
+    rng = random.Random(seed)
+    simplices = list(combinations(range(n + 3), n + 1))
+    for trial in range(trials):
+        c = Chain({rng.choice(simplices): rng.randint(-3, 3) for _ in range(4)})
+        fc = reference_chain_f(c)
+        lhs = oracle_sum(
+            oracle_boundary(reference_chain_rho(fc)),
+            reference_chain_rho(reference_chain_f(oracle_boundary(c))),
+            1,
+        )
+        rhs = oracle_sum(fc, c, -1)
+        if lhs != rhs:
+            simplex, a, b = oracle_first_difference(
+                lhs, rhs, key=lambda s: [(1, *split_pair(x)) if type(x) is PairVertex
+                                         else (0, x) for x in s]
+            )
+            return {
+                "trial": trial,
+                "chain": [[list(s), k] for s, k in sorted(c.coeffs.items())],
+                "simplex": [list(split_pair(x)) if type(x) is PairVertex else x
+                            for x in simplex],
+                "lhs": a,
+                "rhs": b,
+            }
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("below", [0, 1], ids=["at-n", "at-n-1"])
+@pytest.mark.parametrize("change", [_flip_sign, _swap_first_slots], ids=["flipped-sign",
+                                                                          "swapped-slots"])
+def test_false_identities_carry_the_witnesses_the_oracles_recompute(
+    n, below, change, monkeypatch, tmp_path
+):
+    _with_cell_changed(monkeypatch, n - below, change)
+    check = check_subdivision(n, trials=3, seed=1)
+    assert check.chain_map_witness == oracle_chain_map_witness(n) is not None
+    assert check.homotopy_witness == oracle_homotopy_witness(n, 3, 1) is not None
+    assert (check.chain_map_identity, check.chain_homotopy) == (False, False)
+    out = tmp_path / "out.json"
+    code = main(["freudenthal-check", "--dimension", str(n), "--trials", "3", "--seed", "1",
+                 "--output", str(out)])
+    rep = json.loads(out.read_text())
+    assert code == 1 and rep["chain_map_witness"] == check.chain_map_witness
+    assert rep["homotopy_witness"] == check.homotopy_witness
+
+
+def test_true_identities_carry_no_witness(tmp_path):
+    check = check_subdivision(4, trials=3, seed=0)
+    assert check.ok and check.chain_map_witness is None and check.homotopy_witness is None
+    out = tmp_path / "out.json"
+    assert main(["freudenthal-check", "--dimension", "4", "--output", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert "chain_map_witness" not in rep and "homotopy_witness" not in rep
+
+
+def test_check_subdivision_refuses_trials_above_the_cap():
+    start = time.monotonic()
+    with pytest.raises(ResourceBoundError, match=f"MAX_TRIALS = {MAX_TRIALS}"):
+        check_subdivision(2, trials=MAX_TRIALS + 1, seed=0)
+    assert time.monotonic() - start < 5
+    assert check_subdivision(1, trials=MAX_TRIALS, seed=0).ok
 
 
 @pytest.mark.parametrize("trials", [-1, -2, 1.0, "2", True, None])

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from ssecalc import codes
+from ssecalc import codes, refinement
 from ssecalc.codes import (
     compose,
     identity_code,
@@ -12,7 +12,13 @@ from ssecalc.codes import (
     shift_code,
 )
 from ssecalc.elementary import code_from_edge
-from ssecalc.errors import NotElementaryError, ShiftMismatchError, VerificationError
+from ssecalc.errors import (
+    MAX_TRIALS,
+    NotElementaryError,
+    ResourceBoundError,
+    ShiftMismatchError,
+    VerificationError,
+)
 from ssecalc.matrices import NonnegMatrix
 from ssecalc.refinement import (
     AXIOM_NAMES,
@@ -288,6 +294,13 @@ def test_delta_normalizes_each_component_once(monkeypatch):
 def test_axiom_suite_rejects_bad_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         verify_refinement_axioms([identity_code(X)], trials=trials)
+
+
+def test_axiom_suite_refuses_trials_above_the_cap(monkeypatch):
+    # refused before any work: no code is normalized, no permutation drawn
+    monkeypatch.setattr(refinement, "normalize", None)
+    with pytest.raises(ResourceBoundError, match=f"MAX_TRIALS = {MAX_TRIALS}"):
+        verify_refinement_axioms([identity_code(X)], trials=MAX_TRIALS + 1)
 
 
 def _inverse_tuple(rng, base, n):
