@@ -20,14 +20,15 @@ the cover at which a cap is exceeded stay those of the search without
 it.  The elimination stops at the (k+1)-th independent row, and runs
 only when more than k rows remain from the first uncovered one on,
 since r rows have rank at most r.  At k = 2 the rank bound leaves at
-most three distinct nonzero rows, g1, g2 and g1 ^ g2.  The last two
-rectangles are closed directly: the first of them, (rho, gamma), holds
-the first uncovered entry; the rows gamma does not fit must share one
-value.  If gamma leaves part of its row uncovered, rho is every row
-gamma fits; if gamma is the whole row, rho is that set or the rows
-equal to gamma, unless every row gamma fits equals it.  Each such rho
-leaves one rectangle, whose rows must all equal the first uncovered
-one, checked in O(n) with at most one cover.  Compatibility is checked by pair
+most three distinct nonzero rows, g1, g2 and g1 ^ g2.  The one
+recursion that places every rectangle narrows its choices there: the
+rows the next rectangle (rho, gamma) does not fit must share one value,
+and if gamma leaves part of its row uncovered, rho is every row gamma
+fits; if gamma is the whole row, rho is that set or the rows equal to
+gamma, unless every row gamma fits equals it.  The last rectangle, at
+inner dimension 1 or after such a choice, is placed by one helper that
+reads the rows left on the fly: they must all be one column set,
+checked in O(n) with at most one cover.  Compatibility is checked by pair
 masks: the set of pairs {a < b} inside a row or column set is a bit mask, two sets share at most
 one index iff their pair masks are disjoint, and the search carries the
 OR of the pair masks of the row sets and of the column sets on its
@@ -160,6 +161,20 @@ def _covers(
     # stack iff pairs[gamma] misses row_pairs, pairs[rho] misses col_pairs
     # and |gamma ∩ rho| <= 1.  Rows before i are covered.  With k >= 2
     # rectangles left, rows of GF(2) rank above k have no cover.
+    #
+    # With two rectangles left, (rho, gamma) holds the first uncovered
+    # entry and close_one places the rectangle (rho_last, last) that must
+    # cover the rest.  The rank cut leaves the nonzero rows at most three
+    # values.  The nonzero rows gamma does not fit stay as they are, so
+    # they must share one value, other, and last is other.  A row that fits
+    # gamma but stays out of rho keeps a superset of gamma, so it must be
+    # last.  So rho is rho_cand when there is an other (it misses part of
+    # gamma) and when gamma leaves part of row i uncovered (that part is
+    # last and misses gamma).  Otherwise gamma is row i and a row left out
+    # of rho is last, a superset of gamma, so every row in rho equals
+    # gamma: if some candidate row is larger, rho is rho_cand or the rows
+    # equal to gamma; if none is, rho may be any candidate set, as with
+    # more rectangles left.
     def rec(rows: list[int], i: int, used: int, row_pairs: int, col_pairs: int):
         while i < n and not rows[i]:
             i += 1
@@ -169,68 +184,15 @@ def _covers(
             return
         if used == m:
             return
-        row = rows[i]
+        left = m - used
         # rows i.. have rank at most n - i, so fewer rectangles than that
         # are the only ones the rank can exceed
-        if 2 <= m - used < n - i and _gf2_rank(rows, m - used) > m - used:
+        if 2 <= left < n - i and _gf2_rank(rows, left) > left:
             return
-        if used == m - 2:
-            close_two(rows, i, row, row_pairs, col_pairs)
+        if left == 1:  # only when m == 1: every nonzero row must equal row i
+            close_one(rows, i, 0, 0, row_pairs, col_pairs)
             return
-        if used == m - 1:
-            # only when m == 1: the rest must be one rectangle, every
-            # nonzero row equals row
-            rho = 0
-            for k in range(i, n):
-                if rows[k]:
-                    if rows[k] != row:
-                        return
-                    rho |= 1 << k
-            both = row & rho
-            if pairs[row] & row_pairs or pairs[rho] & col_pairs or both & (both - 1):
-                return
-            rect_stack.append((rho, row))
-            emit()
-            rect_stack.pop()
-            return
-        for gamma in _subsets_containing(row, row & -row):
-            gamma_pairs = pairs[gamma]
-            if gamma_pairs & row_pairs:
-                continue
-            rho_cand = 0
-            for k in range(i, n):
-                if gamma & ~rows[k] == 0:
-                    rho_cand |= 1 << k
-            for rho in _subsets_containing(rho_cand, 1 << i):
-                rho_pairs = pairs[rho]
-                both = gamma & rho
-                if rho_pairs & col_pairs or both & (both - 1):
-                    continue
-                new_rows = rows[:]
-                r = rho
-                while r:
-                    k = (r & -r).bit_length() - 1
-                    r &= r - 1
-                    new_rows[k] &= ~gamma
-                rect_stack.append((rho, gamma))
-                rec(new_rows, i, used + 1, row_pairs | rho_pairs, col_pairs | gamma_pairs)
-                rect_stack.pop()
-
-    # The last two rectangles: (rho, gamma) through the first uncovered
-    # entry, then the one rectangle (rho2, last) that must cover the rest.
-    # rec has cut rows of GF(2) rank above 2, so the nonzero rows take at
-    # most three values.
-    # The nonzero rows gamma does not fit stay as they are, so they must
-    # share one value, other, and last is other.  A row that fits gamma
-    # but stays out of rho keeps a superset of gamma, so it must be last.
-    # So rho is rho_cand when there is an other (it misses part of gamma)
-    # and when gamma leaves part of row i uncovered (that part is last and
-    # misses gamma).  Otherwise gamma is row i and a row left out of rho is
-    # last, a superset of gamma, so every row in rho equals gamma: if some
-    # candidate row is larger, rho is rho_cand or the rows equal to gamma;
-    # if none is, rho may be any candidate set.  Each choice is closed in
-    # one pass, in the order of _subsets_containing(rho_cand, 1 << i).
-    def close_two(rows: list[int], i: int, row: int, row_pairs: int, col_pairs: int):
+        row = rows[i]
         for gamma in _subsets_containing(row, row & -row):
             gamma_pairs = pairs[gamma]
             if gamma_pairs & row_pairs:
@@ -242,44 +204,53 @@ def _covers(
                     rho_cand |= 1 << k
                     if rk == gamma:
                         equal |= 1 << k
-                elif rk:
+                elif rk and left == 2:
                     if other and rk != other:
                         break
                     other = rk
             else:
-                if row != gamma or other:
+                if left == 2 and (gamma != row or other):
                     choices = (rho_cand,)
-                elif equal == rho_cand:
-                    choices = _subsets_containing(rho_cand, 1 << i)
-                else:
+                elif left == 2 and equal != rho_cand:
                     choices = (rho_cand, equal)
-                col_pairs2 = col_pairs | gamma_pairs
+                else:
+                    choices = _subsets_containing(rho_cand, 1 << i)
                 for rho in choices:
                     rho_pairs = pairs[rho]
                     both = gamma & rho
                     if rho_pairs & col_pairs or both & (both - 1):
                         continue
-                    last = rho2 = 0
-                    for k in range(i, n):
-                        rk = rows[k] & ~gamma if rho >> k & 1 else rows[k]
-                        if rk:
-                            if last and rk != last:
-                                break
-                            last = rk
-                            rho2 |= 1 << k
+                    rect_stack.append((rho, gamma))
+                    if left == 2:
+                        close_one(rows, i, rho, gamma, row_pairs | rho_pairs, col_pairs | gamma_pairs)
                     else:
-                        both = last & rho2
-                        if (
-                            not last
-                            or pairs[last] & (row_pairs | rho_pairs)
-                            or pairs[rho2] & col_pairs2
-                            or both & (both - 1)
-                        ):
-                            continue
-                        rect_stack.append((rho, gamma))
-                        rect_stack.append((rho2, last))
-                        emit()
-                        del rect_stack[-2:]
+                        new_rows = rows[:]
+                        r = rho
+                        while r:
+                            k = (r & -r).bit_length() - 1
+                            r &= r - 1
+                            new_rows[k] &= ~gamma
+                        rec(new_rows, i, used + 1, row_pairs | rho_pairs, col_pairs | gamma_pairs)
+                    rect_stack.pop()
+
+    def close_one(rows: list[int], i: int, rho: int, gamma: int, row_pairs: int, col_pairs: int):
+        """Emit the cover that one last rectangle closes, if any: rows i..,
+        with gamma taken out of the rows in rho, must be zero or one and
+        the same column set, and the rectangle must fit the pair masks."""
+        last = rho_last = 0
+        for k in range(i, n):
+            rk = rows[k] & ~gamma if rho >> k & 1 else rows[k]
+            if rk:
+                if last and rk != last:
+                    return
+                last = rk
+                rho_last |= 1 << k
+        both = last & rho_last
+        if not last or pairs[last] & row_pairs or pairs[rho_last] & col_pairs or both & (both - 1):
+            return
+        rect_stack.append((rho_last, last))
+        emit()
+        rect_stack.pop()
 
     try:
         rec(list(support), 0, 0, 0, 0)

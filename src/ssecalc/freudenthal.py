@@ -410,13 +410,20 @@ def _homotopy_table(n: int) -> Chain:
     injective map, so rho F(d sigma) is the faces of the (n-1)-table."""
 
     def rho_f(m: int) -> Chain:
+        # F of the numbered m-simplex in slots is its cells, each slot
+        # (i, j) read as itself
         firsts = [_slot(i, i, m) for i in range(m + 1) for _j in range(i, m + 1)]
-        fc = _f(Chain({tuple(range(m + 1)): 1}), lambda v, w: _slot(v, w, m))
+        fc = Chain({cell.slots: cell.sign for cell in _subdivision_cells(m)})
         return _rho(fc, firsts.__getitem__)
 
-    out = dict(boundary(rho_f(n)).coeffs)
+    return _sum_faces(n, rho_f(n - 1).coeffs.items(), dict(boundary(rho_f(n)).coeffs))
+
+
+def _sum_faces(n: int, below, out: dict) -> Chain:
+    """out plus the sum over k of (-1)^k times face k of every (slots,
+    coeff) item of below, a chain of dimension n - 1 on slots, each face
+    read through _face_slots(n, k).  out is a fresh dict the result takes."""
     get = out.get
-    below = rho_f(n - 1).coeffs.items()
     for k in range(n + 1):
         take = _face_slots(n, k).__getitem__
         sign = (-1) ** k
@@ -449,11 +456,7 @@ def check_subdivision(n: int, trials: int, seed: int) -> SubdivisionCheck:
     vertices = {v for c in cells for v in c.vertices}
     counts_ok = len(cells) == 2**n and len(vertices) == (n + 1) * (n + 2) // 2
     lhs = boundary(Chain({cell.slots: cell.sign for cell in cells}))
-    rhs = Chain()
-    for k in range(n + 1):
-        take = _face_slots(n, k).__getitem__
-        for cell in _subdivision_cells(n - 1):
-            rhs.add(tuple(map(take, cell.slots)), (-1) ** k * cell.sign)
+    rhs = _sum_faces(n, [(cell.slots, cell.sign) for cell in _subdivision_cells(n - 1)], {})
     chain_map_witness = None
     if lhs != rhs:
         simplex, a, b = _first_difference(lhs, rhs)

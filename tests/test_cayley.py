@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ssecalc.cayley import (
     FGGroupWindow,
     InvalidWindowError,
+    ScheduleStep,
     TableGroup,
     ZdGroup,
     is_connected,
@@ -72,6 +73,39 @@ def test_s3_window():
     steps = reduction_schedule(w)
     assert len(steps) == 3
     assert verify_schedule(w, steps)
+
+
+def _steps(*triples):
+    return [ScheduleStep((h,), (g,), (p,)) for h, g, p in triples]
+
+
+# on Z with window {-1, 0, 1, 2}: remove 2, 1 and -1, each from a
+# neighbour; each of the first five broken schedules below would reach
+# {e} if its one bad certificate were let through
+_VALID = [(2, 1, 1), (1, 1, 0), (-1, -1, 0)]
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        _steps((3, 1, 2), *_VALID),
+        _steps((2, 1, 1), (1, 1, 0), (-1, 1, -2)),
+        _steps((2, -1, 1), *_VALID[1:]),
+        _steps((2, 2, 0), *_VALID[1:]),
+        _steps((2, 0, 2), *_VALID[1:]),
+        _steps(*_VALID[:-1]),
+        # a schedule that removes e, or leaves a part of the window
+        # unreachable from e, cannot end at {e}
+        _steps((0, 1, -1)),
+        _steps((1, -1, 2), (-1, -1, 0)),
+    ],
+    ids=["removed-outside", "parent-outside", "not-parent-times-g", "g-outside-s-prime",
+         "g-identity", "stops-early", "identity-removed", "disconnects"],
+)
+def test_verify_schedule_refuses_each_broken_certificate(broken):
+    w = FGGroupWindow(Z1, GENS_Z1, [(-1,), (0,), (1,), (2,)])
+    assert verify_schedule(w, _steps(*_VALID))
+    assert not verify_schedule(w, broken)
 
 
 def random_connected_window(rng, ops, gens, size):

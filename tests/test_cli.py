@@ -19,7 +19,7 @@ from ssecalc.cli import _COMMANDS, _encode, _text, build_parser, main
 from ssecalc.codes import code_to_json, shift_code
 from ssecalc.complexes import SSEPath, path_from_json, path_to_json
 from ssecalc.elementary import SSEEdge, Triangle, edge_to_json, triangle_to_json
-from ssecalc.errors import MAX_TRIALS
+from ssecalc.errors import MAX_TRIALS, InvalidEdgeError
 from ssecalc.matrices import NonnegMatrix, matrix_to_json, mul
 from ssecalc.shifts import VertexShift, higher_block
 
@@ -93,6 +93,26 @@ def test_verify_triangle(tmp_path):
 
 _SW = NonnegMatrix([[0, 1], [1, 0]])
 _ALL_ONES = NonnegMatrix([[1, 1], [1, 1]])
+# GM -> [[0, 1], [1, 1]], its symbols swapped, and a loop at GM
+_GM_SWAP = SSEEdge(GM, NonnegMatrix([[0, 1], [1, 1]]), _SW, NonnegMatrix([[1, 0], [1, 1]]))
+_GM_LOOP = SSEEdge(GM, GM, I2, GM)
+
+
+@pytest.mark.parametrize(
+    "edges, error",
+    [
+        ((_GM_SWAP, _GM_LOOP, _GM_SWAP), "e1 target != e2 source"),
+        ((_GM_LOOP, _GM_LOOP, _GM_SWAP.reversed()), "e1 source != e3 source"),
+        ((_GM_LOOP, _GM_LOOP, _GM_SWAP), "e2 target != e3 target"),
+    ],
+    ids=["e1-e2", "e1-e3", "e2-e3"],
+)
+def test_a_triangle_with_unmatched_endpoints_is_refused(tmp_path, edges, error):
+    with pytest.raises(InvalidEdgeError, match=error):
+        Triangle(*edges)
+    obj = dict(zip(("e1", "e2", "e3"), map(edge_to_json, edges)))
+    code, rep = run(tmp_path, "verify-triangle", "--input", write(tmp_path, "tri.json", obj))
+    assert code == 2 and rep["kind"] == "input" and rep["error"] == error, rep
 _R_SWAP = SSEEdge(_ALL_ONES, _ALL_ONES, _SW, _ALL_ONES)
 _S_SWAP = SSEEdge(_ALL_ONES, _ALL_ONES, _ALL_ONES, _SW)
 _SWAP_SWAP = SSEEdge(I2, I2, _SW, _SW)

@@ -501,6 +501,16 @@ def test_deep_explore_counts(a, max_inner, depth, counts):
     _assert_report_matches_oracle(a, frag)
 
 
+@pytest.mark.parametrize("max_size, counts", [(2, (8, 32, 96)), (3, (8, 104, 960))])
+def test_explore_expands_only_vertices_within_max_size(max_size, counts):
+    """The 3x3 vertices of the golden mean's first shell are recorded at
+    max_size 2 but not expanded, so every edge has a 2x2 end."""
+    frag = explore(GM, 3, depth=2, max_size=max_size)
+    assert (len(frag.vertices), len(frag.edges), len(frag.triangles)) == counts
+    assert all(min(e.a.rows, e.b.rows) <= max_size for e in frag.edges)
+    assert frag.triangles == _reference_triangles(frag)
+
+
 def test_golden_mean_at_depth_three_is_pinned():
     """The golden mean at depth 3 and max-inner 4: its counts, the sha256
     of its triangle list, and a bound on the memory the call allocates:

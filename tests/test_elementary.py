@@ -492,15 +492,15 @@ def test_covers_of_rank_above_m_end_at_the_root(support):
 
 def test_search_effort_on_six_by_six_bases_is_pinned():
     """The rank cut's search effort on seeded 6x6 bases at inner 1-7: the
-    search without it enters 202,974 rec and 163,661 close_two frames for
-    the same 2,016 covers, and with it 39,971 and 4,529."""
+    search without it enters 202,974 rec and 61,961 close_one frames for
+    the same 2,016 covers, and with it 39,971 and 9,917."""
     rng = random.Random(77)
     supports = [random_nondeg_matrix(rng, 6).support_rows() for _ in range(6)]
     out, counts = _frames(
-        lambda: [_covers(s, 6, m, None) for s in supports for m in range(1, 8)], ("rec", "close_two")
+        lambda: [_covers(s, 6, m, None) for s in supports for m in range(1, 8)], ("rec", "close_one")
     )
     assert sum(map(len, out)) == 2016
-    assert counts["rec"] <= 60_000 and counts["close_two"] <= 10_000, counts
+    assert counts["rec"] <= 60_000 and counts["close_one"] <= 20_000, counts
 
 
 def test_covers_leave_nothing_for_the_collector():
